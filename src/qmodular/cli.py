@@ -33,7 +33,6 @@ class CommandConfig:
     fmt: str = "json"
     out: Optional[str] = None
     tol: Optional[float] = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         for name in ("order", "n_max", "count"):
@@ -44,8 +43,6 @@ class CommandConfig:
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.tol is not None and self.tol <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 def _config_from_args(args) -> CommandConfig:
@@ -57,7 +54,6 @@ def _config_from_args(args) -> CommandConfig:
         fmt=getattr(args, "format", "json"),
         out=getattr(args, "out", None),
         tol=getattr(args, "tol", None),
-        threads=getattr(args, "threads", 1),
     )
 
 
@@ -132,7 +128,7 @@ def _cmd_verify(args) -> int:
         "fe_rel_tol": cfg.tol,
     }
     if args.suite == "all":
-        pairs = verify.run_all(threads=cfg.threads, **overrides)
+        pairs = verify.run_all(**overrides)
     else:
         pairs = [(args.suite, verify.run_suite(args.suite, **overrides))]
     checks = []
@@ -192,10 +188,29 @@ def _table_spacings(args) -> tuple[list[dict], list[str], list[list]]:
     )
 
 
+def _s_value_list(text: str) -> list[float]:
+    """Parse ``--s-values``: a non-empty comma list of finite s in (0, 12)."""
+    svals = []
+    for tok in text.split(","):
+        if not tok.strip():
+            continue
+        try:
+            s = float(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {tok.strip()!r}") from None
+        if not 0.0 < s < 12.0:  # also rejects nan and inf
+            raise argparse.ArgumentTypeError(
+                f"s must be a finite number in (0, 12), got {tok.strip()}"
+            )
+        svals.append(s)
+    if not svals:
+        raise argparse.ArgumentTypeError("needs at least one s value")
+    return svals
+
+
 def _table_lvalues(args) -> tuple[list[dict], list[str], list[list]]:
-    svals = [float(tok) for tok in args.s_values.split(",") if tok.strip()]
     out = []
-    for s in svals:
+    for s in args.s_values:
         lam = lseries.completed_lambda_integral(s)
         out.append(
             {
@@ -288,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.add_argument("--count", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--format", choices=["json"], default="json")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument(
@@ -302,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("table", choices=sorted(_TABLES))
     p_tables.add_argument("--n-max", dest="n_max", type=int, default=10)
     p_tables.add_argument("--count", type=int, default=10)
-    p_tables.add_argument("--s-values", dest="s_values", default="4,5,8,9")
+    p_tables.add_argument(
+        "--s-values", dest="s_values", type=_s_value_list, default="4,5,8,9"
+    )
     p_tables.add_argument("--n", type=int, default=1)
     p_tables.add_argument("--r-a", dest="r_a", type=float, default=1.0)
     p_tables.add_argument("--r-d", dest="r_d", type=float, default=1.0)

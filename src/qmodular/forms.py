@@ -12,8 +12,9 @@ eigenform verification, the tau congruence battery, and the exact
 eigenvalue pair of the shear/diagonal coset quadratic.
 
 tau values come from a process-wide cache backed by the product
-expansion of the discriminant form; the cache extends itself on demand
-and is guarded by a lock so concurrent readers see identical values.
+expansion of the discriminant form; the cache extends itself on demand.
+Reads are lock-free; only the fill takes a lock, and it publishes the
+extended table in one assignment, so every reader sees identical values.
 """
 
 from __future__ import annotations
@@ -121,7 +122,13 @@ def delta(order: int) -> QSeries:
 
 
 class _TauCache:
-    """Lazily extended tau table; thread-safe, deterministic."""
+    """Lazily extended tau table; deterministic.
+
+    Reads take no lock: they index whichever list is currently
+    published.  Fills run under the lock and publish a new list only
+    after the sticky test fault is applied, so a reader never sees an
+    unpoisoned refill.
+    """
 
     def __init__(self) -> None:
         self._values: list[int] = [0]  # index 0 unused
@@ -131,16 +138,22 @@ class _TauCache:
     def get(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"tau(n) requires n >= 1, got {n}")
+        values = self._values
+        if n >= len(values):
+            values = self._fill(n)
+        return values[n]
+
+    def _fill(self, n: int) -> list[int]:
         with self._lock:
             if n >= len(self._values):
                 order = 64
                 while order < n:
                     order *= 2
-                d = delta(order)
-                self._values = [0] + [int(c) for c in d.coeffs]
-                if self._fault is not None and self._fault[0] < len(self._values):
-                    self._values[self._fault[0]] += self._fault[1]
-            return self._values[n]
+                values = [0] + [int(c) for c in delta(order).coeffs]
+                if self._fault is not None and self._fault[0] < len(values):
+                    values[self._fault[0]] += self._fault[1]
+                self._values = values
+            return self._values
 
     def corrupt_for_testing(self, n: int = 2, offset: int = 1) -> None:
         """Fault-injection hook: poison one cached value, stickily.

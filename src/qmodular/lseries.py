@@ -9,10 +9,12 @@ can cross-check each other:
 * the completed value Lambda(s) = integral_0^inf F(iy) y^s dy/y computed
   by adaptive quadrature, using the weight-12 inversion
   F(i/y) = y^12 F(iy) to evaluate the integrand accurately near 0 (the
-  integrand then dies double-exponentially at both ends); Lambda
-  equals (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must
-  agree, and invariance under s -> 12 - s is a genuine test rather than
-  a built-in symmetry;
+  integrand then dies double-exponentially at both ends), and Horner's
+  rule in x = exp(-2 pi y) for the exponential sum, so each integrand
+  point costs one ``exp``; Lambda equals
+  (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must agree,
+  and invariance under s -> 12 - s is a genuine test rather than a
+  built-in symmetry;
 * critical-line zero ordinates of the zeta function, located by sign
   changes of the rotated real combination Z(t) = exp(i theta(t))
   zeta(1/2 + it) with zeta evaluated by Euler-Maclaurin summation,
@@ -231,28 +233,19 @@ class CompletedLValue:
         return {"s": self.s, "value": self.value, "err": self.quadrature_error}
 
 
-def _cusp_exp_sum(y: float, order: int) -> float:
-    """sum_{n<=order} tau(n) exp(-2 pi n y) for y >= 1."""
-    total = 0.0
-    two_pi_y = 2.0 * math.pi * y
-    for n in range(1, order + 1):
-        t = -two_pi_y * n
-        if t < -745.0:  # exp underflows to 0
-            break
-        total += forms.tau(n) * math.exp(t)
-    return total
+def _cusp_exp_sum(y: float, row: tuple[float, ...]) -> float:
+    """sum_{n<=order} tau(n) exp(-2 pi n y) for y >= 1.
 
-
-def _discriminant_iy(y: float, order: int) -> float:
-    """The weight-12 form at iy, using the inversion y -> 1/y below 1."""
-    if y <= 0:
-        raise ValueError("y must be positive")
-    if y >= 1.0:
-        return _cusp_exp_sum(y, order)
-    inner = _cusp_exp_sum(1.0 / y, order)
-    if inner == 0.0:
+    Horner's rule in x = exp(-2 pi y); ``row`` holds tau(order), ...,
+    tau(1) as floats, highest index first.
+    """
+    x = math.exp(-2.0 * math.pi * y)
+    if x == 0.0:  # exp underflows: every term is below the smallest double
         return 0.0
-    return inner * y**-12
+    acc = 0.0
+    for t in row:
+        acc = acc * x + t
+    return acc * x
 
 
 def _adaptive_simpson(fn, a, b, tol, budget) -> tuple[float, float]:
@@ -300,9 +293,11 @@ def completed_lambda_integral(
     The integral is split at y = 1.  On [1, y_cut] the integrand uses
     the exponential sum directly; on (0, 1] it uses the inversion
     relation, under which the integrand vanishes double-exponentially
-    at 0.  The reported error adds the quadrature estimates to bounds
-    for the discarded y > y_cut tail and for the truncation of the
-    exponential sum.
+    at 0.  tau(1..order) is read once per call, and each integrand
+    point evaluates the exponential sum by Horner's rule in
+    x = exp(-2 pi y), so it costs one ``exp``.  The reported error adds
+    the quadrature estimates to bounds for the discarded y > y_cut tail
+    and for the truncation of the exponential sum.
     """
     if not 0.0 < s < 12.0:
         raise ValueError(f"s must lie in (0, 12), got {s}")
@@ -311,13 +306,16 @@ def completed_lambda_integral(
     if order < 8:
         raise ValueError(f"order must be >= 8, got {order}")
 
+    # read through forms.tau, so an injected cache fault reaches Lambda too
+    row = tuple(float(forms.tau(n)) for n in range(order, 0, -1))
+
     def upper(y: float) -> float:
-        return _discriminant_iy(y, order) * y ** (s - 1.0)
+        return _cusp_exp_sum(y, row) * y ** (s - 1.0)
 
     def lower(y: float) -> float:
         if y <= 0.0:
             return 0.0
-        inner = _cusp_exp_sum(1.0 / y, order)
+        inner = _cusp_exp_sum(1.0 / y, row)
         if inner == 0.0:
             return 0.0
         return inner * y ** (s - 13.0)

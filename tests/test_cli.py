@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -102,6 +103,16 @@ def test_tables_lvalues_json():
     assert rows[0]["err"] < 1e-10
 
 
+@pytest.mark.parametrize("s_values", ["13", "abc", "nan", "6,inf", ""])
+def test_tables_lvalues_bad_s_values_exit_2(s_values, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tables", "lvalues", "--s-values", s_values])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--s-values" in captured.err
+
+
 def test_tables_csv_format():
     code, out = _run_main(
         ["tables", "shadow", "--e", "1", "--f", "2", "--grid", "4", "--format", "csv"]
@@ -171,3 +182,34 @@ def test_verify_unknown_suite_exits_2():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_verify_lfunc_sees_injected_tau_fault():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmodular.cli", "verify", "lfunc", "--inject-tau-fault"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    checks = {c["check"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["euler-product-vs-expansion"]["ok"] is False
+
+
+# sha256 of `qmodular verify all` stdout at default bounds; any change to a
+# check, its parameters or the JSON layout must update it deliberately.
+VERIFY_ALL_SHA256 = "a678c908913cd995339e3197d7ee4d90ca6aeabdcaeea77cc1b8baca3239cc48"
+
+
+def test_verify_all_stdout_digest_is_stable():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmodular.cli", "verify", "all"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_verify_threads_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", "--threads", "2"])
+    assert exc.value.code == 2

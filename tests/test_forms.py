@@ -208,6 +208,19 @@ def test_tau_property_battery_catches_corruption():
         forms.reset_tau_cache()
 
 
+def test_tau_fault_survives_lock_free_refill():
+    forms.reset_tau_cache()
+    try:
+        clean = forms.tau(2)
+        forms.corrupt_tau_cache_for_testing(2, 1)
+        assert forms.tau(2) == clean + 1
+        forms.tau(200)  # beyond the first fill: publishes a new table
+        assert forms.tau(2) == clean + 1
+        assert forms.tau(3) == 252
+    finally:
+        forms.reset_tau_cache()
+
+
 # -- eigenvalue pair -----------------------------------------------------------------------
 
 

@@ -8,6 +8,8 @@ import pytest
 from qmodular import forms, lseries
 from qmodular import qseries as qs
 
+from conftest import dense_product_one_minus_qn, poly_mul
+
 
 # -- mellin coefficients -------------------------------------------------------
 
@@ -264,3 +266,32 @@ def test_zero_count_guard_rejects_absurd_requests():
 def test_zero_list_validates_ordering():
     with pytest.raises(ValueError):
         lseries.ZeroList((2.0, 1.0), (0.0, 0.0))
+
+
+def _tau_by_dense_power(count: int) -> list:
+    """tau(1..count) as the 24th power of the dense pentagonal product."""
+    eta1 = dense_product_one_minus_qn(1, count)
+    p = poly_mul(poly_mul(eta1, eta1, count), eta1, count)
+    for _ in range(3):
+        p = poly_mul(p, p, count)
+    return [None] + p  # tau(n) = coefficient of q^(n-1)
+
+
+def test_lambda_error_bar_holds_against_mpmath_oracle():
+    """|Lambda(s) - oracle| <= quadrature_error for s = 3 .. 10.
+
+    The oracle is integral_1^inf F(iy) (y^(s-1) + y^(11-s)) dy at 40
+    digits with 64 tau terms, integrated term by term in closed form:
+    integral_1^inf exp(-2 pi n y) y^(a-1) dy = (2 pi n)^(-a) Gamma(a, 2 pi n).
+    """
+    taus = _tau_by_dense_power(64)
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        for s in range(3, 11):
+            oracle = mpmath.fsum(
+                taus[n]
+                * sum((two_pi * n) ** -a * mpmath.gammainc(a, two_pi * n) for a in (s, 12 - s))
+                for n in range(1, 65)
+            )
+            lam = lseries.completed_lambda_integral(float(s))
+            assert abs(mpmath.mpf(lam.value) - oracle) <= lam.quadrature_error, s
