@@ -10,7 +10,11 @@ generating series
 
     R(w, q) = 1 + sum_{n>=1} q^(n^2) / prod_{m=1}^{n} (1 - w q^m)(1 - w^{-1} q^m)
 
-is expanded with exact Laurent-polynomial coefficients in w, and its
+is expanded with exact Laurent-polynomial coefficients in w.  The
+expansion runs on dense integer rows indexed by the power of w, one row
+per power of q, and folds each reciprocal factor in as an in-place
+recurrence, so order N costs O(N^2 sqrt(N)) integer additions; the rows
+become :class:`OmegaPoly` values only on return.  Its
 w = -1 specialization reproduces the q-hypergeometric series
 
     f(q) = sum_{n>=0} q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^2
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .qseries import QSeries, make_series, pow as qpow
@@ -305,50 +310,50 @@ class OmegaPoly:
 # -- the rank generating series and its specializations -----------------------------
 
 
-def _fold_geometric(acc: list[OmegaPoly], n: int, sign: int) -> list[OmegaPoly]:
-    """Multiply the series by 1/(1 - w^sign q^n) = sum_j w^(sign j) q^(nj).
-
-    Every coefficient of the sparse factor is a monomial in w, so each
-    contribution is a shift of an existing polynomial: no full
-    polynomial products are needed.
-    """
-    order = len(acc)
-    out = [OmegaPoly.zero()] * order
-    j = 0
-    while j * n < order:
-        shift = j * n
-        wexp = sign * j
-        for pos in range(order - shift):
-            p = acc[pos]
-            if not p.is_zero:
-                out[pos + shift] = out[pos + shift] + OmegaPoly(p.lo + wexp, p.coeffs)
-        j += 1
-    return out
-
-
 def rank_generating(order: int) -> list[OmegaPoly]:
     """Coefficients of q^0 .. q^(order-1) in R(w, q), exactly.
 
     Expanded straight from the sum-over-n form: the n-th summand is
     q^(n^2) times the running inverse of
-    prod_{m<=n} (1 - w q^m)(1 - w^(-1) q^m), each reciprocal factor
-    entering as the geometric series sum_j w^(+-j) q^(mj).
+    prod_{m<=n} (1 - w q^m)(1 - w^(-1) q^m).  Both series live on dense
+    integer rows: slot c + m of row p holds the coefficient of w^m q^p,
+    with c = order - 1, which is wide enough because |m| <= p.  Each
+    reciprocal factor 1/(1 - w^(+-1) q^n) folds in as the ascending
+    in-place recurrence row[p][m +- 1] += row[p - n][m], and only the
+    finished rows are trimmed into :class:`OmegaPoly`.  That is
+    O(order^2 sqrt(order)) integer additions.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    one = OmegaPoly.const(1)
-    result = [one] + [OmegaPoly.zero()] * (order - 1)
-    inv_den = [one] + [OmegaPoly.zero()] * (order - 1)
+    c = order - 1
+    width = 2 * order - 1
+    inv_den = [[0] * width for _ in range(order)]
+    result = [[0] * width for _ in range(order)]
+    inv_den[0][c] = result[0][c] = 1
     n = 1
     while n * n < order:
-        inv_den = _fold_geometric(inv_den, n, +1)
-        inv_den = _fold_geometric(inv_den, n, -1)
+        for shift in (1, -1):
+            for p in range(n, order):
+                # row p - n is supported on |m| <= p - n
+                lo, hi = c - (p - n), c + (p - n) + 1
+                dst = inv_den[p]
+                dst[lo + shift : hi + shift] = map(
+                    add, dst[lo + shift : hi + shift], inv_den[p - n][lo:hi]
+                )
         for j in range(order - n * n):
-            p = inv_den[j]
-            if not p.is_zero:
-                result[n * n + j] = result[n * n + j] + p
+            lo, hi = c - j, c + j + 1
+            dst = result[n * n + j]
+            dst[lo:hi] = map(add, dst[lo:hi], inv_den[j][lo:hi])
         n += 1
-    return result
+    return [_row_poly(row, c) for row in result]
+
+
+def _row_poly(row: list[int], c: int) -> OmegaPoly:
+    """The dense row (slot c + m holds the w^m coefficient) as an OmegaPoly."""
+    live = [i for i, x in enumerate(row) if x]
+    if not live:
+        return OmegaPoly.zero()
+    return OmegaPoly(live[0] - c, tuple(row[live[0] : live[-1] + 1]))
 
 
 def mock_theta_f(order: int) -> QSeries:

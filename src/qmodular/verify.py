@@ -80,6 +80,8 @@ def verify_hecke(
     )
 
     bad = []
+    # every pair needs m * n <= order, or its comparison window is empty
+    compose_bound = min(compose_bound, order)
     for m in range(1, compose_bound + 1):
         for n in range(1, compose_bound // m + 1):
             target = order // (m * n)
@@ -107,7 +109,11 @@ def verify_rank(
     mock_order: int = 50,
 ) -> list[CheckReport]:
     reports = []
+    # the table is the arbiter, so no check may read a row it did not build
+    gen_n_max = min(gen_n_max, n_max)
+    equid_bound = min(equid_bound, n_max)
     table = theta_partitions.rank_table(n_max)
+    polys = theta_partitions.rank_generating(max(gen_n_max, mock_order) + 1)
     bad = []
     for n in range(1, n_max + 1):
         total = sum(c for (nn, _), c in table.entries.items() if nn == n)
@@ -121,7 +127,6 @@ def verify_rank(
     reports.append(_report("rank-table-invariants", {"n_max": n_max}, bad))
 
     bad = []
-    polys = theta_partitions.rank_generating(gen_n_max + 1)
     for n in range(1, gen_n_max + 1):
         if polys[n] != table.polynomial(n):
             bad.append(f"generating coefficient differs from table at n={n}")
@@ -151,13 +156,13 @@ def verify_rank(
     )
 
     bad = []
-    polys = theta_partitions.rank_generating(mock_order + 1)
-    at_minus_one = theta_partitions.specialize_omega(polys, (1, 2))
+    head = polys[: mock_order + 1]
+    at_minus_one = theta_partitions.specialize_omega(head, (1, 2))
     mock = theta_partitions.mock_theta_f(mock_order + 1)
     for n in range(mock_order + 1):
         if at_minus_one[n] != mock.coeff(n):
             bad.append(f"w=-1 specialization differs from direct series at n={n}")
-    at_one = theta_partitions.specialize_omega(polys, (0, 1))
+    at_one = theta_partitions.specialize_omega(head, (0, 1))
     for n in range(mock_order + 1):
         if at_one[n] != theta_partitions.partition_count(n):
             bad.append(f"w=1 specialization differs from p(n) at n={n}")

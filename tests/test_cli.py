@@ -184,6 +184,22 @@ def test_verify_unknown_suite_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "hecke", "--order", "10"],
+        ["verify", "rank", "--n-max", "10"],
+        ["verify", "all", "--n-max", "20"],
+    ],
+)
+def test_verify_small_bounds_pass(argv):
+    # checks with their own default bounds must clamp them to the user's
+    # --n-max / --order rather than read rows that were never built
+    code, out = _run_main(argv)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_verify_lfunc_sees_injected_tau_fault():
     proc = subprocess.run(
         [sys.executable, "-m", "qmodular.cli", "verify", "lfunc", "--inject-tau-fault"],

@@ -209,12 +209,39 @@ def test_rank_generating_low_coefficients():
     assert polys[4].terms() == {3: 1, 1: 1, 0: 1, -1: 1, -3: 1}
 
 
-def test_rank_generating_matches_table():
-    order = 30
-    polys = tp.rank_generating(order + 1)
-    table = tp.rank_table(order)
-    for n in range(1, order + 1):
-        assert polys[n] == table.polynomial(n)
+@pytest.fixture(scope="module")
+def rank_polys_200():
+    return tp.rank_generating(200)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 130))
+def test_rank_generating_matches_table(order):
+    polys = tp.rank_generating(order)
+    assert len(polys) == order
+    assert polys[0] == tp.OmegaPoly.const(1)
+    if order >= 2:
+        table = tp.rank_table(order - 1)
+        for n in range(1, order):
+            assert polys[n] == table.polynomial(n)
+
+
+def test_rank_generating_symmetry_and_support(rank_polys_200):
+    for n, poly in enumerate(rank_polys_200):
+        terms = poly.terms()
+        assert all(terms.get(-m) == c for m, c in terms.items())
+        if n >= 2:
+            assert all(abs(m) < n for m in terms)
+
+
+def test_rank_generating_dyson_rank_conjectures(rank_polys_200):
+    # Atkin--Swinnerton-Dyer (1954): for n = 4 mod 5 the ranks fall equally
+    # into the five classes mod 5, and for n = 5 mod 7 into the seven mod 7
+    for s, res in ((5, 4), (7, 5)):
+        for n in range(res, 200, s):
+            p_n = tp.partition_count(n)
+            assert p_n % s == 0
+            assert rank_polys_200[n].eval_root_of_unity(1, s) == (p_n // s,) * s
 
 
 # -- mock theta series -----------------------------------------------------------------------
@@ -255,18 +282,15 @@ def test_mock_theta_against_naive_term_sum():
 # -- specialization ---------------------------------------------------------------------------
 
 
-def test_specialize_at_one_gives_partition_counts():
-    polys = tp.rank_generating(30)
-    values = tp.specialize_omega(polys, (0, 1))
-    assert values == [tp.partition_count(n) for n in range(30)]
+def test_specialize_at_one_gives_partition_counts(rank_polys_200):
+    values = tp.specialize_omega(rank_polys_200, (0, 1))
+    assert values == [tp.partition_count(n) for n in range(200)]
 
 
-def test_specialize_at_minus_one_matches_mock_theta():
-    order = 50
-    polys = tp.rank_generating(order + 1)
-    values = tp.specialize_omega(polys, (1, 2))
-    f = tp.mock_theta_f(order + 1)
-    assert values == [f.coeff(n) for n in range(order + 1)]
+def test_specialize_at_minus_one_matches_mock_theta(rank_polys_200):
+    values = tp.specialize_omega(rank_polys_200, (1, 2))
+    f = tp.mock_theta_f(200)
+    assert values == [f.coeff(n) for n in range(200)]
 
 
 def test_specialize_at_minus_one_q2_instance():
