@@ -11,6 +11,11 @@ the operator composition law T_m T_n = sum_{d | gcd(m,n)} d^(k-1) T_{mn/d^2},
 eigenform verification, the tau congruence battery, and the exact
 eigenvalue pair of the shear/diagonal coset quadratic.
 
+The Hecke action, the composition check and the eigenform check share
+one kernel that runs on plain coefficient lists: Python ints when the
+series is integral (as the discriminant form is), Fractions otherwise.
+Only :func:`hecke_apply` wraps its result into a :class:`QSeries`.
+
 tau values come from a process-wide cache backed by the product
 expansion of the discriminant form; the cache extends itself on demand.
 Reads are lock-free; only the fill takes a lock, and it publishes the
@@ -25,7 +30,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Mapping, Optional, Union
 
-from .qseries import QSeries, WindowError, euler_product, scalar_mul
+from .qseries import QSeries, WindowError, euler_product
 
 __all__ = [
     "FormMeta",
@@ -241,33 +246,62 @@ def hecke_coset_reps(n: int) -> list[CosetRep]:
     return reps
 
 
+def _exact_coeffs(f: QSeries) -> list:
+    """Coefficients of q^0 .. q^(end-1) of ``f`` (offset 0 or 1) as a list.
+
+    Python ints when every coefficient is integral, Fractions otherwise;
+    the slot below an offset of 1 holds 0.
+    """
+    if f.offset not in (0, 1):
+        raise ValueError(f"Hecke operators require offset 0 or 1, got {f.offset}")
+    cs = f.coeffs
+    if all(c.denominator == 1 for c in cs):
+        cs = [c.numerator for c in cs]
+    return [0] * int(f.offset) + list(cs)
+
+
+def _hecke_coeffs(a: list, meta: FormMeta, n: int, out_order: int) -> list:
+    """First ``out_order`` coefficients of T_n on the coefficient list ``a``.
+
+    ``a[e]`` is the coefficient of q^e.  Output slot m is
+    sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2), with the factor
+    eps(d) d^(k-1) formed once per divisor d of n.
+    """
+    if out_order > 0 and (out_order - 1) * n >= len(a):
+        raise WindowError(
+            f"T_{n} to order {out_order} reads q^{(out_order - 1) * n}, "
+            f"but only {len(a)} coefficients are known"
+        )
+    k = meta.weight
+    divisors = [(d, meta.eps(d) * d ** (k - 1)) for d in range(1, n + 1) if n % d == 0]
+    out = []
+    for m in range(out_order):
+        mn = m * n
+        s = 0
+        for d, w in divisors:
+            if m % d == 0:  # every d divides m = 0: the constant term
+                s += w * a[mn // (d * d)]
+        out.append(s)
+    return out
+
+
 def hecke_apply(f: QSeries, meta: FormMeta, n: int) -> QSeries:
     """Exact q-expansion of T_n f on the shrunken window floor(order/n).
 
     Requires an integral offset of 0 or 1.  The m-th output coefficient
     reads a(m n / d^2) for d | gcd(m, n); the window shrink guarantees
-    every read lands inside f's known range.
+    every read lands inside f's known range.  The sum runs on a plain
+    integer list (Fractions only where f has non-integral coefficients).
     """
     if n < 1:
         raise ValueError(f"operator index must be >= 1, got {n}")
-    if f.offset not in (0, 1):
-        raise ValueError(f"hecke_apply requires offset 0 or 1, got {f.offset}")
-    k = meta.weight
+    a = _exact_coeffs(f)
     out_order = f.order // n
     if out_order < 1:
         raise WindowError(
             f"series order {f.order} too small for T_{n} (needs >= {n})"
         )
-    out = []
-    for m in range(out_order):
-        s = Fraction(0)
-        g = gcd(m, n)  # gcd(0, n) == n covers the constant term
-        for d in range(1, g + 1):
-            if g % d == 0:
-                idx = m * n // (d * d)
-                s += meta.eps(d) * d ** (k - 1) * f.coeff(idx)
-        out.append(s)
-    return QSeries(Fraction(0), tuple(out))
+    return QSeries(Fraction(0), tuple(_hecke_coeffs(a, meta, n, out_order)))
 
 
 @dataclass(frozen=True)
@@ -289,29 +323,30 @@ def hecke_compose_check(
 ) -> HeckeComposeReport:
     """Verify T_m(T_n f) = sum_{d | gcd(m,n)} eps(d) d^(k-1) T_{mn/d^2} f.
 
-    Both sides are expanded independently through :func:`hecke_apply`
-    and compared on the first ``order`` coefficients.
+    Both sides are expanded independently on integer coefficient lists
+    (the same kernel as :func:`hecke_apply`) and compared on the first
+    ``order`` coefficients; only a mismatch is turned into Fractions.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"operator indices must be >= 1, got ({m}, {n})")
     if f.order < m * n * max(order, 1):
         raise WindowError(
             f"need f to order >= {m * n * order} for ({m},{n}) at order {order}, "
             f"got {f.order}"
         )
-    lhs = hecke_apply(hecke_apply(f, meta, n), meta, m)
-    rhs: Optional[QSeries] = None
+    a = _exact_coeffs(f)
+    lhs = _hecke_coeffs(_hecke_coeffs(a, meta, n, order * m), meta, m, order)
+    rhs = [0] * order
     g = gcd(m, n)
     k = meta.weight
     for d in range(1, g + 1):
         if g % d == 0:
-            term = scalar_mul(
-                meta.eps(d) * d ** (k - 1), hecke_apply(f, meta, m * n // (d * d))
-            )
-            rhs = term if rhs is None else rhs + term
-    assert rhs is not None
-    for j in range(order):
-        a, b = lhs.coeff(j), rhs.coeff(j)
-        if a != b:
-            return HeckeComposeReport(m, n, order, (j, a, b))
+            w = meta.eps(d) * d ** (k - 1)
+            term = _hecke_coeffs(a, meta, m * n // (d * d), order)
+            rhs = [r + w * t for r, t in zip(rhs, term)]
+    for j, (x, y) in enumerate(zip(lhs, rhs)):
+        if x != y:
+            return HeckeComposeReport(m, n, order, (j, Fraction(x), Fraction(y)))
     return HeckeComposeReport(m, n, order, None)
 
 
@@ -337,27 +372,28 @@ def is_eigenform(f: QSeries, meta: FormMeta, n_max: int, order: int) -> Eigenfor
     """Check the simultaneous eigenvector property for T_1 .. T_{n_max}.
 
     ``f`` must be normalized (coefficient of q^1 equal to 1).  Each T_n
-    is compared with a(n) * f on the whole shrunken window; the first
-    violated coefficient stops the scan.
+    is compared with a(n) * f on the whole shrunken window, as integer
+    coefficient lists; the first violated coefficient stops the scan.
     """
     work = f.truncate(min(order, f.order))
     a1 = work.coeff(1)
     if a1 != 1:
         raise ValueError(f"eigenform check requires a(1) = 1, got {a1}")
+    a = _exact_coeffs(work)
     eigenvalues = []
     insufficient = []
     for n in range(1, n_max + 1):
         if work.order // n < 2 or n >= work.end:
             insufficient.append(n)
             continue
-        t_n = hecke_apply(work, meta, n)
-        lam = work.coeff(n)
-        for j in range(t_n.order):
-            if t_n.coeff(j) != lam * work.coeff(j):
+        t_n = _hecke_coeffs(a, meta, n, work.order // n)
+        lam = a[n]
+        for j, c in enumerate(t_n):
+            if c != lam * a[j]:
                 return EigenformReport(
                     tuple(eigenvalues), tuple(insufficient), (n, j)
                 )
-        eigenvalues.append((n, lam))
+        eigenvalues.append((n, Fraction(lam)))
     return EigenformReport(tuple(eigenvalues), tuple(insufficient), None)
 
 

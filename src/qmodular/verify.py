@@ -58,6 +58,12 @@ def verify_tau(n_max: int = 1000) -> list[CheckReport]:
 def verify_hecke(
     order: int = 200, eigen_n_max: int = 20, compose_bound: int = 48
 ) -> list[CheckReport]:
+    if order < 4:
+        raise ValueError(
+            f"hecke suite needs order >= 4 (T_2 compares two coefficients), got {order}"
+        )
+    # T_n compares floor(order / n) coefficients; below two it falsifies nothing
+    eigen_n_max = min(eigen_n_max, order // 2)
     reports = []
     bad = []
     for n in range(1, 51):
@@ -108,6 +114,10 @@ def verify_rank(
     congruence_bound: int = 500,
     mock_order: int = 50,
 ) -> list[CheckReport]:
+    if n_max < 4:
+        raise ValueError(
+            f"rank suite needs n_max >= 4 (the mod-5 check starts at n = 4), got {n_max}"
+        )
     reports = []
     # the table is the arbiter, so no check may read a row it did not build
     gen_n_max = min(gen_n_max, n_max)
@@ -173,15 +183,25 @@ def verify_rank(
 # -- theta suite ------------------------------------------------------------------
 
 
-def _lattice_count(k: int, m: int) -> int:
-    """Brute-force number of integer k-vectors with squared norm m."""
-    if k == 0:
-        return 1 if m == 0 else 0
-    total = 0
-    r = math.isqrt(m)
-    for v in range(-r, r + 1):
-        total += _lattice_count(k - 1, m - v * v)
-    return total
+def _lattice_counts(k: int, m_max: int) -> list[int]:
+    """Brute-force numbers of integer k-vectors of squared norm 0 .. m_max.
+
+    One walk of the ball: every partial vector of squared norm <= m_max
+    is extended one coordinate at a time, and the norms of the full
+    k-vectors are tallied.  Plain integer lists; it shares no code with
+    the theta series it checks.
+    """
+    norms = [0]
+    for _ in range(k):
+        longer = []
+        for s in norms:
+            r = math.isqrt(m_max - s)
+            longer.extend(s + v * v for v in range(-r, r + 1))
+        norms = longer
+    counts = [0] * (m_max + 1)
+    for s in norms:
+        counts[s] += 1
+    return counts
 
 
 def verify_theta(count_k_max: int = 4, count_m_max: int = 100, order: int = 100) -> list[CheckReport]:
@@ -189,8 +209,9 @@ def verify_theta(count_k_max: int = 4, count_m_max: int = 100, order: int = 100)
     bad = []
     for k in range(1, count_k_max + 1):
         series = theta_partitions.theta_diagonal(k, count_m_max + 1)
+        counts = _lattice_counts(k, count_m_max)
         for m in range(count_m_max + 1):
-            if series.coeff(m) != _lattice_count(k, m):
+            if series.coeff(m) != counts[m]:
                 bad.append(f"lattice count mismatch at k={k}, m={m}")
     reports.append(
         _report(

@@ -94,6 +94,30 @@ def lattice_vectors_with_norm(k: int, m: int) -> int:
     return total
 
 
+# -- Hecke operators -------------------------------------------------------------
+
+
+def naive_hecke(coeffs: list, offset: int, k: int, eps, n: int) -> list[Fraction]:
+    """T_n by its defining formula on Fractions.
+
+    ``coeffs[j]`` is the coefficient of q^(offset + j); the result holds
+    the coefficients of q^0 .. q^(len(coeffs) // n - 1) of
+    sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2).
+    """
+
+    def a(e: int) -> Fraction:
+        return Fraction(0) if e < offset else Fraction(coeffs[e - offset])
+
+    out = []
+    for m in range(len(coeffs) // n):
+        total = Fraction(0)
+        for d in range(1, n + 1):
+            if n % d == 0 and m % d == 0:
+                total += eps(d) * Fraction(d) ** (k - 1) * a(m * n // (d * d))
+        out.append(total)
+    return out
+
+
 # -- fixtures -------------------------------------------------------------------
 
 

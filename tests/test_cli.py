@@ -200,6 +200,30 @@ def test_verify_small_bounds_pass(argv):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "hecke", "--order", "3"],
+        ["verify", "rank", "--n-max", "3"],
+    ],
+)
+def test_verify_bounds_that_compare_nothing_exit_2(argv, capsys):
+    # T_2 needs two coefficients (order >= 4); the mod-5 check starts at n = 4
+    code, out = _run_main(argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+def test_verify_hecke_clamps_eigenform_bound_to_half_the_order():
+    code, out = _run_main(["verify", "hecke", "--order", "10"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    eigen = next(c for c in payload["checks"] if c["check"] == "hecke-eigenform")
+    assert eigen["n_max"] == 5 and eigen["order"] == 10
+
+
 def test_verify_lfunc_sees_injected_tau_fault():
     proc = subprocess.run(
         [sys.executable, "-m", "qmodular.cli", "verify", "lfunc", "--inject-tau-fault"],

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qmodular import forms
 from qmodular import qseries as qs
 
+from conftest import naive_hecke
+
 
 META12 = forms.FormMeta(weight=12, level=1)
 
@@ -144,6 +146,82 @@ def test_hecke_compose_insufficient_order():
     d = forms.delta(20)
     with pytest.raises(qs.WindowError):
         forms.hecke_compose_check(META12, 6, 4, d, 8)
+
+
+# Dirichlet characters as (level, table of chi(d mod level)); integer-valued
+CHARACTERS = [
+    (1, None),
+    (4, {0: 0, 1: 1, 2: 0, 3: -1}),
+    (5, {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}),
+]
+
+_int_coeffs = st.integers(-(10**6), 10**6)
+_frac_coeffs = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.one_of(
+        st.lists(_int_coeffs, min_size=1, max_size=40),
+        st.lists(_frac_coeffs, min_size=1, max_size=40),
+    ),
+    offset=st.sampled_from([0, 1]),
+    k=st.sampled_from(range(2, 25, 2)),
+    char=st.sampled_from(CHARACTERS),
+    n=st.integers(1, 12),
+)
+def test_hecke_apply_matches_defining_formula(coeffs, offset, k, char, n):
+    level, table = char
+    meta = forms.FormMeta(weight=k, level=level, character=table)
+    f = qs.make_series(offset, coeffs, len(coeffs))
+    if len(coeffs) < n:
+        with pytest.raises(qs.WindowError):
+            forms.hecke_apply(f, meta, n)
+        return
+    want = naive_hecke(coeffs, offset, k, meta.eps, n)
+    got = forms.hecke_apply(f, meta, n)
+    assert got == qs.make_series(0, want, len(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    offset=st.sampled_from([0, 1]),
+    k=st.sampled_from(range(2, 25, 2)),
+    char=st.sampled_from(CHARACTERS),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    order=st.integers(0, 6),
+)
+def test_hecke_composition_law_holds_for_every_series(data, offset, k, char, m, n, order):
+    # T_m T_n = sum eps(d) d^(k-1) T_{mn/d^2} is an operator identity, so
+    # it must hold on arbitrary integer series, not only on eigenforms
+    level, table = char
+    meta = forms.FormMeta(weight=k, level=level, character=table)
+    size = m * n * max(order, 1) + data.draw(st.integers(0, 5))
+    coeffs = data.draw(st.lists(_int_coeffs, min_size=size, max_size=size))
+    f = qs.make_series(offset, coeffs, size)
+    rep = forms.hecke_compose_check(meta, m, n, f, order)
+    assert rep.ok, rep.first_mismatch
+    assert (rep.m, rep.n, rep.order) == (m, n, order)
+
+
+def test_hecke_compose_check_reports_first_mismatch(monkeypatch):
+    # a kernel that is off by one in a single slot must surface as a mismatch
+    real = forms._hecke_coeffs
+
+    def skewed(a, meta, n, out_order):
+        out = real(a, meta, n, out_order)
+        if n == 4 and out_order > 3:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(forms, "_hecke_coeffs", skewed)
+    rep = forms.hecke_compose_check(META12, 2, 2, forms.delta(100), 20)
+    assert not rep.ok
+    j, lhs, rhs = rep.first_mismatch
+    assert j == 3 and rhs - lhs == 1
+    assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
 
 
 # -- eigenform checks ---------------------------------------------------------------------

@@ -1,0 +1,45 @@
+import pytest
+
+from qmodular import qseries as qs
+from qmodular import theta_partitions, verify
+
+from conftest import lattice_vectors_with_norm
+
+
+@pytest.mark.parametrize("k", range(0, 5))
+@pytest.mark.parametrize("m_max", [0, 1, 7, 60])
+def test_lattice_walk_matches_recursive_count(k, m_max):
+    want = [lattice_vectors_with_norm(k, m) for m in range(m_max + 1)]
+    assert verify._lattice_counts(k, m_max) == want
+
+
+def test_theta_suite_sees_a_wrong_theta_coefficient(monkeypatch):
+    real = theta_partitions.theta_diagonal
+
+    def bumped(k, order):
+        series = real(k, order)
+        if k != 2:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[5] += 1
+        return qs.make_series(series.offset, coeffs, series.order)
+
+    monkeypatch.setattr(theta_partitions, "theta_diagonal", bumped)
+    reports = {r.check: r for r in verify.verify_theta()}
+    lattice = reports["theta-lattice-counts"]
+    assert not lattice.ok
+    assert lattice.violations == ("lattice count mismatch at k=2, m=5",)
+
+
+def test_hecke_suite_rejects_orders_without_a_t2_window():
+    with pytest.raises(ValueError):
+        verify.verify_hecke(order=3)
+    reports = {r.check: r for r in verify.verify_hecke(order=4)}
+    assert dict(reports["hecke-eigenform"].params)["n_max"] == 2
+    assert all(r.ok for r in reports.values())
+
+
+def test_rank_suite_rejects_bounds_below_the_mod5_row():
+    with pytest.raises(ValueError):
+        verify.verify_rank(n_max=3)
+    assert all(r.ok for r in verify.verify_rank(n_max=4))
