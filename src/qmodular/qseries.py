@@ -17,17 +17,20 @@ and reading a coefficient past that window raises :class:`WindowError`
 rather than returning a silent zero.  This keeps "identity verified to
 order N" claims honest.
 
-Multiplication is schoolbook convolution (exact arithmetic first; the
-sparser operand drives the outer loop, so eta-like series stay cheap).
-A module-level operation counter is kept for benchmarking convolution
-cost; see :func:`conv_ops`.
+Two kernels do all the arithmetic.  Multiplication is schoolbook
+convolution (the sparser operand drives the outer loop, so eta-like
+series stay cheap).  Every power goes through one exact power kernel,
+J.C.P. Miller's recurrence: :func:`pow`, :func:`invert` (the power -1)
+and :func:`euler_product` (a power of Euler's pentagonal series).  It
+costs O(order * nnz(base)) for any exponent and runs on Python ints
+whenever the result is integral.  A module-level operation counter is
+kept for benchmarking convolution cost; see :func:`conv_ops`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -209,7 +212,7 @@ def monomial(exponent: RationalLike, order: int) -> QSeries:
 # -- kernels ------------------------------------------------------------------
 
 
-def _all_integer(cs: Sequence[Fraction]) -> bool:
+def _all_integer(cs: Sequence[Union[int, Fraction]]) -> bool:
     return all(c.denominator == 1 for c in cs)
 
 
@@ -280,100 +283,91 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(f.offset + g.offset, tuple(_conv(f.coeffs, g.coeffs, n)))
 
 
+def _power(a: Sequence[Union[int, Fraction]], e: int, n: int) -> list:
+    """First ``n`` coefficients of ``a^e`` for a coefficient list with a[0] != 0.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7):
+
+        m a_0 g_m = sum_{k=1..m} ((e + 1) k - m) a_k g_{m-k},  g_0 = a_0^e.
+
+    Each g_m reads only earlier terms and the sum runs over the nonzero
+    a_k, so the cost is O(n * nnz(a)) whatever the size of e.  When a is
+    integral and the power is too (a_0 = +-1, or e >= 0), the kernel runs
+    on Python ints and every division must be exact: a remainder raises
+    ``ArithmeticError`` instead of being truncated.  Otherwise it runs on
+    Fractions.
+    """
+    exact = _all_integer(a[:n]) and (e >= 0 or a[0] in (1, -1))
+    a = [int(c) if exact else _frac(c) for c in a[:n]]
+    a0 = a[0]
+    # on ints with e < 0, a0 = +-1 and a0^e = a0^|e| stays an int
+    g = [a0 ** abs(e) if exact else a0**e] + [0] * (n - 1)
+    terms = [(k, (e + 1) * k * c, c) for k, c in enumerate(a[1:], 1) if c]
+    for m in range(1, n):
+        s = 0
+        for k, w, c in terms:
+            if k > m:
+                break
+            s += (w - m * c) * g[m - k]
+        if exact:
+            q, r = divmod(s, m * a0)
+            if r:
+                raise ArithmeticError(
+                    f"inexact division at q^{m} in an integral power"
+                )
+            g[m] = q
+        else:
+            g[m] = s / (m * a0)
+    return g
+
+
 def invert(f: QSeries) -> QSeries:
-    """Multiplicative inverse: mul(f, invert(f)) == 1 on the window."""
-    if f.order == 0 or f.coeffs[0] == 0:
-        raise ValueError("cannot invert a series with zero leading coefficient")
-    n = f.order
-    a = f.coeffs
-    if a[0] in (1, -1) and _all_integer(a):
-        ai = [c.numerator for c in a]
-        lead = ai[0]
-        bi = [lead] + [0] * (n - 1)
-        for k in range(1, n):
-            s = 0
-            for i in range(1, k + 1):
-                if ai[i]:
-                    s += ai[i] * bi[k - i]
-            bi[k] = -lead * s
-        return QSeries(-f.offset, tuple(Fraction(v) for v in bi))
-    b = [1 / a[0]] + [Fraction(0)] * (n - 1)
-    for k in range(1, n):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            if a[i]:
-                s += a[i] * b[k - i]
-        b[k] = -b[0] * s
-    return QSeries(-f.offset, tuple(b))
+    """Multiplicative inverse: mul(f, invert(f)) == 1 on the window.
+
+    This is :func:`pow` with exponent -1, so it runs on the power kernel.
+    """
+    return pow(f, -1)
 
 
 def pow(f: QSeries, e: int) -> QSeries:  # noqa: A001 - mirrors the series API
-    """Integer power; negative exponents require an invertible lead."""
+    """Integer power on the window of ``f``, by the power kernel.
+
+    Negative exponents require a nonzero leading coefficient.  For
+    e > 0 a base with v leading zeros is q^v h, so the result is h^e
+    shifted by e v and padded with zeros; its window stays ``f.order``.
+    """
     if e == 0:
         return one(f.order)
-    if e < 0:
-        return pow(invert(f), -e)
-    nnz = sum(1 for c in f.coeffs if c)
-    # Sparse bases (pentagonal-type support) are cheaper to fold in one
-    # by one; dense bases win with repeated squaring.
-    if nnz * (e - 1) <= 2 * f.order * max(1, e.bit_length()):
-        acc = f
-        for _ in range(e - 1):
-            acc = mul(acc, f)
-        return acc
-    acc = None
-    base = f
-    k = e
-    while k:
-        if k & 1:
-            acc = base if acc is None else mul(acc, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return acc
-
-
-def _binom_term(e: int, j: int) -> int:
-    """Signed binomial coefficient of q^(n*j) in (1 - q^n)^e."""
-    if e >= 0:
-        if j > e:
-            return 0
-        c = comb(e, j)
-        return -c if j & 1 else c
-    return comb(-e + j - 1, j)
+    n = f.order
+    if e < 0 and (n == 0 or f.coeffs[0] == 0):
+        raise ValueError("cannot invert a series with zero leading coefficient")
+    v = next((j for j, c in enumerate(f.coeffs) if c), n)
+    shift = e * v
+    if shift >= n:
+        return QSeries(e * f.offset, (0,) * n)
+    tail = _power(f.coeffs[v:], e, n - shift)
+    return QSeries(e * f.offset, tuple([0] * shift + tail))
 
 
 def euler_product(e: int, order: int) -> QSeries:
     """Expansion of ``prod_{n>=1} (1 - q^n)^e`` to ``order`` coefficients.
 
-    Factors are folded in one at a time (sparse in q^n), never by
-    powering a dense base.  The n-th factor only touches exponents >= n,
-    so the loop stops at n = order - 1.
+    Euler's pentagonal series sum_{k in Z} (-1)^k q^(k(3k-1)/2) is the case
+    e = 1; every other exponent is its e-th power by the power kernel,
+    in O(order^(3/2)) integer steps for any e.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    c = [0] * order
-    c[0] = 1
-    if e == 0:
-        return QSeries(Fraction(0), tuple(Fraction(v) for v in c))
-    for n in range(1, order):
-        if e > 0:
-            # descending in-place pass per binomial term block
-            jmax = min(e, (order - 1) // n)
-            terms = [(j * n, _binom_term(e, j)) for j in range(1, jmax + 1)]
-            for m in range(order - 1, n - 1, -1):
-                s = c[m]
-                for jn, t in terms:
-                    if jn > m:
-                        break
-                    s += t * c[m - jn]
-                c[m] = s
-        else:
-            # 1/(1-q^n)^|e| as |e| ascending accumulation passes
-            for _ in range(-e):
-                for m in range(n, order):
-                    c[m] += c[m - n]
-    return QSeries(Fraction(0), tuple(Fraction(v) for v in c))
+    pent = [0] * order
+    pent[0] = 1
+    k = 1
+    while k * (3 * k - 1) // 2 < order:
+        sign = -1 if k & 1 else 1
+        for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if j < order:
+                pent[j] = sign
+        k += 1
+    return QSeries(Fraction(0), tuple(_power(pent, e, order)))
 
 
 # -- serialization -------------------------------------------------------------

@@ -37,7 +37,7 @@ def dense_product_one_minus_qn(exponent: int, order: int) -> list:
         if n < order:
             factor[n] = -1
         for _ in range(exponent):
-            acc = poly_mul(acc, factor, order)
+            acc = poly_mul(factor, acc, order)  # sparse factor drives the loop
     return acc
 
 

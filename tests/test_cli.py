@@ -3,11 +3,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
 from qmodular import cli
+from qmodular import qseries as qs
 
 
 def _run_main(argv) -> tuple[int, str]:
@@ -44,6 +46,64 @@ def test_expand_e12_and_parametrized_objects():
     assert json.loads(out)["coeffs"][4] == [5, 1]
     code, out = _run_main(["expand", "mock-f", "--order", "3"])
     assert json.loads(out)["coeffs"][2] == [-2, 1]
+
+
+def test_expand_euler_large_exponents_are_fast_and_mutually_inverse():
+    series = {}
+    for e in (-5000, 5000):
+        start = time.perf_counter()
+        code, out = _run_main(["expand", f"euler-{e}", "--order", "300"])
+        assert code == 0
+        assert time.perf_counter() - start < 10.0
+        series[e] = qs.from_json_obj(json.loads(out))
+    assert qs.mul(series[-5000], series[5000]) == qs.one(300)
+
+
+# sha256 of `qmodular expand NAME --order N` stdout, recorded from the
+# factor-by-factor euler_product and the repeated-squaring pow before the
+# power kernel replaced both; every byte must stay the same.
+EXPAND_SHA256 = {
+    ("delta", 1): "fb29302673bb0a354d2d1bef59d097127b53e1e5b192bc7cca3df5ce1046e163",
+    ("delta", 2): "fcb9b866351cf1e21803172463e2bba226b2173d0359340be40fcf544d385e25",
+    ("delta", 50): "8450b31d64547023ffb89b8abb813753e21cad625e18f812b4dd7eee6e72fc7b",
+    ("eta", 1): "51023f9b690b70c4147282598f5d1b363a26623837c34b2ec9217871e56441ed",
+    ("eta", 2): "92c20836805ab69d0aa67dc26615b3ae95d0bba98f77f44c6e9082506d6d0816",
+    ("eta", 50): "4b1ce20fe3ac7c0dc1a1f1e04bb2e60b2801a119a8e0104059f2f0eb71c7c39b",
+    ("euler--24", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("euler--24", 2): "d2a09e99457050bcf4b6fab70c1406450a223606117138417de558e35063a9ea",
+    ("euler--24", 50): "d7d0c8b9d972e6c1502f8745cda42fdb51ec4f15e4fab27bb2a688cccf64d8b1",
+    ("euler--1", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("euler--1", 2): "6542a5a8e5eebab4a11e5970041b969ea878bdf1b5e03a79461a9d26abd3a7a3",
+    ("euler--1", 50): "b265c741dc8c88f773cea41a0fdaa339fbb9535afad7ea6e8db03b836b3d1b65",
+    ("euler-1", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("euler-1", 2): "1f95e31ec3b51087ced364c37a8d9136c1a338fc91fced60bf7d877e0b1c13a0",
+    ("euler-1", 50): "bd58e2225d230ff21f0c0c739b8c3592958655f8942d730bb9c1ec49ca13637d",
+    ("euler-3", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("euler-3", 2): "2dca3d14cbdbce06290626704afbaec6c49552ac24391880bba43b2a41718911",
+    ("euler-3", 50): "dc01143f31b531bf3c8ccded9736cf27e4621245bbd36b8d87e826fbc881a76a",
+    ("euler-24", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("euler-24", 2): "8153ff4669a421847c1d93ba7e3e6de647753d8965e51335edfcdbbd9c902b57",
+    ("euler-24", 50): "1b691b42966c8310bdce2d731b26416db1becfd33d45982f676d4b819cd54739",
+    ("theta-1", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("theta-1", 2): "618a623fee89f81b005c54bc0627f2f3039870951b33a8a7ff805f61d9555154",
+    ("theta-1", 50): "3482fc5de1b380edac432c783b15e4bea72c287537861c09a258254878eb2589",
+    ("theta-2", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("theta-2", 2): "018a757753f486fe5632d8d539c5cf619097230ea570b52e9dd55a947d59ec79",
+    ("theta-2", 50): "9b20e19ae7c10368e813c9a12c9a1330ff71ae5ccff8f29c8a05030352d36f6a",
+    ("theta-3", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("theta-3", 2): "fbaa96687c77ebff1a690e1caa08a0fae66b0ca7a0b61cb619465c6b51b533f6",
+    ("theta-3", 50): "aae3088874edc3538fe100ae20cbe72ef23fb71d4ed98063412e2f541ad63d51",
+    ("theta-4", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("theta-4", 2): "19a2ec8d4d6495edf707568966755bcd650c43a2d49e4e2f023c119909d94f2d",
+    ("theta-4", 50): "2542e178b814b400c4ce651c9f1de5f93ec9e3a896d65807abf735a4ef47a16b",
+}
+
+
+@pytest.mark.parametrize("name,order", list(EXPAND_SHA256))
+def test_expand_output_digest_is_stable(name, order):
+    code, out = _run_main(["expand", name, "--order", str(order)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_SHA256[name, order]
 
 
 def test_expand_unknown_object_exits_2():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qmodular import forms
 from qmodular import qseries as qs
 
-from conftest import naive_hecke
+from conftest import dense_product_one_minus_qn, naive_hecke
 
 
 META12 = forms.FormMeta(weight=12, level=1)
@@ -36,7 +36,12 @@ def test_tau_first_values():
 
 def test_delta_equals_eta_power():
     order = 40
-    assert forms.delta(order) == qs.pow(forms.eta(order), 24)
+    eta = forms.eta(order)
+    assert list(eta.coeffs) == dense_product_one_minus_qn(1, order)
+    by_mul = eta
+    for _ in range(23):
+        by_mul = qs.mul(by_mul, eta)
+    assert forms.delta(order) == by_mul == qs.pow(eta, 24)
 
 
 def test_tau_extends_cache_without_error():

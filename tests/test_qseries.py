@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qmodular import qseries as qs
 from qmodular.qseries import QSeries, WindowError
 
-from conftest import dense_product_one_minus_qn, enumerate_partitions
+from conftest import dense_product_one_minus_qn, enumerate_partitions, naive_inverse
 
 
 # -- construction and the window contract -----------------------------------------
@@ -98,7 +98,7 @@ def test_geometric_series_via_negative_power():
 def test_eta_like_24th_power_matches_dense_oracle():
     order = 11
     dense = dense_product_one_minus_qn(24, order)
-    base = qs.euler_product(1, order)
+    base = qs.make_series(0, dense_product_one_minus_qn(1, order), order)
     p = qs.pow(base, 24)
     assert [int(c) for c in p.coeffs] == dense
     assert p.coeffs[1] == -24 and p.coeffs[2] == 252
@@ -228,12 +228,23 @@ def test_pow_additivity(single, a, b):
     assert qs.pow(f, a + b) == qs.mul(qs.pow(f, a), qs.pow(f, b))
 
 
+def _mul_power(f: QSeries, e: int) -> QSeries:
+    """f^e by repeated convolution (e >= 0), sharing no code with pow."""
+    acc = qs.one(f.order)
+    for _ in range(e):
+        acc = qs.mul(acc, f)
+    return acc
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-4, 4), st.integers(2, 24))
 def test_euler_product_is_power_of_base_case(e, order):
-    lhs = qs.euler_product(e, order)
-    rhs = qs.pow(qs.euler_product(1, order), e)
-    assert lhs == rhs
+    base = qs.make_series(0, dense_product_one_minus_qn(1, order), order)
+    rhs = _mul_power(base, abs(e))
+    if e < 0:
+        rhs = QSeries(0, tuple(naive_inverse(list(rhs.coeffs), order)))
+    assert qs.euler_product(e, order) == rhs
+    assert qs.pow(base, e) == rhs
 
 
 @settings(max_examples=100, deadline=None)
@@ -244,3 +255,64 @@ def test_no_silent_fabrication(single):
         f.coeff(f.offset + f.order)
     with pytest.raises(WindowError):
         f.coeff(f.offset + f.order + 5)
+
+
+# -- the power kernel against convolution oracles --------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-30, 30), st.integers(1, 80))
+def test_euler_product_matches_dense_product(e, order):
+    dense = dense_product_one_minus_qn(abs(e), order)
+    expected = dense if e >= 0 else naive_inverse(dense, order)
+    assert list(qs.euler_product(e, order).coeffs) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30))
+def test_euler_product_exponents_add(a, b):
+    n = 600
+    lhs = qs.mul(qs.euler_product(a, n), qs.euler_product(b, n))
+    assert lhs == qs.euler_product(a + b, n)
+
+
+@st.composite
+def power_bases(draw, zero_lead=True):
+    """Int or Fraction series with a unit, non-unit or zero lead."""
+    order = draw(st.integers(1, 10))
+    entries = st.integers(-5, 5) if draw(st.booleans()) else small_fractions
+    coeffs = draw(st.lists(entries, min_size=order, max_size=order))
+    lead = draw(st.sampled_from(["unit", "other", "zero"] if zero_lead else ["unit", "other"]))
+    if lead == "unit":
+        coeffs[0] = draw(st.sampled_from([1, -1]))
+    elif lead == "other":
+        coeffs[0] = draw(st.sampled_from([2, -3, Fraction(1, 2), Fraction(-5, 3)]))
+    else:
+        zeros = min(draw(st.integers(1, 3)), order)
+        coeffs[:zeros] = [0] * zeros
+    offset = draw(st.sampled_from([0, 1, Fraction(1, 24)]))
+    return QSeries(offset, tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_bases(), st.integers(0, 6))
+def test_pow_matches_repeated_mul(f, e):
+    assert qs.pow(f, e) == _mul_power(f, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_bases(zero_lead=False), st.integers(1, 6))
+def test_negative_pow_is_inverse_of_repeated_mul(f, e):
+    p = _mul_power(f, e)
+    expected = QSeries(-p.offset, tuple(naive_inverse(list(p.coeffs), f.order)))
+    assert qs.pow(f, -e) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0, 1, Fraction(1, 24)]), st.data())
+def test_invert_matches_naive_inverse(order, offset, data):
+    coeffs = data.draw(st.lists(small_fractions, min_size=order, max_size=order))
+    coeffs[0] = data.draw(small_fractions.filter(lambda c: c not in (0, 1, -1)))
+    inv = qs.invert(QSeries(offset, tuple(coeffs)))
+    assert inv.offset == -offset
+    assert list(inv.coeffs) == naive_inverse(coeffs, order)
