@@ -116,8 +116,8 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
 
     Solves perimeter(r_ref, e, f) = 2 pi r_target for r_ref.  The map is
     exactly linear in r_ref, so the Newton step from the unit-reference
-    perimeter lands on the root at once; the residual is asserted
-    against the 1e-10 relative contract anyway.
+    perimeter lands on the root at once; a residual above the 1e-10
+    relative contract raises ``ArithmeticError`` anyway.
     """
     if r_target <= 0:
         raise ValueError(f"r_target must be positive, got {r_target}")
@@ -125,7 +125,8 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
     r_ref = 2.0 * math.pi * r_target / unit
     spec = EllipseSpec(r_ref, e, f)
     residual = abs(ellipse_perimeter(spec) - 2.0 * math.pi * r_target)
-    assert residual < 1e-10 * r_target, f"matching residual {residual}"
+    if not residual < 1e-10 * r_target:
+        raise ArithmeticError(f"matching residual {residual} exceeds 1e-10 * {r_target}")
     return spec
 
 

@@ -11,11 +11,14 @@ offset; everything below the offset is zero by definition (the offset is
 the exponent of the leading monomial), and everything at or beyond
 ``offset + order`` is *unknown*, not zero.
 
-Truncation follows a no-fabrication rule: each operation returns the
-largest window on which its result is fully determined by the operands,
-and reading a coefficient past that window raises :class:`WindowError`
-rather than returning a silent zero.  This keeps "identity verified to
-order N" claims honest.
+Truncation follows a no-fabrication rule: each operation returns a
+window on which its result is fully determined by the operands, and
+reading a coefficient past that window raises :class:`WindowError`
+rather than returning a silent zero.  The window is not always the
+largest such one: a product keeps the smaller operand order, which is
+shorter than what is determined when an operand has leading zeros
+(``pow(QSeries(0, (0, 1)), 2)`` knows q^2 but returns two coefficients).
+This keeps "identity verified to order N" claims honest.
 
 Two kernels do all the arithmetic.  Multiplication is schoolbook
 convolution (the sparser operand drives the outer loop, so eta-like
@@ -276,7 +279,12 @@ def scalar_mul(c: RationalLike, f: QSeries) -> QSeries:
 
 
 def mul(f: QSeries, g: QSeries) -> QSeries:
-    """Cauchy product; result order is the smaller operand order."""
+    """Cauchy product; result order is the smaller operand order.
+
+    Every returned coefficient is determined, but with leading zeros in
+    an operand more are: q * q is known through q^2 from two
+    coefficients each, yet the window stays two.
+    """
     n = min(f.order, g.order)
     if n <= 0:
         return QSeries(f.offset + g.offset, ())

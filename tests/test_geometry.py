@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qmodular import geometry
+from qmodular import geometry, verify
 
 
 def _perimeter_by_scipy(spec: geometry.EllipseSpec) -> float:
@@ -57,6 +57,21 @@ def test_perimeter_agm_matches_quadrature(e, f, r):
     )
 
 
+@pytest.mark.parametrize("ratio", [1.0, 2.0, 10.0, 15.0, 1.0 / 15.0])
+def test_trapezoid_perimeter_oracle_matches_scipy(ratio):
+    spec = geometry.EllipseSpec(0.8, 1.0, ratio)
+    assert verify._arc_length_quadrature(spec) == pytest.approx(
+        _perimeter_by_scipy(spec), rel=1e-12
+    )
+
+
+def test_trapezoid_perimeter_oracle_raises_past_its_point_cap():
+    # a near-degenerate ellipse has a kink in its speed, so the rule converges
+    # only algebraically and cannot reach 1e-13 within 2^16 points
+    with pytest.raises(ArithmeticError):
+        verify._arc_length_quadrature(geometry.EllipseSpec(1.0, 1e-9, 1.0))
+
+
 def test_ellipse_spec_validation():
     with pytest.raises(ValueError):
         geometry.EllipseSpec(0.0, 1.0, 1.0)
@@ -83,6 +98,16 @@ def test_matching_residual_contract():
         spec = geometry.circle_matching_ellipse(r, e, f)
         per = geometry.ellipse_perimeter(spec)
         assert abs(per - 2 * math.pi * r) < 1e-10 * r
+
+
+def test_matching_residual_raises_without_assert(monkeypatch):
+    # a perimeter that is not linear in r_ref defeats the one-step solve
+    real = geometry.ellipse_perimeter
+    monkeypatch.setattr(
+        geometry, "ellipse_perimeter", lambda spec: real(spec) * spec.r_ref
+    )
+    with pytest.raises(ArithmeticError):
+        geometry.circle_matching_ellipse(2.0, 1.0, 2.0)
 
 
 def test_matching_is_linear_in_target():

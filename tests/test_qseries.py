@@ -90,6 +90,16 @@ def test_pow_zero_is_one():
     assert qs.pow(f, 0) == qs.one(3)
 
 
+def test_zero_lead_power_window_is_determined_not_largest():
+    # q^2 is determined by (0 + q)^2, but the window keeps the base's two slots
+    f = QSeries(0, (0, 1))
+    for square in (qs.pow(f, 2), qs.mul(f, f)):
+        assert square.order == 2
+        assert [square.coeff(n) for n in range(2)] == [0, 0]
+        with pytest.raises(WindowError):
+            square.coeff(2)
+
+
 def test_geometric_series_via_negative_power():
     f = qs.make_series(0, [1, -1] + [0] * 6, 8)
     assert qs.pow(f, -1) == qs.make_series(0, [1] * 8, 8)

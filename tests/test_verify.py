@@ -1,7 +1,7 @@
 import pytest
 
 from qmodular import qseries as qs
-from qmodular import theta_partitions, verify
+from qmodular import geometry, theta_partitions, verify
 
 from conftest import lattice_vectors_with_norm
 
@@ -29,6 +29,17 @@ def test_theta_suite_sees_a_wrong_theta_coefficient(monkeypatch):
     lattice = reports["theta-lattice-counts"]
     assert not lattice.ok
     assert lattice.violations == ("lattice count mismatch at k=2, m=5",)
+
+
+def test_geometry_suite_sees_a_perimeter_off_by_1e_8(monkeypatch):
+    real = geometry.ellipse_perimeter
+    monkeypatch.setattr(
+        geometry, "ellipse_perimeter", lambda spec: real(spec) * (1.0 + 1e-8)
+    )
+    reports = {r.check: r for r in verify.verify_geometry()}
+    pairs = reports["agm-vs-quadrature"]
+    assert dict(pairs.params)["pairs"] == 20
+    assert len(pairs.violations) == 20
 
 
 def test_hecke_suite_rejects_orders_without_a_t2_window():
