@@ -4,7 +4,8 @@ Output is byte-deterministic for fixed arguments: JSON is written with
 sorted keys and compact separators, floats are rounded to 12 significant
 digits before serialization, and all text is UTF-8 with LF endings.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure (or a zero scan that
+lost its bracketing), 2 usage error, including out-of-range arguments.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class CommandConfig:
                 raise ValueError(f"{name} must be positive, got {v}")
         if self.fmt not in ("json", "tsv", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if self.tol is not None and not 0 < self.tol < math.inf:  # rejects nan
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
 
 def _config_from_args(args) -> CommandConfig:
@@ -264,7 +265,7 @@ def _cmd_tables(args) -> int:
     cfg = _config_from_args(args)
     try:
         json_rows, header, text_rows = _TABLES[args.table](args)
-    except (ValueError, lseries.BracketingError) as exc:
+    except lseries.BracketingError as exc:
         print(f"table generation failed: {exc}", file=sys.stderr)
         return 1
     if cfg.fmt == "json":

@@ -11,10 +11,12 @@ the operator composition law T_m T_n = sum_{d | gcd(m,n)} d^(k-1) T_{mn/d^2},
 eigenform verification, the tau congruence battery, and the exact
 eigenvalue pair of the shear/diagonal coset quadratic.
 
-The Hecke action, the composition check and the eigenform check share
-one kernel that runs on plain coefficient lists: Python ints when the
-series is integral (as the discriminant form is), Fractions otherwise.
-Only :func:`hecke_apply` wraps its result into a :class:`QSeries`.
+A :class:`QSeries` stores integral coefficients as ints, so nothing here
+converts between int and Fraction (only the report fields
+``first_mismatch`` and ``eigenvalues`` are Fractions).  The Hecke action,
+the composition check and the eigenform check share one kernel on the
+stored coefficients as a plain list; only :func:`hecke_apply` wraps its
+result into a :class:`QSeries`.
 
 tau values come from a process-wide cache backed by the product
 expansion of the discriminant form; the cache extends itself on demand.
@@ -154,7 +156,7 @@ class _TauCache:
                 order = 64
                 while order < n:
                     order *= 2
-                values = [0] + [int(c) for c in delta(order).coeffs]
+                values = [0, *delta(order).coeffs]
                 if self._fault is not None and self._fault[0] < len(values):
                     values[self._fault[0]] += self._fault[1]
                 self._values = values
@@ -226,8 +228,8 @@ def eisenstein_e12(order: int) -> QSeries:
         p = d**11
         for m in range(d, order, d):
             coeffs[m] += p
-    out = [Fraction(691, 65520)] + [Fraction(v) for v in coeffs[1:]]
-    return QSeries(Fraction(0), tuple(out), weight=12, level=1)
+    coeffs[0] = Fraction(691, 65520)
+    return QSeries(0, tuple(coeffs), weight=12, level=1)
 
 
 # -- Hecke operators ------------------------------------------------------------
@@ -249,15 +251,12 @@ def hecke_coset_reps(n: int) -> list[CosetRep]:
 def _exact_coeffs(f: QSeries) -> list:
     """Coefficients of q^0 .. q^(end-1) of ``f`` (offset 0 or 1) as a list.
 
-    Python ints when every coefficient is integral, Fractions otherwise;
-    the slot below an offset of 1 holds 0.
+    The stored values as they are (ints where integral); the slot below
+    an offset of 1 holds 0.
     """
     if f.offset not in (0, 1):
         raise ValueError(f"Hecke operators require offset 0 or 1, got {f.offset}")
-    cs = f.coeffs
-    if all(c.denominator == 1 for c in cs):
-        cs = [c.numerator for c in cs]
-    return [0] * int(f.offset) + list(cs)
+    return [0] * f.offset + list(f.coeffs)
 
 
 def _hecke_coeffs(a: list, meta: FormMeta, n: int, out_order: int) -> list:
@@ -301,7 +300,7 @@ def hecke_apply(f: QSeries, meta: FormMeta, n: int) -> QSeries:
         raise WindowError(
             f"series order {f.order} too small for T_{n} (needs >= {n})"
         )
-    return QSeries(Fraction(0), tuple(_hecke_coeffs(a, meta, n, out_order)))
+    return QSeries(0, tuple(_hecke_coeffs(a, meta, n, out_order)))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
 from . import forms
-from .qseries import QSeries
+from .qseries import QSeries, Rational, rational
 
 __all__ = [
     "DirichletSeries",
@@ -70,18 +70,16 @@ class DirichletSeries:
     estimates in :func:`dirichlet_eval`.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
     weight: int = 0
     normalized_eigenform: bool = False
 
     def __post_init__(self) -> None:
         if len(self.coeffs) < 1:
             raise ValueError("need at least one coefficient")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(map(rational, self.coeffs)))
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> Rational:
         if not 1 <= n <= len(self.coeffs):
             raise ValueError(f"n must be in 1..{len(self.coeffs)}, got {n}")
         return self.coeffs[n - 1]

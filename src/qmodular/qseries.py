@@ -11,6 +11,13 @@ offset; everything below the offset is zero by definition (the offset is
 the exponent of the leading monomial), and everything at or beyond
 ``offset + order`` is *unknown*, not zero.
 
+The offset and each coefficient are stored in one normal form, chosen
+only by :func:`rational` in the constructor: an ``int`` when integral, a
+:class:`~fractions.Fraction` otherwise, so the integral series that make
+up most of the library stay on plain ints.  Ints compare and hash like
+Fractions and carry ``.numerator`` and ``.denominator``, but ``/`` on two
+ints is a float: divide coefficients with ``Fraction(a, b)``.
+
 Truncation follows a no-fabrication rule: each operation returns a
 window on which its result is fully determined by the operands, and
 reading a coefficient past that window raises :class:`WindowError`
@@ -25,9 +32,9 @@ convolution (the sparser operand drives the outer loop, so eta-like
 series stay cheap).  Every power goes through one exact power kernel,
 J.C.P. Miller's recurrence: :func:`pow`, :func:`invert` (the power -1)
 and :func:`euler_product` (a power of Euler's pentagonal series).  It
-costs O(order * nnz(base)) for any exponent and runs on Python ints
-whenever the result is integral.  A module-level operation counter is
-kept for benchmarking convolution cost; see :func:`conv_ops`.
+costs O(order * nnz(base)) for any exponent and stays on ints whenever
+the result is integral.  A module-level operation counter is kept for
+benchmarking convolution cost; see :func:`conv_ops`.
 """
 
 from __future__ import annotations
@@ -36,11 +43,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+Rational = Union[int, Fraction]
 RationalLike = Union[int, Fraction, str]
 
 __all__ = [
     "QSeries",
     "WindowError",
+    "rational",
     "make_series",
     "add",
     "mul",
@@ -61,8 +70,13 @@ class WindowError(Exception):
     """A coefficient beyond the known truncation window was requested."""
 
 
-def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def rational(x: RationalLike) -> Rational:
+    """The normal form of an exact rational: int if integral, else Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 # Convolution cost counter (coefficient multiplications).  Not a public
@@ -84,26 +98,25 @@ def reset_conv_ops() -> None:
 class QSeries:
     """Truncated exact power series ``q^offset * sum c[j] q^j``.
 
-    ``weight`` and ``level`` are optional bookkeeping tags set by the
-    named constructors (they do not participate in equality and are
-    dropped by arithmetic).
+    Values are kept in the normal form of :func:`rational`.  ``weight``
+    and ``level`` are optional bookkeeping tags set by the named
+    constructors (they do not participate in equality and are dropped by
+    arithmetic).
     """
 
-    offset: Fraction
-    coeffs: tuple[Fraction, ...]
+    offset: Rational
+    coeffs: tuple[Rational, ...]
     weight: Optional[int] = field(default=None, compare=False)
     level: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        off = _frac(self.offset)
+        off = rational(self.offset)
         if 24 % off.denominator != 0:
             raise ValueError(
                 f"offset denominator must divide 24, got {off.denominator}"
             )
         object.__setattr__(self, "offset", off)
-        object.__setattr__(
-            self, "coeffs", tuple(_frac(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(map(rational, self.coeffs)))
 
     # -- window bookkeeping -------------------------------------------------
 
@@ -113,11 +126,11 @@ class QSeries:
         return len(self.coeffs)
 
     @property
-    def end(self) -> Fraction:
+    def end(self) -> Rational:
         """First unknown exponent, ``offset + order``."""
         return self.offset + len(self.coeffs)
 
-    def coeff(self, exponent: RationalLike) -> Fraction:
+    def coeff(self, exponent: RationalLike) -> Rational:
         """Exact coefficient of ``q^exponent``.
 
         Exponents below the window are zero (nothing sits under the
@@ -125,7 +138,7 @@ class QSeries:
         offset but still inside the window are zero as well.  Exponents
         at or past ``offset + order`` raise :class:`WindowError`.
         """
-        e = _frac(exponent)
+        e = rational(exponent)
         if e >= self.end:
             raise WindowError(
                 f"coefficient of q^{e} is beyond the known window "
@@ -133,13 +146,13 @@ class QSeries:
             )
         rel = e - self.offset
         if rel < 0 or rel.denominator != 1:
-            return Fraction(0)
+            return 0
         return self.coeffs[int(rel)]
 
-    def __getitem__(self, exponent: RationalLike) -> Fraction:
+    def __getitem__(self, exponent: RationalLike) -> Rational:
         return self.coeff(exponent)
 
-    def nonzero_terms(self) -> Iterable[tuple[Fraction, Fraction]]:
+    def nonzero_terms(self) -> Iterable[tuple[Rational, Rational]]:
         """Yield (exponent, coefficient) for the nonzero stored terms."""
         for j, c in enumerate(self.coeffs):
             if c:
@@ -150,7 +163,7 @@ class QSeries:
 
     def shift(self, delta: RationalLike) -> "QSeries":
         """Multiply by the monomial ``q^delta`` (exact, window unchanged)."""
-        return QSeries(self.offset + _frac(delta), self.coeffs)
+        return QSeries(self.offset + rational(delta), self.coeffs)
 
     def truncate(self, order: int) -> "QSeries":
         """Restrict to the first ``order`` coefficients."""
@@ -197,14 +210,14 @@ def make_series(
         raise ValueError(
             f"coefficient count {len(coeffs)} does not match order {order}"
         )
-    return QSeries(_frac(offset), tuple(_frac(c) for c in coeffs))
+    return QSeries(offset, tuple(coeffs))
 
 
 def one(order: int) -> QSeries:
     """The multiplicative identity known to ``order`` coefficients."""
     if order < 1:
-        return QSeries(Fraction(0), ())
-    return QSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * (order - 1))
+        return QSeries(0, ())
+    return QSeries(0, (1,) + (0,) * (order - 1))
 
 
 def monomial(exponent: RationalLike, order: int) -> QSeries:
@@ -215,11 +228,7 @@ def monomial(exponent: RationalLike, order: int) -> QSeries:
 # -- kernels ------------------------------------------------------------------
 
 
-def _all_integer(cs: Sequence[Union[int, Fraction]]) -> bool:
-    return all(c.denominator == 1 for c in cs)
-
-
-def _conv(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
+def _conv(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Rational]:
     """Cauchy product of the coefficient blocks, truncated to n terms.
 
     The sparser block runs the outer loop, so multiplying by an
@@ -229,52 +238,32 @@ def _conv(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction
     global _CONV_OPS
     if sum(1 for c in a[:n] if c) > sum(1 for c in b[:n] if c):
         a, b = b, a
-    if _all_integer(a) and _all_integer(b):
-        ai = [c.numerator for c in a[:n]]
-        bi = [c.numerator for c in b[:n]]
-        out = [0] * n
-        for i, av in enumerate(ai):
-            if av:
-                _CONV_OPS += n - i
-                for j, bv in enumerate(bi[: n - i]):
-                    if bv:
-                        out[i + j] += av * bv
-        return [Fraction(v) for v in out]
-    out_f = [Fraction(0)] * n
+    out = [0] * n
     for i, av in enumerate(a[:n]):
         if av:
             _CONV_OPS += n - i
             for j, bv in enumerate(b[: n - i]):
                 if bv:
-                    out_f[i + j] += av * bv
-    return out_f
+                    out[i + j] += av * bv
+    return out
 
 
 def add(f: QSeries, g: QSeries) -> QSeries:
     """Coefficientwise sum on the largest fully determined window."""
-    rel = g.offset - f.offset
-    if rel.denominator != 1:
+    if (g.offset - f.offset).denominator != 1:
         raise ValueError(
             "cannot add series on different exponent lattices "
             f"(offsets {f.offset} and {g.offset})"
         )
     off = min(f.offset, g.offset)
-    end = min(f.end, g.end)
-    n = int(end - off)
-    if n <= 0:
-        return QSeries(off, ())
-    out = []
-    for j in range(n):
-        e = off + j
-        out.append(
-            (f.coeffs[int(e - f.offset)] if e >= f.offset else Fraction(0))
-            + (g.coeffs[int(e - g.offset)] if e >= g.offset else Fraction(0))
-        )
-    return QSeries(off, tuple(out))
+    # zeros below each offset; zip stops at the first unknown coefficient
+    fa = [0] * int(f.offset - off) + list(f.coeffs)
+    ga = [0] * int(g.offset - off) + list(g.coeffs)
+    return QSeries(off, tuple(x + y for x, y in zip(fa, ga)))
 
 
 def scalar_mul(c: RationalLike, f: QSeries) -> QSeries:
-    c = _frac(c)
+    c = rational(c)
     return QSeries(f.offset, tuple(c * x for x in f.coeffs))
 
 
@@ -291,7 +280,7 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(f.offset + g.offset, tuple(_conv(f.coeffs, g.coeffs, n)))
 
 
-def _power(a: Sequence[Union[int, Fraction]], e: int, n: int) -> list:
+def _power(a: Sequence[Rational], e: int, n: int) -> list[Rational]:
     """First ``n`` coefficients of ``a^e`` for a coefficient list with a[0] != 0.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7):
@@ -299,17 +288,17 @@ def _power(a: Sequence[Union[int, Fraction]], e: int, n: int) -> list:
         m a_0 g_m = sum_{k=1..m} ((e + 1) k - m) a_k g_{m-k},  g_0 = a_0^e.
 
     Each g_m reads only earlier terms and the sum runs over the nonzero
-    a_k, so the cost is O(n * nnz(a)) whatever the size of e.  When a is
-    integral and the power is too (a_0 = +-1, or e >= 0), the kernel runs
-    on Python ints and every division must be exact: a remainder raises
-    ``ArithmeticError`` instead of being truncated.  Otherwise it runs on
-    Fractions.
+    a_k, so the cost is O(n * nnz(a)) whatever the size of e.  When every
+    a_k is stored as an int and the power is integral too (a_0 = +-1, or
+    e >= 0), the kernel stays on ints and every division must be exact: a
+    remainder raises ``ArithmeticError`` instead of being truncated.
+    Otherwise each step divides into a Fraction.
     """
-    exact = _all_integer(a[:n]) and (e >= 0 or a[0] in (1, -1))
-    a = [int(c) if exact else _frac(c) for c in a[:n]]
+    a = a[:n]
+    exact = all(type(c) is int for c in a) and (e >= 0 or a[0] in (1, -1))
     a0 = a[0]
     # on ints with e < 0, a0 = +-1 and a0^e = a0^|e| stays an int
-    g = [a0 ** abs(e) if exact else a0**e] + [0] * (n - 1)
+    g = [a0 ** abs(e) if exact else Fraction(a0) ** e] + [0] * (n - 1)
     terms = [(k, (e + 1) * k * c, c) for k, c in enumerate(a[1:], 1) if c]
     for m in range(1, n):
         s = 0
@@ -325,7 +314,7 @@ def _power(a: Sequence[Union[int, Fraction]], e: int, n: int) -> list:
                 )
             g[m] = q
         else:
-            g[m] = s / (m * a0)
+            g[m] = Fraction(s, m * a0)
     return g
 
 
@@ -375,7 +364,7 @@ def euler_product(e: int, order: int) -> QSeries:
             if j < order:
                 pent[j] = sign
         k += 1
-    return QSeries(Fraction(0), tuple(_power(pent, e, order)))
+    return QSeries(0, tuple(_power(pent, e, order)))
 
 
 # -- serialization -------------------------------------------------------------

@@ -105,7 +105,7 @@ def unary_theta(
         return make_series(0, [0] * order, order)
     offset = kappa * first * first
     end = offset + order
-    coeffs = [Fraction(0)] * order
+    coeffs = [0] * order
     n = first
     while kappa * n * n < end:
         e = eps[n % period]

@@ -181,6 +181,68 @@ def test_tables_csv_format():
     assert out.split("\n")[0] == "theta,re,im"
 
 
+# sha256 of `qmodular tables TABLE [ARGS] --format FMT` stdout, recorded
+# before coefficients were stored as ints where integral; every byte must
+# stay the same.
+_RANK_ARGS = ("--n-max", "40")
+_SHADOW_ARGS = ("--n", "3", "--r-a", "2", "--e", "0.5", "--grid", "8")
+TABLES_SHA256 = {
+    ("rank", (), "tsv"): "2fcdcce82e8ed4f2b41163f1ddcd76be7101b1d19edad46d83d1c982dd07c0b9",
+    ("rank", (), "json"): "0f939f7ee216b743a93721fb7a609341e411c0f89e9bdd683a00461f64140b71",
+    ("rank", (), "csv"): "26eda493e4040258c9e9fecf5f1954f19ecc86ad82a12c36f9a06a73e55a8cfa",
+    ("rank", _RANK_ARGS, "tsv"): "bc93e96fbe302bca9b8fb225871e1a64aea21da84fdf7ed414c3c224e75cc87a",
+    ("rank", _RANK_ARGS, "json"): "b18e5b23863db21017228b805b7fb205115601c055154d5f32406ba48edf9982",
+    ("rank", _RANK_ARGS, "csv"): "db3bebb9d6e34cb8733ed0c054150cc59d727e42ac99b4bbae59d9bd6a91f373",
+    ("zeros", (), "tsv"): "8466cf5f2174f5a822863137fc645474cdeabd2943e3540fcef0ea6562b2c704",
+    ("zeros", (), "json"): "b44b050946f555ccd48df4c82a78b1d1878852760360d87524b70f9b5c4e9ddc",
+    ("zeros", (), "csv"): "bdc785b05c438729cdbb4391deef271d0c2d3019dbbd969fc6c70f31d8fe3ee6",
+    ("spacings", (), "tsv"): "5e59f519746fde0a11e64c515d0b280f5b39a28cbadb9dd56265681e143ed514",
+    ("spacings", (), "json"): "e94fb3eb375e813cad093caa89a1c468fee2da9fec193a5f6c278df3f28cd0a4",
+    ("spacings", (), "csv"): "f34e65cbf2306ecfde960131d695cb355f3142ee9057d1a2d3f3d03a2cc51037",
+    ("shadow", (), "tsv"): "52f814fa8c443c7140ed511bae089ffe36254238de5df472db288edc1c74d246",
+    ("shadow", (), "json"): "b1f4ca5ec469fabbe37f649b28796308f665133c330a6d52d52786d93a8163e5",
+    ("shadow", (), "csv"): "2526ad678c048bf8822749184f80b8f71e845e2eb6f742199dfa082e77f16193",
+    ("shadow", _SHADOW_ARGS, "tsv"): "4c9b24c8fe482e9bd30868363ed25bdb8acfecf79648e25acade06703958e556",
+    ("shadow", _SHADOW_ARGS, "json"): "01be4906d313ea832daefe13afb576e99513d4de53ee78d600cdc71213c5deea",
+    ("shadow", _SHADOW_ARGS, "csv"): "80e5767db26a258663a510fb9fb6118e2c42f5f6146f98019d3d930fc5f3daae",
+}
+
+
+@pytest.mark.parametrize("table,args,fmt", list(TABLES_SHA256))
+def test_tables_output_digest_is_stable(table, args, fmt):
+    code, out = _run_main(["tables", table, *args, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_SHA256[table, args, fmt]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "zeros", "--count", "60"],
+        ["tables", "spacings", "--count", "60"],
+        ["tables", "shadow", "--grid", "2"],
+        ["tables", "shadow", "--e", "-1"],
+        ["tables", "shadow", "--r-d", "0"],
+    ],
+)
+def test_tables_out_of_range_arguments_exit_2(argv, capsys):
+    code, out = _run_main(argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):
+    def lost(count):
+        raise cli.lseries.BracketingError("missed sign changes")
+
+    monkeypatch.setattr(cli.lseries, "zeta_zero_spacings", lost)
+    code, out = _run_main(["tables", "zeros"])
+    assert code == 1
+    assert out == ""
+    assert "table generation failed" in capsys.readouterr().err
+
+
 # -- determinism -----------------------------------------------------------------
 
 
@@ -273,6 +335,16 @@ def test_verify_bounds_that_compare_nothing_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert "invalid arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_verify_non_finite_or_nonpositive_tolerance_exits_2(tol, capsys):
+    # --tol nan made lambda-functional-equation vacuous (every comparison
+    # with nan is false), so it passed with nothing checked
+    code, out = _run_main(["verify", "lfunc", f"--tol={tol}"])
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in capsys.readouterr().err
 
 
 def test_verify_hecke_clamps_eigenform_bound_to_half_the_order():

@@ -347,3 +347,15 @@ def test_biquanta():
     for _ in range(12):
         acc *= 2
     assert forms.biquanta(2, 12) == acc
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 80))
+def test_e12_stores_its_integral_coefficients_as_ints(order):
+    e12 = forms.eisenstein_e12(order)
+    assert type(e12.offset) is int and e12.offset == 0
+    assert type(e12.coeffs[0]) is Fraction and e12.coeffs[0] == Fraction(691, 65520)
+    assert all(type(c) is int for c in e12.coeffs[1:])
+    as_fractions = [Fraction(691, 65520)]
+    as_fractions += [Fraction(forms.sigma(11, n)) for n in range(1, order)]
+    assert e12 == qs.QSeries(Fraction(0), tuple(as_fractions))

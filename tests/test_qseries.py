@@ -326,3 +326,104 @@ def test_invert_matches_naive_inverse(order, offset, data):
     inv = qs.invert(QSeries(offset, tuple(coeffs)))
     assert inv.offset == -offset
     assert list(inv.coeffs) == naive_inverse(coeffs, order)
+
+
+# -- the int/Fraction normal form --------------------------------------------------------
+
+
+def _is_normal(x) -> bool:
+    """int exactly when integral, Fraction otherwise."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def _assert_normal(f: QSeries) -> None:
+    assert _is_normal(f.offset)
+    assert all(_is_normal(c) for c in f.coeffs)
+
+
+def _all_fraction(f: QSeries) -> QSeries:
+    """The same series with every value a Fraction, bypassing normalization."""
+    g = object.__new__(QSeries)
+    object.__setattr__(g, "offset", Fraction(f.offset))
+    object.__setattr__(g, "coeffs", tuple(Fraction(c) for c in f.coeffs))
+    object.__setattr__(g, "weight", None)
+    object.__setattr__(g, "level", None)
+    return g
+
+
+def _kinds(values: st.SearchStrategy) -> st.SearchStrategy:
+    """Each value as an int (when integral), a Fraction or a string."""
+    def spellings(v: Fraction) -> list:
+        return [v, str(v)] + ([int(v)] if v.denominator == 1 else [])
+
+    return values.flatmap(lambda v: st.sampled_from(spellings(Fraction(v))))
+
+
+_coeff_values = st.one_of(st.integers(-6, 6).map(Fraction), small_fractions)
+_offset_values = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 24), Fraction(-5, 12)]
+)
+
+
+@st.composite
+def raw_series(draw, min_order=0, unit_lead=False):
+    """(offset, coeffs, order) of mixed int / Fraction / str inputs."""
+    order = draw(st.integers(min_order, 8))
+    coeffs = draw(st.lists(_kinds(_coeff_values), min_size=order, max_size=order))
+    if unit_lead:
+        coeffs[0] = draw(_kinds(st.sampled_from([Fraction(1), Fraction(-1)])))
+    return draw(_kinds(_offset_values)), coeffs, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_series(), raw_series(min_order=1), st.integers(0, 3), _kinds(_coeff_values))
+def test_integral_values_are_stored_as_ints(raw_f, raw_g, e, c):
+    offset, coeffs, order = raw_f
+    f = qs.make_series(offset, coeffs, order)
+    as_fractions = qs.make_series(Fraction(offset), list(map(Fraction, coeffs)), order)
+    assert f == as_fractions
+    _assert_normal(f)
+    _assert_normal(as_fractions)
+    g0 = qs.make_series(*raw_g)
+    g = g0.shift(f.offset - g0.offset + e)  # on f's lattice, so f + g is defined
+    ff, gf = _all_fraction(f), _all_fraction(g)
+    results = [
+        (qs.add(f, g), qs.add(ff, gf)),
+        (qs.add(g, f), qs.add(gf, ff)),
+        (qs.scalar_mul(c, f), qs.scalar_mul(Fraction(c), ff)),
+        (qs.mul(f, g), qs.mul(ff, gf)),
+        (qs.pow(g, e), qs.pow(gf, e)),
+        (f.shift(c), ff.shift(Fraction(c))),
+        (f.truncate(f.order // 2), ff.truncate(f.order // 2)),
+        (qs.from_json_obj(qs.to_json_obj(f)), ff),
+    ]
+    for got, want in results:
+        _assert_normal(got)
+        assert got == want
+        assert qs.to_json_obj(got) == qs.to_json_obj(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_series(min_order=1, unit_lead=True), raw_series(min_order=1), st.integers(1, 4))
+def test_negative_powers_keep_the_normal_form(raw_unit, raw_other, e):
+    unit = qs.make_series(*raw_unit)  # lead +-1: integral powers stay ints
+    other = qs.make_series(*raw_other)
+    for f in (unit, other):
+        if f.coeffs[0] == 0:
+            continue
+        for got, want in (
+            (qs.pow(f, -e), qs.pow(_all_fraction(f), -e)),
+            (qs.invert(f), qs.invert(_all_fraction(f))),
+        ):
+            _assert_normal(got)
+            assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-30, 30), st.integers(1, 60))
+def test_euler_product_keeps_the_normal_form(e, order):
+    got = qs.euler_product(e, order)
+    _assert_normal(got)
+    assert all(type(c) is int for c in got.coeffs)
+    pentagonal = _all_fraction(qs.euler_product(1, order))
+    assert got == qs.pow(pentagonal, e)

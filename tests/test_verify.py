@@ -42,6 +42,20 @@ def test_geometry_suite_sees_a_perimeter_off_by_1e_8(monkeypatch):
     assert len(pairs.violations) == 20
 
 
+def test_perimeter_preservation_sees_a_perimeter_off_by_1e_8(monkeypatch):
+    # circle_matching_ellipse picks r_ref with the patched AGM, so only an
+    # independent perimeter can see that the section no longer has length
+    # 2 pi r_d
+    real = geometry.ellipse_perimeter
+    monkeypatch.setattr(
+        geometry, "ellipse_perimeter", lambda spec: real(spec) * (1.0 + 1e-8)
+    )
+    reports = {r.check: r for r in verify.verify_geometry()}
+    preserved = reports["perimeter-preservation"]
+    assert dict(preserved.params)["cases"] == 20
+    assert len(preserved.violations) == 20
+
+
 def test_hecke_suite_rejects_orders_without_a_t2_window():
     with pytest.raises(ValueError):
         verify.verify_hecke(order=3)
