@@ -5,7 +5,8 @@ sorted keys and compact separators, floats are rounded to 12 significant
 digits before serialization, and all text is UTF-8 with LF endings.
 
 Exit codes: 0 success, 1 verification failure (or a zero scan that
-lost its bracketing), 2 usage error, including out-of-range arguments.
+lost its bracketing), 2 usage error, including out-of-range arguments
+and a ``verify`` flag that the named suite does not take.
 """
 
 from __future__ import annotations
@@ -120,14 +121,21 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
+    # each verify flag, the suite parameter it sets, and its value
+    flags = (
+        ("--n-max", "n_max", cfg.n_max),
+        ("--order", "order", cfg.order),
+        ("--count", "zero_count", cfg.count),
+        ("--tol", "fe_rel_tol", cfg.tol),
+    )
+    if args.suite != "all":  # `verify all` gives each suite the flags it takes
+        takes = verify.suite_parameters(args.suite)
+        for flag, param, value in flags:
+            if value is not None and param not in takes:
+                raise ValueError(f"verify {args.suite} does not take {flag}")
+    overrides = {param: value for _, param, value in flags}
     if args.inject_tau_fault:
         forms.corrupt_tau_cache_for_testing()
-    overrides = {
-        "n_max": cfg.n_max,
-        "order": cfg.order,
-        "zero_count": cfg.count,
-        "fe_rel_tol": cfg.tol,
-    }
     if args.suite == "all":
         pairs = verify.run_all(**overrides)
     else:

@@ -276,6 +276,22 @@ def _tanh_sinh(fn, a: float, b: float) -> tuple[float, float]:
     return value, abs(value - coarse) + floor
 
 
+def _cut_tail_bound(s: float, y_cut: float) -> float:
+    """Bound on the discarded tail integral_{y_cut}^inf F(iy) y^(s-1) dy.
+
+    For y >= Y = y_cut, 0 < F(iy) <= exp(-2 pi y), since F(iy) is
+    exp(-2 pi y) times prod (1 - exp(-2 pi n y))^24.  With a = s - 1,
+    y^a <= Y^a exp(max(a, 0) (y - Y) / Y) on y >= Y (by log(1 + x) <= x
+    for a > 0, and y^a <= Y^a for a <= 0), so the tail is at most
+    integral_Y^inf Y^a exp(-2 pi Y - (2 pi - max(a, 0)/Y)(y - Y)) dy
+    = Y^a exp(-2 pi Y) / (2 pi - max(a, 0)/Y); a < 11 and Y >= 2 keep the
+    rate positive.  The factor 2 is a safety margin.
+    """
+    a = s - 1.0
+    rate = 2.0 * math.pi - max(a, 0.0) / y_cut
+    return 2.0 * y_cut**a * math.exp(-2.0 * math.pi * y_cut) / rate
+
+
 def completed_lambda_integral(
     s: float, y_cut: float = 12.0, order: int = 48
 ) -> CompletedLValue:
@@ -308,9 +324,7 @@ def completed_lambda_integral(
 
     v_up, e_up = _tanh_sinh(upper, 1.0, y_cut)
     v_lo, e_lo = _tanh_sinh(lower, 0.0, 1.0)
-    # y > y_cut tail: |F(iy)| <= 2 exp(-2 pi y) there, and y^(s-1) <= y_cut^11 e^(y - y_cut)
-    # is a crude but safe majorant for s < 12.
-    tail_cut = 2.0 * y_cut ** 11 * math.exp(-(2.0 * math.pi - 1.0) * y_cut)
+    tail_cut = _cut_tail_bound(s, y_cut)
     # exponential-sum truncation, evaluated at the slowest-decaying point y = 1
     n1 = order + 1
     series_tail = 4.0 * n1**6 * math.exp(-2.0 * math.pi * n1) * (y_cut - 1.0 + 1.0)

@@ -3,7 +3,10 @@
 Each suite function recomputes its objects from scratch and returns
 :class:`~qmodular.forms.CheckReport` records; an empty violation list
 means the property battery passed.  Default bounds match the acceptance
-targets of the project; the CLI can override them.
+targets of the project; the CLI can override them.  :func:`run_suite`
+passes each override straight to its suite, so one the suite has no
+parameter for fails instead of being dropped; :func:`run_all` gives
+each suite only the overrides it takes.
 
 The geometry suite checks the AGM perimeters against its own periodic
 trapezoid rule, an algorithm that shares no code with the AGM or with
@@ -22,7 +25,7 @@ from . import forms, geometry, lseries, theta_partitions
 from .forms import CheckReport
 from .qseries import mul
 
-__all__ = ["SUITES", "run_suite", "run_all", "suite_names"]
+__all__ = ["SUITES", "run_suite", "run_all", "suite_names", "suite_parameters"]
 
 
 def _report(check: str, params: dict, violations: list[str]) -> CheckReport:
@@ -123,13 +126,16 @@ def verify_rank(
     equid_bound = min(equid_bound, n_max)
     table = theta_partitions.rank_table(n_max)
     polys = theta_partitions.rank_generating(max(gen_n_max, mock_order) + 1)
+    # one scan of the table: by_n[n] maps each rank m to N(n, m)
+    by_n: dict[int, dict[int, int]] = {n: {} for n in range(1, n_max + 1)}
+    for (n, m), c in table.entries.items():
+        by_n[n][m] = c
     bad = []
     for n in range(1, n_max + 1):
-        total = sum(c for (nn, _), c in table.entries.items() if nn == n)
-        if total != theta_partitions.partition_count(n):
+        if sum(by_n[n].values()) != theta_partitions.partition_count(n):
             bad.append(f"sum over ranks != p(n) at n={n}")
     for (n, m), c in table.entries.items():
-        if table.count(n, -m) != c:
+        if by_n[n].get(-m, 0) != c:
             bad.append(f"symmetry fails at (n,m)=({n},{m})")
         if n >= 2 and abs(m) >= n:
             bad.append(f"support violation at (n,m)=({n},{m})")
@@ -137,7 +143,7 @@ def verify_rank(
 
     bad = []
     for n in range(1, gen_n_max + 1):
-        if polys[n] != table.polynomial(n):
+        if polys[n] != theta_partitions.OmegaPoly.from_terms(by_n[n]):
             bad.append(f"generating coefficient differs from table at n={n}")
     if polys[0] != theta_partitions.OmegaPoly.const(1):
         bad.append("constant coefficient is not 1")
@@ -146,7 +152,9 @@ def verify_rank(
     bad = []
     n = 4
     while n <= equid_bound:
-        counts = table.counts_mod(n, 5)
+        counts = [0] * 5
+        for m, c in by_n[n].items():
+            counts[m % 5] += c
         p_n = theta_partitions.partition_count(n)
         if p_n % 5 != 0 or any(c != p_n // 5 for c in counts):
             bad.append(f"rank classes mod 5 not equal at n={n}: {counts}")
@@ -409,14 +417,25 @@ def suite_names() -> list[str]:
     return list(SUITES) + ["all"]
 
 
+def suite_parameters(name: str) -> frozenset[str]:
+    """Names of the parameters the named suite takes."""
+    return frozenset(inspect.signature(SUITES[name]).parameters)
+
+
 def run_suite(name: str, **overrides) -> list[CheckReport]:
-    """Run one named suite with optional parameter overrides."""
-    fn = SUITES[name]
-    accepted = inspect.signature(fn).parameters
-    kwargs = {k: v for k, v in overrides.items() if k in accepted and v is not None}
-    return fn(**kwargs)
+    """Run one named suite; an override of None keeps the suite's default.
+
+    An override the suite has no parameter for raises TypeError rather
+    than being dropped.
+    """
+    return SUITES[name](**{k: v for k, v in overrides.items() if v is not None})
 
 
 def run_all(**overrides) -> list[tuple[str, list[CheckReport]]]:
-    """Run every suite in fixed order."""
-    return [(n, run_suite(n, **overrides)) for n in SUITES]
+    """Run every suite in fixed order, each with the overrides it takes."""
+    pairs = []
+    for name in SUITES:
+        takes = suite_parameters(name)
+        kwargs = {k: v for k, v in overrides.items() if k in takes}
+        pairs.append((name, run_suite(name, **kwargs)))
+    return pairs

@@ -118,6 +118,28 @@ def naive_hecke(coeffs: list, offset: int, k: int, eps, n: int) -> list[Fraction
     return out
 
 
+# -- mock theta series ---------------------------------------------------------
+
+
+def mock_theta_f_by_appell_lerch(order: int) -> list:
+    """Ramanujan's f(q) to q^(order-1) from Watson's (1936) Appell-Lerch form.
+
+    f(q) (q; q)_inf = 1 + 4 sum_{m>=1} (-1)^m q^(m(3m+1)/2) / (1 + q^m),
+    with 1/(1 + q^m) written out as sum_j (-1)^j q^(mj) and 1/(q; q)_inf
+    taken by the textbook inverse of the dense Euler product.
+    """
+    numer = [1] + [0] * (order - 1)
+    m = 1
+    while m * (3 * m + 1) // 2 < order:
+        sign = 4 * (-1) ** m
+        for e in range(m * (3 * m + 1) // 2, order, m):
+            numer[e] += sign
+            sign = -sign
+        m += 1
+    inv_euler = naive_inverse(dense_product_one_minus_qn(1, order), order)
+    return poly_mul(numer, inv_euler, order)
+
+
 # -- fixtures -------------------------------------------------------------------
 
 
@@ -126,3 +148,9 @@ def tau_by_dense_convolution() -> list:
     """tau(1..11) from a fully dense product expansion (independent route)."""
     prod = dense_product_one_minus_qn(24, 11)
     return [None] + prod[:11]  # tau(n) = coefficient of q^(n-1) in the product
+
+
+@pytest.fixture(scope="session")
+def mock_f_by_appell_lerch_400() -> list:
+    """f(q) to q^399 by the Appell-Lerch route (independent of the library)."""
+    return mock_theta_f_by_appell_lerch(400)

@@ -61,7 +61,8 @@ def test_expand_euler_large_exponents_are_fast_and_mutually_inverse():
 
 # sha256 of `qmodular expand NAME --order N` stdout, recorded from the
 # factor-by-factor euler_product and the repeated-squaring pow before the
-# power kernel replaced both; every byte must stay the same.
+# power kernel replaced both, and (mock-f) from the sparse-factor expansion
+# of f(q) before the in-place fold replaced it; every byte must stay the same.
 EXPAND_SHA256 = {
     ("delta", 1): "fb29302673bb0a354d2d1bef59d097127b53e1e5b192bc7cca3df5ce1046e163",
     ("delta", 2): "fcb9b866351cf1e21803172463e2bba226b2173d0359340be40fcf544d385e25",
@@ -96,6 +97,10 @@ EXPAND_SHA256 = {
     ("theta-4", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
     ("theta-4", 2): "19a2ec8d4d6495edf707568966755bcd650c43a2d49e4e2f023c119909d94f2d",
     ("theta-4", 50): "2542e178b814b400c4ce651c9f1de5f93ec9e3a896d65807abf735a4ef47a16b",
+    ("mock-f", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
+    ("mock-f", 2): "6542a5a8e5eebab4a11e5970041b969ea878bdf1b5e03a79461a9d26abd3a7a3",
+    ("mock-f", 50): "a8be07de090f5057a395d4dd32cacb492316cfbd5e484b33af888580cd6aead0",
+    ("mock-f", 2000): "f5f1174673da251bc4cdc2730349321cf50c156dd329d59109101002386aa152",
 }
 
 
@@ -161,6 +166,14 @@ def test_tables_lvalues_json():
     assert rows[0]["s"] == 6.0
     assert abs(rows[0]["value"] - 0.0015448794) < 1e-9
     assert rows[0]["err"] < 1e-10
+
+
+def test_tables_lvalues_error_bar_is_informative():
+    # the cut-off tail bound once dominated err at about 4.4e-16; the true
+    # error at s = 6 is far below 1e-16
+    code, out = _run_main(["tables", "lvalues", "--s-values", "6", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0]["err"] < 1e-16
 
 
 @pytest.mark.parametrize("s_values", ["13", "abc", "nan", "6,inf", ""])
@@ -335,6 +348,31 @@ def test_verify_bounds_that_compare_nothing_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert "invalid arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "theta", "--n-max", "1"], "--n-max"),
+        (["verify", "geometry", "--order", "3"], "--order"),
+        (["verify", "lfunc", "--n-max", "5"], "--n-max"),
+    ],
+)
+def test_verify_flag_the_suite_does_not_take_exits_2(argv, flag, capsys):
+    # the suite used to drop the flag silently and run at its defaults
+    code, out = _run_main(argv)
+    assert code == 2
+    assert out == ""
+    assert flag in capsys.readouterr().err
+
+
+def test_verify_all_gives_each_flag_to_the_suites_that_take_it():
+    code, out = _run_main(["verify", "all", "--count", "5", "--order", "30"])
+    assert code == 0
+    params = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert params["zeta-zero-spacings"]["count"] == 5
+    assert params["hecke-eigenform"]["order"] == 30
+    assert params["theta-multiplicativity"]["order"] == 30
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])

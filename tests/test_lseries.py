@@ -298,3 +298,20 @@ def test_lambda_error_bar_holds_against_mpmath_oracle():
             lam = lseries.completed_lambda_integral(float(s))
             assert abs(mpmath.mpf(lam.value) - oracle) <= lam.quadrature_error, s
             assert lam.quadrature_error <= 1e-12 * abs(lam.value), s
+
+
+_ORACLE_S = (0.5, 1, *range(3, 11), 6.5, 11, 11.5)
+
+
+def test_lambda_cut_tail_bound_is_sharp_and_safe():
+    """The y > y_cut majorant is below 1e-20 at the default cut, and above
+    the exact integral_Y^inf exp(-2 pi y) y^(s-1) dy = (2 pi)^(-s) Gamma(s, 2 pi Y).
+    """
+    with mpmath.workdps(30):
+        two_pi = 2 * mpmath.pi
+        for s in _ORACLE_S:
+            assert lseries._cut_tail_bound(float(s), 12.0) < 1e-20, s
+            for y_cut in (2.0, 4.0, 12.0):
+                exact = two_pi ** -s * mpmath.gammainc(s, two_pi * y_cut)
+                # the bound before its safety factor of 2 must already hold
+                assert exact <= lseries._cut_tail_bound(float(s), y_cut) / 2, (s, y_cut)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmodular import theta_partitions as tp
@@ -277,6 +277,16 @@ def test_mock_theta_against_naive_term_sum():
         n += 1
     f = tp.mock_theta_f(order)
     assert list(f.coeffs) == total
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 400))
+@example(n=1)
+@example(n=400)
+def test_mock_theta_matches_appell_lerch_oracle(mock_f_by_appell_lerch_400, n):
+    # Watson's form shares nothing with the q-hypergeometric sum: it sees
+    # every coefficient of each 1/(1+q^n)^2 fold, not only the low ones
+    assert list(tp.mock_theta_f(n).coeffs) == mock_f_by_appell_lerch_400[:n]
 
 
 # -- specialization ---------------------------------------------------------------------------

@@ -68,3 +68,32 @@ def test_rank_suite_rejects_bounds_below_the_mod5_row():
     with pytest.raises(ValueError):
         verify.verify_rank(n_max=3)
     assert all(r.ok for r in verify.verify_rank(n_max=4))
+
+
+def test_rank_suite_sees_a_moved_and_an_extra_rank_count(monkeypatch):
+    real = theta_partitions.rank_table
+
+    def corrupted(n_max):
+        table = real(n_max)
+        entries = dict(table.entries)
+        entries[9, 1] -= 1  # one partition of 9 moves from rank 1 to rank 2
+        entries[9, 2] += 1
+        entries[12, 0] += 1  # and 12 gains one
+        return theta_partitions.RankTable(table.n_max, entries)
+
+    monkeypatch.setattr(theta_partitions, "rank_table", corrupted)
+    reports = {r.check: r.violations for r in verify.verify_rank()}
+    assert reports["rank-table-invariants"] == (
+        "sum over ranks != p(n) at n=12",
+        "symmetry fails at (n,m)=(9,-1)",
+        "symmetry fails at (n,m)=(9,-2)",
+        "symmetry fails at (n,m)=(9,1)",
+        "symmetry fails at (n,m)=(9,2)",
+    )
+    assert reports["rank-generating-vs-table"] == (
+        "generating coefficient differs from table at n=9",
+        "generating coefficient differs from table at n=12",
+    )
+    assert reports["rank-equidistribution-mod5"] == (
+        "rank classes mod 5 not equal at n=9: [6, 5, 7, 6, 6]",
+    )
