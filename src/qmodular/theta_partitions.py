@@ -5,7 +5,10 @@ points of a given squared norm.  Unary theta series weight each lattice
 point n by eps(n) * n for an odd periodic eps, with a rational exponent
 scale.  Partition counts p(n) come from the pentagonal recurrence; the
 rank of a partition is its largest part minus its number of parts, and
-N(n, m) counts partitions of n with rank m.  The two-variable rank
+N(n, m) counts partitions of n with rank m.  :func:`rank_table` counts
+N(n, m) directly by (largest part, number of parts) on dense integer
+rows, O(n_max^2) slice additions, and :class:`RankTable` answers each
+per-n query from an index built once.  The two-variable rank
 generating series
 
     R(w, q) = 1 + sum_{n>=1} q^(n^2) / prod_{m=1}^{n} (1 - w q^m)(1 - w^{-1} q^m)
@@ -20,16 +23,20 @@ w = -1 specialization reproduces the q-hypergeometric series
     f(q) = sum_{n>=0} q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^2
 
 expanded independently; that cross-check is the arbiter for both
-pipelines.  The direct expansion keeps the running 1/denominator as one
-dense integer list and folds each 1/(1+q^n)^2 in as two ascending
-in-place passes, so order N costs O(N^1.5) integer additions.
+pipelines, as the direct count of the rank table is for every
+coefficient of R(w, q).  The direct expansion keeps the running
+1/denominator as one dense integer list and folds each 1/(1+q^n)^2 in
+as two ascending in-place passes, so order N costs O(N^1.5) integer
+additions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .qseries import QSeries, make_series, pow as qpow
@@ -157,33 +164,49 @@ class RankTable:
 
     Stored sparsely; absent (n, m) keys mean zero.  For every n,
     sum_m N(n, m) = p(n) and N(n, m) = N(n, -m) (conjugation), which the
-    test suite verifies rather than assumes.
+    test suite verifies rather than assumes.  The row queries read a
+    per-n index of ``entries``, built once on first use, so each costs
+    O(row) rather than O(table); each rejects n outside 1..n_max.
     """
 
     n_max: int
     entries: Mapping[tuple[int, int], int]
 
-    def count(self, n: int, m: int) -> int:
+    @cached_property
+    def _by_n(self) -> dict[int, dict[int, int]]:
+        """``entries`` grouped by n, each row in ascending m."""
+        by_n: dict[int, dict[int, int]] = {}
+        for (n, m), c in sorted(self.entries.items()):
+            by_n.setdefault(n, {})[m] = c
+        return by_n
+
+    def _row(self, n: int) -> dict[int, int]:
         if n < 1 or n > self.n_max:
             raise ValueError(f"n must be in 1..{self.n_max}, got {n}")
-        return self.entries.get((n, m), 0)
+        return self._by_n.get(n, {})
+
+    def count(self, n: int, m: int) -> int:
+        return self._row(n).get(m, 0)
+
+    def counts(self, n: int) -> Mapping[int, int]:
+        """Read-only map m -> N(n, m) over the stored ranks, in ascending m."""
+        return MappingProxyType(self._row(n))
 
     def ranks(self, n: int) -> list[int]:
-        return sorted(m for (nn, m) in self.entries if nn == n)
+        return list(self._row(n))
 
     def counts_mod(self, n: int, s: int) -> list[int]:
         """Partition counts of n grouped by rank residue mod s."""
+        if s < 1:
+            raise ValueError(f"s must be >= 1, got {s}")
         out = [0] * s
-        for (nn, m), c in self.entries.items():
-            if nn == n:
-                out[m % s] += c
+        for m, c in self._row(n).items():
+            out[m % s] += c
         return out
 
     def polynomial(self, n: int) -> "OmegaPoly":
         """The Laurent polynomial sum_m N(n, m) w^m."""
-        return OmegaPoly.from_terms(
-            {m: c for (nn, m), c in self.entries.items() if nn == n}
-        )
+        return OmegaPoly.from_terms(self._row(n))
 
     def rows(self) -> list[tuple[int, int, int]]:
         return sorted((n, m, c) for (n, m), c in self.entries.items())
@@ -193,29 +216,39 @@ def rank_table(n_max: int) -> RankTable:
     """N(n, m) for all n <= n_max by dynamic programming.
 
     The DP counts partitions by (largest part, number of parts): with
-    D_l(n, k) = #partitions of n into exactly k parts each <= l, the
-    partitions with largest part exactly l and k parts are
-    D_l(n - l, k - 1), contributing rank m = l - k.
+    D_l(n, k) = #partitions of n into exactly k parts each <= l,
+    D_l(n, k) = D_(l-1)(n, k) + D_l(n - l, k - 1), and the partitions
+    with largest part exactly l and k parts are D_l(n - l, k - 1),
+    contributing rank m = l - k.  Both live on dense integer rows: D[n]
+    is indexed by k and updated in place as l grows, and slot n_max + m
+    of rank[n] holds N(n, m).  For each (l, n) the source row D[n - l],
+    which holds k - 1 = 0 .. n - l, is added once, shifted by one slot,
+    into D[n] and once, reversed, into rank[n].  D[n] is no longer
+    updated once n > n_max - l, since no later part reads it.  That is
+    O(n_max^2) slice additions in place of O(n_max^3) per-element steps.
+    ``entries`` is built once at the end, in (n, m) order.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    # D[n][k], updated in place as the part bound l grows
-    D = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    D = [[0] * (n + 1) for n in range(n_max + 1)]
     D[0][0] = 1
-    entries: dict[tuple[int, int], int] = {}
+    rank = [[0] * (2 * n_max + 1) for _ in range(n_max + 1)]
     for part in range(1, n_max + 1):
         for n in range(part, n_max + 1):
-            row, prev = D[n], D[n - part]
-            for k in range(1, n + 1):
-                if prev[k - 1]:
-                    row[k] += prev[k - 1]
-        for n in range(part, n_max + 1):
-            prev = D[n - part]
-            for k in range(1, n + 1):
-                c = prev[k - 1]
-                if c:
-                    key = (n, part - k)
-                    entries[key] = entries.get(key, 0) + c
+            src = D[n - part]
+            if n <= n_max - part:
+                dst = D[n]
+                dst[1 : n - part + 2] = map(add, dst[1 : n - part + 2], src)
+            # k = 1 .. n - part + 1 parts give ranks part - 1 down to 2 part - n - 1
+            lo, hi = n_max + 2 * part - n - 1, n_max + part
+            row = rank[n]
+            row[lo:hi] = map(add, row[lo:hi], reversed(src))
+    entries = {
+        (n, j - n_max): c
+        for n in range(1, n_max + 1)
+        for j, c in enumerate(rank[n])
+        if c
+    }
     return RankTable(n_max, entries)
 
 

@@ -126,24 +126,22 @@ def verify_rank(
     equid_bound = min(equid_bound, n_max)
     table = theta_partitions.rank_table(n_max)
     polys = theta_partitions.rank_generating(max(gen_n_max, mock_order) + 1)
-    # one scan of the table: by_n[n] maps each rank m to N(n, m)
-    by_n: dict[int, dict[int, int]] = {n: {} for n in range(1, n_max + 1)}
-    for (n, m), c in table.entries.items():
-        by_n[n][m] = c
     bad = []
     for n in range(1, n_max + 1):
-        if sum(by_n[n].values()) != theta_partitions.partition_count(n):
+        if sum(table.counts(n).values()) != theta_partitions.partition_count(n):
             bad.append(f"sum over ranks != p(n) at n={n}")
-    for (n, m), c in table.entries.items():
-        if by_n[n].get(-m, 0) != c:
-            bad.append(f"symmetry fails at (n,m)=({n},{m})")
-        if n >= 2 and abs(m) >= n:
-            bad.append(f"support violation at (n,m)=({n},{m})")
+    for n in range(1, n_max + 1):
+        row = table.counts(n)
+        for m, c in row.items():
+            if row.get(-m, 0) != c:
+                bad.append(f"symmetry fails at (n,m)=({n},{m})")
+            if n >= 2 and abs(m) >= n:
+                bad.append(f"support violation at (n,m)=({n},{m})")
     reports.append(_report("rank-table-invariants", {"n_max": n_max}, bad))
 
     bad = []
     for n in range(1, gen_n_max + 1):
-        if polys[n] != theta_partitions.OmegaPoly.from_terms(by_n[n]):
+        if polys[n] != table.polynomial(n):
             bad.append(f"generating coefficient differs from table at n={n}")
     if polys[0] != theta_partitions.OmegaPoly.const(1):
         bad.append("constant coefficient is not 1")
@@ -152,9 +150,7 @@ def verify_rank(
     bad = []
     n = 4
     while n <= equid_bound:
-        counts = [0] * 5
-        for m, c in by_n[n].items():
-            counts[m % 5] += c
+        counts = table.counts_mod(n, 5)
         p_n = theta_partitions.partition_count(n)
         if p_n % 5 != 0 or any(c != p_n // 5 for c in counts):
             bad.append(f"rank classes mod 5 not equal at n={n}: {counts}")
@@ -245,6 +241,14 @@ def verify_theta(count_k_max: int = 4, count_m_max: int = 100, order: int = 100)
 # -- lfunc suite -------------------------------------------------------------------
 
 
+def _log10(x: float) -> int | float:
+    """log10(x) for a report: an int when x is a power of ten, else 12 digits."""
+    e = round(math.log10(x))
+    if float(f"1e{e}") == x:
+        return e
+    return float(format(math.log10(x), ".12g"))
+
+
 def verify_lfunc(
     smooth_bound: int = 200,
     fe_rel_tol: float = 1e-8,
@@ -278,7 +282,9 @@ def verify_lfunc(
         rel = abs(a.value - b.value) / abs(a.value)
         if rel >= fe_rel_tol:
             bad.append(f"functional equation off by {rel:.3g} at s={s}")
-    reports.append(_report("lambda-functional-equation", {"tol_exp": -8}, bad))
+    reports.append(
+        _report("lambda-functional-equation", {"tol_exp": _log10(fe_rel_tol)}, bad)
+    )
 
     bad = []
     series = lseries.mellin_coeffs(

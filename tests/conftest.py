@@ -81,6 +81,33 @@ def rank_counts_by_enumeration(n: int) -> dict[int, int]:
     return out
 
 
+def rank_entries_by_triple_loop(n_max: int) -> dict[tuple[int, int], int]:
+    """N(n, m) for n <= n_max by the per-element (part, n, k) DP.
+
+    D[n][k] counts partitions of n into k parts each <= the current part
+    bound l; the partitions with largest part exactly l and k parts are
+    D[n - l][k - 1] once D holds bound l, and they have rank l - k.
+    Every cell is updated one at a time and the counts go into a dict.
+    """
+    D = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    D[0][0] = 1
+    entries: dict[tuple[int, int], int] = {}
+    for part in range(1, n_max + 1):
+        for n in range(part, n_max + 1):
+            row, prev = D[n], D[n - part]
+            for k in range(1, n + 1):
+                if prev[k - 1]:
+                    row[k] += prev[k - 1]
+        for n in range(part, n_max + 1):
+            prev = D[n - part]
+            for k in range(1, n + 1):
+                c = prev[k - 1]
+                if c:
+                    key = (n, part - k)
+                    entries[key] = entries.get(key, 0) + c
+    return entries
+
+
 # -- lattice counts -----------------------------------------------------------
 
 
@@ -148,6 +175,12 @@ def tau_by_dense_convolution() -> list:
     """tau(1..11) from a fully dense product expansion (independent route)."""
     prod = dense_product_one_minus_qn(24, 11)
     return [None] + prod[:11]  # tau(n) = coefficient of q^(n-1) in the product
+
+
+@pytest.fixture(scope="session")
+def rank_entries_80() -> dict[tuple[int, int], int]:
+    """N(n, m) for n <= 80 by the triple-loop DP (independent of the library)."""
+    return rank_entries_by_triple_loop(80)
 
 
 @pytest.fixture(scope="session")

@@ -196,7 +196,8 @@ def test_tables_csv_format():
 
 # sha256 of `qmodular tables TABLE [ARGS] --format FMT` stdout, recorded
 # before coefficients were stored as ints where integral; every byte must
-# stay the same.
+# stay the same.  The `--n-max 120` rank table was recorded before
+# rank_table moved to dense rows.
 _RANK_ARGS = ("--n-max", "40")
 _SHADOW_ARGS = ("--n", "3", "--r-a", "2", "--e", "0.5", "--grid", "8")
 TABLES_SHA256 = {
@@ -218,6 +219,7 @@ TABLES_SHA256 = {
     ("shadow", _SHADOW_ARGS, "tsv"): "4c9b24c8fe482e9bd30868363ed25bdb8acfecf79648e25acade06703958e556",
     ("shadow", _SHADOW_ARGS, "json"): "01be4906d313ea832daefe13afb576e99513d4de53ee78d600cdc71213c5deea",
     ("shadow", _SHADOW_ARGS, "csv"): "80e5767db26a258663a510fb9fb6118e2c42f5f6146f98019d3d930fc5f3daae",
+    ("rank", ("--n-max", "120"), "json"): "5969f20c143da80f0826ae0e32fe34ad4f8e22001b9ad8623532b1f25686b3c7",
 }
 
 
@@ -383,6 +385,16 @@ def test_verify_non_finite_or_nonpositive_tolerance_exits_2(tol, capsys):
     assert code == 2
     assert out == ""
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tol,tol_exp", [("1e-3", "-3"), ("1e-8", "-8"), ("3e-5", "-4.52287874528")]
+)
+def test_verify_lfunc_reports_the_tolerance_it_used(tol, tol_exp):
+    # the functional-equation report used to print tol_exp -8 whatever --tol was
+    code, out = _run_main(["verify", "lfunc", "--tol", tol])
+    assert code == 0
+    assert f'"tol_exp":{tol_exp},' in out
 
 
 def test_verify_hecke_clamps_eigenform_bound_to_half_the_order():

@@ -174,6 +174,65 @@ def test_rank_equidistribution_mod5_instance():
         assert counts[0] * 5 == tp.partition_count(n)
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 80))
+@example(n=1)
+@example(n=80)
+def test_rank_table_matches_triple_loop_oracle(rank_entries_80, n):
+    # N(n, m) does not depend on the table's bound, so the oracle's rows
+    # up to n are exactly rank_table(n)'s entries
+    entries = tp.rank_table(n).entries
+    assert entries == {k: c for k, c in rank_entries_80.items() if k[0] <= n}
+    assert list(entries) == sorted(entries)
+
+
+@st.composite
+def hand_built_rank_tables(draw):
+    n_max = draw(st.integers(1, 8))
+    keys = st.tuples(st.integers(1, n_max), st.integers(-n_max, n_max))
+    entries = draw(st.dictionaries(keys, st.integers(-2, 3), max_size=40))
+    return tp.RankTable(n_max, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=hand_built_rank_tables(), s=st.integers(1, 7))
+def test_rank_table_queries_match_a_plain_scan(table, s):
+    # entries arrive in any order and may hold zero counts
+    for n in range(1, table.n_max + 1):
+        row = {m: c for (nn, m), c in table.entries.items() if nn == n}
+        assert table.ranks(n) == sorted(row)
+        assert dict(table.counts(n)) == row
+        by_residue = [0] * s
+        for m, c in row.items():
+            by_residue[m % s] += c
+        assert table.counts_mod(n, s) == by_residue
+        assert table.polynomial(n) == tp.OmegaPoly.from_terms(row)
+        for m in range(-table.n_max - 1, table.n_max + 2):
+            assert table.count(n, m) == row.get(m, 0)
+    assert table.rows() == sorted((n, m, c) for (n, m), c in table.entries.items())
+
+
+@pytest.mark.parametrize("query", ["count", "counts", "ranks", "counts_mod", "polynomial"])
+@pytest.mark.parametrize("n", [0, -1, 7])
+def test_rank_table_rows_outside_the_table_raise(query, n):
+    table = tp.rank_table(6)
+    args = {"count": (n, 0), "counts_mod": (n, 5)}.get(query, (n,))
+    with pytest.raises(ValueError):
+        getattr(table, query)(*args)
+
+
+@pytest.mark.parametrize("s", [0, -1, -5])
+def test_rank_table_counts_mod_rejects_nonpositive_modulus(s):
+    with pytest.raises(ValueError):
+        tp.rank_table(6).counts_mod(4, s)
+
+
+def test_rank_table_counts_is_read_only():
+    row = tp.rank_table(6).counts(4)
+    with pytest.raises(TypeError):
+        row[0] = 2
+
+
 # -- Laurent polynomials ----------------------------------------------------------------
 
 
