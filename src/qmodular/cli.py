@@ -7,6 +7,9 @@ digits before serialization, and all text is UTF-8 with LF endings.
 Exit codes: 0 success, 1 verification failure (or a zero scan that
 lost its bracketing), 2 usage error, including out-of-range arguments
 and a ``verify`` flag that the named suite does not take.
+
+Only :mod:`qmodular.qseries` is imported up front; each command imports
+the modules it runs, so ``expand euler-E`` loads nothing else.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import forms, geometry, lseries, theta_partitions, verify
 from .qseries import QSeries, euler_product, to_json_obj
 
 __all__ = ["main", "build_parser", "CommandConfig"]
@@ -87,15 +89,15 @@ def _series_tsv(f: QSeries) -> str:
 
 
 def _expand_object(name: str, order: int) -> QSeries:
-    if name == "eta":
-        return forms.eta(order)
-    if name == "delta":
-        return forms.delta(order)
-    if name == "e12":
-        return forms.eisenstein_e12(order)
-    if name == "mock-f":
-        return theta_partitions.mock_theta_f(order)
-    if name.startswith("theta-"):
+    if name in ("eta", "delta", "e12"):
+        from . import forms
+
+        return {"eta": forms.eta, "delta": forms.delta, "e12": forms.eisenstein_e12}[name](order)
+    if name == "mock-f" or name.startswith("theta-"):
+        from . import theta_partitions
+
+        if name == "mock-f":
+            return theta_partitions.mock_theta_f(order)
         return theta_partitions.theta_diagonal(int(name.split("-", 1)[1]), order)
     if name.startswith("euler-"):
         return euler_product(int(name.split("-", 1)[1]), order)
@@ -120,6 +122,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import forms, verify
+
     cfg = _config_from_args(args)
     # each verify flag, the suite parameter it sets, and its value
     flags = (
@@ -158,6 +162,8 @@ def _cmd_verify(args) -> int:
 
 
 def _table_rank(args) -> tuple[list[dict], list[str], list[list]]:
+    from . import theta_partitions
+
     table = theta_partitions.rank_table(args.n_max)
     rows = table.rows()
     return (
@@ -168,6 +174,8 @@ def _table_rank(args) -> tuple[list[dict], list[str], list[list]]:
 
 
 def _table_zeros(args) -> tuple[list[dict], list[str], list[list]]:
+    from . import lseries
+
     zeros = lseries.zeta_zero_spacings(args.count)
     rows = zeros.rows()
     return (
@@ -188,6 +196,8 @@ def _table_zeros(args) -> tuple[list[dict], list[str], list[list]]:
 
 
 def _table_spacings(args) -> tuple[list[dict], list[str], list[list]]:
+    from . import lseries
+
     zeros = lseries.zeta_zero_spacings(args.count)
     sp = zeros.spacings
     return (
@@ -218,6 +228,8 @@ def _s_value_list(text: str) -> list[float]:
 
 
 def _table_lvalues(args) -> tuple[list[dict], list[str], list[list]]:
+    from . import lseries
+
     out = []
     for s in args.s_values:
         lam = lseries.completed_lambda_integral(s)
@@ -239,6 +251,8 @@ def _table_lvalues(args) -> tuple[list[dict], list[str], list[list]]:
 
 
 def _table_shadow(args) -> tuple[list[dict], list[str], list[list]]:
+    from . import geometry
+
     term = geometry.torus_term(args.n, args.r_a, args.r_d, args.e, args.f, args.grid)
     out = []
     for j, sample in enumerate(term.shadow_samples):
@@ -273,7 +287,11 @@ def _cmd_tables(args) -> int:
     cfg = _config_from_args(args)
     try:
         json_rows, header, text_rows = _TABLES[args.table](args)
-    except lseries.BracketingError as exc:
+    except RuntimeError as exc:
+        from .lseries import BracketingError
+
+        if not isinstance(exc, BracketingError):
+            raise
         print(f"table generation failed: {exc}", file=sys.stderr)
         return 1
     if cfg.fmt == "json":
@@ -287,6 +305,9 @@ def _cmd_tables(args) -> int:
 
 
 # -- parser -----------------------------------------------------------------------
+
+# verify.suite_names(), spelled out so that parsing imports no suite
+_VERIFY_SUITES = ["tau", "hecke", "rank", "theta", "lfunc", "geometry", "all"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.set_defaults(fn=_cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=verify.suite_names())
+    p_verify.add_argument("suite", choices=_VERIFY_SUITES)
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.add_argument("--count", type=int, default=None)

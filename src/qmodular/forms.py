@@ -486,12 +486,16 @@ def eigen_pair(n: int, b: int) -> EigenPair:
     tr = 1 + b * b + n * n
     det = n * n
     disc = tr * tr - 4 * det
-    assert disc >= 0
+    if disc < 0:
+        raise ArithmeticError(f"negative discriminant {disc} for (n, b) = ({n}, {b})")
     root = isqrt(disc)
     if root * root == disc:
         plus = Fraction(tr + root, 2)
         minus = Fraction(tr - root, 2)
-        assert plus + minus == tr and plus * minus == det
+        if plus + minus != tr or plus * minus != det:
+            raise ArithmeticError(
+                f"roots {plus}, {minus} of (n, b) = ({n}, {b}) fail the Vieta check"
+            )
         return EigenPair(n, b, plus, minus)
     sq = disc**0.5
     return EigenPair(n, b, (tr + sq) / 2, (tr - sq) / 2)

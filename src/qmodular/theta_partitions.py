@@ -290,36 +290,6 @@ class OmegaPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "OmegaPoly") -> "OmegaPoly":
-        t = self.terms()
-        for m, c in other.terms().items():
-            t[m] = t.get(m, 0) + c
-        return OmegaPoly.from_terms(t)
-
-    def __neg__(self) -> "OmegaPoly":
-        return OmegaPoly(self.lo, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "OmegaPoly") -> "OmegaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "OmegaPoly") -> "OmegaPoly":
-        if self.is_zero or other.is_zero:
-            return OmegaPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return OmegaPoly.from_terms(
-            {self.lo + other.lo + j: c for j, c in enumerate(out)}
-        )
-
-    def scaled(self, c: int) -> "OmegaPoly":
-        if c == 0:
-            return OmegaPoly.zero()
-        return OmegaPoly(self.lo, tuple(c * x for x in self.coeffs))
-
     def eval_root_of_unity(self, r: int, s: int):
         """Value at w = exp(2 pi i r / s), exactly.
 

@@ -11,6 +11,10 @@ each suite only the overrides it takes.
 The geometry suite checks the AGM perimeters against its own periodic
 trapezoid rule, an algorithm that shares no code with the AGM or with
 the L-function quadrature and needs no external dependency.
+
+Only :mod:`qmodular.forms` and :mod:`qmodular.qseries` are imported up
+front; each suite imports the other modules it checks, so ``verify tau``
+loads neither the L-function nor the geometry code.
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ import inspect
 import math
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import forms, geometry, lseries, theta_partitions
+from . import forms
 from .forms import CheckReport
 from .qseries import mul
+
+if TYPE_CHECKING:
+    from .geometry import EllipseSpec
 
 __all__ = ["SUITES", "run_suite", "run_all", "suite_names", "suite_parameters"]
 
@@ -44,6 +51,7 @@ def verify_tau(n_max: int = 1000) -> list[CheckReport]:
     reports.append(_report("e12-constant-term", {}, bad))
 
     e12 = forms.eisenstein_e12(n_max + 1)
+    forms.tau(n_max)  # one cache fill, not one per doubling of n
     bad = []
     for n in range(1, n_max + 1):
         if (forms.tau(n) - e12.coeff(n)) % 691 != 0:
@@ -120,6 +128,8 @@ def verify_rank(
         raise ValueError(
             f"rank suite needs n_max >= 4 (the mod-5 check starts at n = 4), got {n_max}"
         )
+    from . import theta_partitions
+
     reports = []
     # the table is the arbiter, so no check may read a row it did not build
     gen_n_max = min(gen_n_max, n_max)
@@ -208,6 +218,8 @@ def _lattice_counts(k: int, m_max: int) -> list[int]:
 
 
 def verify_theta(count_k_max: int = 4, count_m_max: int = 100, order: int = 100) -> list[CheckReport]:
+    from . import theta_partitions
+
     reports = []
     bad = []
     for k in range(1, count_k_max + 1):
@@ -255,6 +267,8 @@ def verify_lfunc(
     dirichlet_n_max: int = 1000,
     zero_count: int = 10,
 ) -> list[CheckReport]:
+    from . import lseries
+
     reports = []
 
     bad = []
@@ -323,7 +337,7 @@ def verify_lfunc(
 # -- geometry suite ----------------------------------------------------------------
 
 
-def _arc_length_quadrature(spec: geometry.EllipseSpec) -> float:
+def _arc_length_quadrature(spec: EllipseSpec) -> float:
     """Perimeter by the N-point trapezoid rule on the speed |dz/dtheta|.
 
     The speed is periodic and analytic, so the rule converges geometrically
@@ -350,6 +364,8 @@ def _arc_length_quadrature(spec: geometry.EllipseSpec) -> float:
 def verify_geometry(
     sample_sets: int = 100, agm_pairs: int = 20, seed: int = 20240911
 ) -> list[CheckReport]:
+    from . import geometry
+
     rng = random.Random(seed)
     reports = []
 

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from qmodular import cli
+from qmodular import cli, lseries
 from qmodular import qseries as qs
 
 
@@ -249,9 +249,9 @@ def test_tables_out_of_range_arguments_exit_2(argv, capsys):
 
 def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):
     def lost(count):
-        raise cli.lseries.BracketingError("missed sign changes")
+        raise lseries.BracketingError("missed sign changes")
 
-    monkeypatch.setattr(cli.lseries, "zeta_zero_spacings", lost)
+    monkeypatch.setattr(lseries, "zeta_zero_spacings", lost)
     code, out = _run_main(["tables", "zeros"])
     assert code == 1
     assert out == ""

@@ -340,6 +340,20 @@ def test_eigen_pair_vieta_invariants(n, b):
         assert pair.lambda_plus_sq * pair.lambda_minus_sq == pytest.approx(n * n)
 
 
+class _OffByOneRoot(int):
+    """One more than the true square root, yet it squares like the true root."""
+
+    def __mul__(self, other):
+        return (int(self) - 1) ** 2
+
+
+def test_eigen_pair_vieta_failure_raises_without_assert(monkeypatch):
+    # the perfect-square test passes, so the wrong root reaches the Vieta check
+    monkeypatch.setattr(forms, "isqrt", lambda d: _OffByOneRoot(math.isqrt(d) + 1))
+    with pytest.raises(ArithmeticError, match="Vieta"):
+        forms.eigen_pair(2, 0)
+
+
 def test_biquanta():
     assert forms.biquanta(1, 7) == 1
     assert forms.biquanta(3, 2) == 9

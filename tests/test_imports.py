@@ -1,0 +1,143 @@
+"""The package loads submodules on first use, and each command only what it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qmodular
+from qmodular import cli, verify
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the names the package re-exported when it imported every submodule eagerly
+PUBLIC = {
+    "qseries": [
+        "QSeries",
+        "WindowError",
+        "add",
+        "euler_product",
+        "invert",
+        "make_series",
+        "mul",
+        "pow",
+        "scalar_mul",
+    ],
+    "forms": ["CosetRep", "EigenPair", "FormMeta", "delta", "eisenstein_e12", "eta", "tau"],
+    "theta_partitions": [
+        "OmegaPoly",
+        "RankTable",
+        "mock_theta_f",
+        "partition_count",
+        "rank_generating",
+        "rank_table",
+        "theta_diagonal",
+        "unary_theta",
+    ],
+    "lseries": [
+        "CompletedLValue",
+        "DirichletSeries",
+        "ZeroList",
+        "completed_lambda_integral",
+        "dirichlet_eval",
+        "euler_product_coeffs",
+        "mellin_coeffs",
+        "zeta_zero_spacings",
+    ],
+    "geometry": [
+        "EllipseSpec",
+        "TorusTerm",
+        "circle_matching_ellipse",
+        "ellipse_perimeter",
+        "elliptic_form_term",
+        "torus_term",
+        "weak_maass_series",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in PUBLIC.items() for n in names]
+)
+def test_public_name_is_the_submodule_object(module, name):
+    ns = {}
+    exec(f"from qmodular import {name}", ns)
+    assert ns[name] is getattr(sys.modules[f"qmodular.{module}"], name)
+    assert getattr(qmodular, name) is ns[name]
+
+
+def test_submodule_attributes_are_the_loaded_modules():
+    for module in PUBLIC:
+        assert getattr(qmodular, module) is sys.modules[f"qmodular.{module}"]
+
+
+def test_star_import_gives_the_same_names():
+    ns = {}
+    exec("from qmodular import *", ns)
+    del ns["__builtins__"]
+    assert set(ns) == {n for names in PUBLIC.values() for n in names} | set(PUBLIC)
+    assert set(ns) <= set(dir(qmodular))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qmodular.no_such_name
+    with pytest.raises(ImportError):
+        exec("from qmodular import no_such_name", {})
+
+
+def test_cli_suite_choices_match_verify():
+    assert cli._VERIFY_SUITES == verify.suite_names()
+
+
+# -- what a fresh process loads ------------------------------------------------------
+
+_PROBE = """
+import contextlib, io, json, sys
+argv = sys.argv[1:]
+if argv:
+    from qmodular import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+else:
+    import qmodular
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qmodular"))))
+"""
+
+
+def _loaded(*argv: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return {m.removeprefix("qmodular.") for m in json.loads(proc.stdout)}
+
+
+def test_import_qmodular_loads_no_submodule():
+    assert _loaded() == {"qmodular"}
+
+
+def test_expand_euler_loads_only_qseries():
+    assert _loaded("expand", "euler--1", "--order", "20") == {"qmodular", "cli", "qseries"}
+
+
+def test_tables_rank_skips_forms_lseries_geometry_verify():
+    loaded = _loaded("tables", "rank", "--n-max", "8")
+    assert "theta_partitions" in loaded
+    assert not loaded & {"forms", "lseries", "geometry", "verify"}
+
+
+def test_verify_tau_skips_lseries_geometry_theta():
+    loaded = _loaded("verify", "tau", "--n-max", "60")
+    assert {"verify", "forms"} <= loaded
+    assert not loaded & {"lseries", "geometry", "theta_partitions"}

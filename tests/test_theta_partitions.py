@@ -236,14 +236,6 @@ def test_rank_table_counts_is_read_only():
 # -- Laurent polynomials ----------------------------------------------------------------
 
 
-def test_omega_poly_arithmetic():
-    a = tp.OmegaPoly.from_terms({-1: 1, 1: 1})
-    b = tp.OmegaPoly.from_terms({0: 1, 2: -3})
-    assert (a + b).terms() == {-1: 1, 0: 1, 1: 1, 2: -3}
-    assert (a * a).terms() == {-2: 1, 0: 2, 2: 1}
-    assert (a - a).is_zero
-
-
 def test_omega_poly_root_of_unity_values():
     p = tp.OmegaPoly.from_terms({-3: 1, -1: 1, 0: 1, 1: 1, 3: 1})
     assert p.eval_root_of_unity(0, 1) == 5
