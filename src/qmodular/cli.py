@@ -5,8 +5,9 @@ sorted keys and compact separators, floats are rounded to 12 significant
 digits before serialization, and all text is UTF-8 with LF endings.
 
 Exit codes: 0 success, 1 verification failure (or a zero scan that
-lost its bracketing), 2 usage error, including out-of-range arguments
-and a ``verify`` flag that the named suite does not take.
+lost its bracketing), 2 usage error, including out-of-range arguments,
+an ``--out`` path that cannot be written, and a ``verify`` flag that the
+named suite does not take.
 
 Only :mod:`qmodular.qseries` is imported up front; each command imports
 the modules it runs, so ``expand euler-E`` loads nothing else.
@@ -18,47 +19,22 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .qseries import QSeries, euler_product, to_json_obj
 
-__all__ = ["main", "build_parser", "CommandConfig"]
+__all__ = ["main", "build_parser"]
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    subcommand: str
-    order: Optional[int] = None
-    n_max: Optional[int] = None
-    count: Optional[int] = None
-    fmt: str = "json"
-    out: Optional[str] = None
-    tol: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        for name in ("order", "n_max", "count"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.fmt not in ("json", "tsv", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.tol is not None and not 0 < self.tol < math.inf:  # rejects nan
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-
-
-def _config_from_args(args) -> CommandConfig:
-    return CommandConfig(
-        subcommand=args.command,
-        order=getattr(args, "order", None),
-        n_max=getattr(args, "n_max", None),
-        count=getattr(args, "count", None),
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        tol=getattr(args, "tol", None),
-    )
+def _check_bounds(args) -> None:
+    """Reject the out-of-range values that argparse lets through."""
+    for name in ("order", "n_max", "count"):
+        v = getattr(args, name, None)
+        if v is not None and v < 1:
+            raise ValueError(f"{name} must be positive, got {v}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 < tol < math.inf:  # rejects nan
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _fmt_float(x: float) -> float:
@@ -73,9 +49,12 @@ def _dump_json(obj) -> str:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def _series_tsv(f: QSeries) -> str:
@@ -105,16 +84,15 @@ def _expand_object(name: str, order: int) -> QSeries:
 
 
 def _cmd_expand(args) -> int:
-    cfg = _config_from_args(args)
     try:
-        series = _expand_object(args.object, cfg.order)
+        series = _expand_object(args.object, args.order)
     except (KeyError, ValueError) as exc:
         print(f"unknown or malformed object: {exc}", file=sys.stderr)
         return 2
-    if cfg.fmt == "json":
-        _emit(_dump_json(to_json_obj(series)), cfg.out)
+    if args.format == "json":
+        _emit(_dump_json(to_json_obj(series)), args.out)
     else:
-        _emit(_series_tsv(series), cfg.out)
+        _emit(_series_tsv(series), args.out)
     return 0
 
 
@@ -124,13 +102,12 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     from . import forms, verify
 
-    cfg = _config_from_args(args)
     # each verify flag, the suite parameter it sets, and its value
     flags = (
-        ("--n-max", "n_max", cfg.n_max),
-        ("--order", "order", cfg.order),
-        ("--count", "zero_count", cfg.count),
-        ("--tol", "fe_rel_tol", cfg.tol),
+        ("--n-max", "n_max", args.n_max),
+        ("--order", "order", args.order),
+        ("--count", "zero_count", args.count),
+        ("--tol", "fe_rel_tol", args.tol),
     )
     if args.suite != "all":  # `verify all` gives each suite the flags it takes
         takes = verify.suite_parameters(args.suite)
@@ -154,57 +131,41 @@ def _cmd_verify(args) -> int:
             ok = ok and rep.ok
             checks.append(obj)
     payload = {"suite": args.suite, "checks": checks, "ok": ok}
-    _emit(_dump_json(payload), cfg.out)
+    _emit(_dump_json(payload), args.out)
     return 0 if ok else 1
 
 
 # -- tables ----------------------------------------------------------------------
+#
+# Each table is a header and one dict per row, keyed by the header; floats
+# are already rounded by _fmt_float.  JSON dumps the rows as they are, and
+# tsv/csv print them through _cell.
 
 
-def _table_rank(args) -> tuple[list[dict], list[str], list[list]]:
+def _table_rank(args) -> tuple[list[str], list[dict]]:
     from . import theta_partitions
 
     table = theta_partitions.rank_table(args.n_max)
-    rows = table.rows()
-    return (
-        [{"n": n, "m": m, "count": c} for n, m, c in rows],
-        ["n", "m", "count"],
-        [[n, m, c] for n, m, c in rows],
-    )
+    return ["n", "m", "count"], [{"n": n, "m": m, "count": c} for n, m, c in table.rows()]
 
 
-def _table_zeros(args) -> tuple[list[dict], list[str], list[list]]:
+def _table_zeros(args) -> tuple[list[str], list[dict]]:
     from . import lseries
 
     zeros = lseries.zeta_zero_spacings(args.count)
-    rows = zeros.rows()
-    return (
-        [
-            {
-                "n": n,
-                "gamma": _fmt_float(g),
-                "spacing": None if sp is None else _fmt_float(sp),
-            }
-            for n, g, sp in rows
-        ],
-        ["n", "gamma", "spacing"],
-        [
-            [n, format(g, ".12g"), "" if sp is None else format(sp, ".12g")]
-            for n, g, sp in rows
-        ],
-    )
+    return ["n", "gamma", "spacing"], [
+        {"n": n, "gamma": _fmt_float(g), "spacing": None if sp is None else _fmt_float(sp)}
+        for n, g, sp in zeros.rows()
+    ]
 
 
-def _table_spacings(args) -> tuple[list[dict], list[str], list[list]]:
+def _table_spacings(args) -> tuple[list[str], list[dict]]:
     from . import lseries
 
     zeros = lseries.zeta_zero_spacings(args.count)
-    sp = zeros.spacings
-    return (
-        [{"n": i + 1, "spacing": _fmt_float(s)} for i, s in enumerate(sp)],
-        ["n", "spacing"],
-        [[i + 1, format(s, ".12g")] for i, s in enumerate(sp)],
-    )
+    return ["n", "spacing"], [
+        {"n": i + 1, "spacing": _fmt_float(s)} for i, s in enumerate(zeros.spacings)
+    ]
 
 
 def _s_value_list(text: str) -> list[float]:
@@ -227,51 +188,32 @@ def _s_value_list(text: str) -> list[float]:
     return svals
 
 
-def _table_lvalues(args) -> tuple[list[dict], list[str], list[list]]:
+def _table_lvalues(args) -> tuple[list[str], list[dict]]:
     from . import lseries
 
-    out = []
-    for s in args.s_values:
-        lam = lseries.completed_lambda_integral(s)
-        out.append(
-            {
-                "s": _fmt_float(lam.s),
-                "value": _fmt_float(lam.value),
-                "err": _fmt_float(lam.quadrature_error),
-            }
-        )
-    return (
-        out,
-        ["s", "value", "err"],
-        [
-            [format(o["s"], ".12g"), format(o["value"], ".12g"), format(o["err"], ".12g")]
-            for o in out
-        ],
-    )
+    lams = [lseries.completed_lambda_integral(s) for s in args.s_values]
+    return ["s", "value", "err"], [
+        {
+            "s": _fmt_float(lam.s),
+            "value": _fmt_float(lam.value),
+            "err": _fmt_float(lam.quadrature_error),
+        }
+        for lam in lams
+    ]
 
 
-def _table_shadow(args) -> tuple[list[dict], list[str], list[list]]:
+def _table_shadow(args) -> tuple[list[str], list[dict]]:
     from . import geometry
 
     term = geometry.torus_term(args.n, args.r_a, args.r_d, args.e, args.f, args.grid)
-    out = []
-    for j, sample in enumerate(term.shadow_samples):
-        theta = 2.0 * math.pi * j / args.grid
-        out.append(
-            {
-                "theta": _fmt_float(theta),
-                "re": _fmt_float(sample.real),
-                "im": _fmt_float(sample.imag),
-            }
-        )
-    return (
-        out,
-        ["theta", "re", "im"],
-        [
-            [format(o["theta"], ".12g"), format(o["re"], ".12g"), format(o["im"], ".12g")]
-            for o in out
-        ],
-    )
+    return ["theta", "re", "im"], [
+        {
+            "theta": _fmt_float(2.0 * math.pi * j / args.grid),
+            "re": _fmt_float(sample.real),
+            "im": _fmt_float(sample.imag),
+        }
+        for j, sample in enumerate(term.shadow_samples)
+    ]
 
 
 _TABLES = {
@@ -283,10 +225,15 @@ _TABLES = {
 }
 
 
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".12g")
+    return "" if v is None else str(v)
+
+
 def _cmd_tables(args) -> int:
-    cfg = _config_from_args(args)
     try:
-        json_rows, header, text_rows = _TABLES[args.table](args)
+        header, rows = _TABLES[args.table](args)
     except RuntimeError as exc:
         from .lseries import BracketingError
 
@@ -294,13 +241,13 @@ def _cmd_tables(args) -> int:
             raise
         print(f"table generation failed: {exc}", file=sys.stderr)
         return 1
-    if cfg.fmt == "json":
-        _emit(_dump_json(json_rows), cfg.out)
+    if args.format == "json":
+        _emit(_dump_json(rows), args.out)
     else:
-        sep = "," if cfg.fmt == "csv" else "\t"
+        sep = "," if args.format == "csv" else "\t"
         lines = [sep.join(header)]
-        lines += [sep.join(str(v) for v in row) for row in text_rows]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        lines += [sep.join(_cell(row[k]) for k in header) for row in rows]
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -365,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         return args.fn(args)
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

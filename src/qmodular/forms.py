@@ -52,7 +52,6 @@ __all__ = [
     "is_eigenform",
     "tau_properties_check",
     "eigen_pair",
-    "biquanta",
     "primes_up_to",
 ]
 
@@ -499,10 +498,3 @@ def eigen_pair(n: int, b: int) -> EigenPair:
         return EigenPair(n, b, plus, minus)
     sq = disc**0.5
     return EigenPair(n, b, (tr + sq) / 2, (tr - sq) / 2)
-
-
-def biquanta(n: int, k: int) -> int:
-    """Exact n**k, the size of the index-n class at weight k."""
-    if n < 1 or k < 1:
-        raise ValueError(f"require n >= 1 and k >= 1, got ({n}, {k})")
-    return n**k

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 RationalLike = Union[int, Fraction, str]
@@ -58,7 +58,6 @@ __all__ = [
     "invert",
     "euler_product",
     "one",
-    "monomial",
     "to_json_obj",
     "from_json_obj",
     "conv_ops",
@@ -80,7 +79,7 @@ def rational(x: RationalLike) -> Rational:
 
 
 # Convolution cost counter (coefficient multiplications).  Not a public
-# contract, only a benchmark hook; approximate under threads.
+# contract, only a benchmark hook; exact, since the library runs no threads.
 _CONV_OPS = 0
 
 
@@ -149,15 +148,6 @@ class QSeries:
             return 0
         return self.coeffs[int(rel)]
 
-    def __getitem__(self, exponent: RationalLike) -> Rational:
-        return self.coeff(exponent)
-
-    def nonzero_terms(self) -> Iterable[tuple[Rational, Rational]]:
-        """Yield (exponent, coefficient) for the nonzero stored terms."""
-        for j, c in enumerate(self.coeffs):
-            if c:
-                yield self.offset + j, c
-
     def with_meta(self, weight: Optional[int], level: Optional[int]) -> "QSeries":
         return QSeries(self.offset, self.coeffs, weight=weight, level=level)
 
@@ -173,28 +163,6 @@ class QSeries:
                 "coefficients are known"
             )
         return QSeries(self.offset, self.coeffs[:order])
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return add(self, scalar_mul(-1, other))
-
-    def __neg__(self) -> "QSeries":
-        return scalar_mul(-1, self)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return mul(self, other)
-        return scalar_mul(other, self)
-
-    def __rmul__(self, other):
-        return scalar_mul(other, self)
-
-    def __pow__(self, e: int) -> "QSeries":
-        return pow(self, e)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -218,11 +186,6 @@ def one(order: int) -> QSeries:
     if order < 1:
         return QSeries(0, ())
     return QSeries(0, (1,) + (0,) * (order - 1))
-
-
-def monomial(exponent: RationalLike, order: int) -> QSeries:
-    """The series ``q^exponent`` known to ``order`` coefficients."""
-    return one(order).shift(exponent)
 
 
 # -- kernels ------------------------------------------------------------------

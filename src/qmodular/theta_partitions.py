@@ -286,10 +286,6 @@ class OmegaPoly:
     def terms(self) -> dict[int, int]:
         return {self.lo + j: c for j, c in enumerate(self.coeffs) if c}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def eval_root_of_unity(self, r: int, s: int):
         """Value at w = exp(2 pi i r / s), exactly.
 

@@ -230,6 +230,16 @@ def test_tables_output_digest_is_stable(table, args, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLES_SHA256[table, args, fmt]
 
 
+def test_tables_json_formats_no_text_cells(monkeypatch):
+    def no_text(v):
+        raise AssertionError("a JSON table built a text cell")
+
+    monkeypatch.setattr(cli, "_cell", no_text)
+    code, out = _run_main(["tables", "rank", "--n-max", "6", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0] == {"n": 1, "m": 0, "count": 1}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -279,6 +289,43 @@ def test_out_file_written_with_lf(tmp_path):
     raw = target.read_bytes()
     assert b"\r" not in raw
     assert json.loads(raw)["order"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "delta", "--order", "3"],
+        ["verify", "theta"],
+        ["tables", "rank", "--n-max", "4"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_unwritable_out_path_exits_2(argv, where, tmp_path, capsys):
+    # a missing directory or a directory raised a traceback and exited 1,
+    # which for `verify` read as a failed verification
+    target = str(tmp_path / where)
+    code, out = _run_main([*argv, "--out", target])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "invalid arguments" in err and target in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "delta", "--order", "0"],
+        ["verify", "tau", "--n-max", "0"],
+        ["verify", "lfunc", "--count", "0"],
+        ["tables", "rank", "--n-max", "0"],
+        ["tables", "zeros", "--count", "-1"],
+    ],
+)
+def test_nonpositive_bounds_exit_2(argv, capsys):
+    code, out = _run_main(argv)
+    assert code == 2
+    assert out == ""
+    assert "must be positive" in capsys.readouterr().err
 
 
 # -- verify (subprocess keeps the fault injection isolated) -------------------------

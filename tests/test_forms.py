@@ -354,15 +354,6 @@ def test_eigen_pair_vieta_failure_raises_without_assert(monkeypatch):
         forms.eigen_pair(2, 0)
 
 
-def test_biquanta():
-    assert forms.biquanta(1, 7) == 1
-    assert forms.biquanta(3, 2) == 9
-    acc = 1
-    for _ in range(12):
-        acc *= 2
-    assert forms.biquanta(2, 12) == acc
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 80))
 def test_e12_stores_its_integral_coefficients_as_ints(order):

@@ -1,5 +1,6 @@
 """The package loads submodules on first use, and each command only what it runs."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -80,6 +81,20 @@ def test_star_import_gives_the_same_names():
     del ns["__builtins__"]
     assert set(ns) == {n for names in PUBLIC.values() for n in names} | set(PUBLIC)
     assert set(ns) <= set(dir(qmodular))
+
+
+SUBMODULES = [*PUBLIC, "verify", "cli"]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_all_names_resolve(module):
+    # a deleted name left in __all__ would break `from qmodular.m import *`
+    mod = importlib.import_module(f"qmodular.{module}")
+    assert all(hasattr(mod, name) for name in mod.__all__)
+    ns = {}
+    exec(f"from qmodular.{module} import *", ns)
+    del ns["__builtins__"]
+    assert set(ns) == set(mod.__all__)
 
 
 def test_unknown_attribute_raises_attribute_error():
