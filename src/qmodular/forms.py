@@ -27,12 +27,11 @@ extended table in one assignment, so every reader sees identical values.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
-from .qseries import QSeries, WindowError, euler_product
+from .qseries import QSeries, Record, WindowError, euler_product
 
 __all__ = [
     "FormMeta",
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FormMeta:
+class FormMeta(Record):
     """Weight / level tag with an optional multiplicative character.
 
     ``character`` maps residues mod ``level`` to exact integers; the
@@ -65,15 +63,18 @@ class FormMeta:
     arithmetic is performed here, only table lookup.
     """
 
-    weight: int
-    level: int = 1
-    character: Optional[Mapping[int, int]] = None
+    __slots__ = _fields = ("weight", "level", "character")
 
-    def __post_init__(self) -> None:
-        if self.weight <= 0 or self.weight % 2 != 0:
-            raise ValueError(f"weight must be a positive even integer, got {self.weight}")
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
+    def __init__(
+        self, weight: int, level: int = 1, character: Optional[Mapping[int, int]] = None
+    ) -> None:
+        if weight <= 0 or weight % 2 != 0:
+            raise ValueError(f"weight must be a positive even integer, got {weight}")
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "character", character)
 
     def eps(self, d: int) -> int:
         if self.character is None:
@@ -81,21 +82,20 @@ class FormMeta:
         return self.character[d % self.level]
 
 
-@dataclass(frozen=True)
-class CosetRep:
+class CosetRep(Record):
     """Upper-triangular representative ``[[a, b], [0, d]]`` with a*d = n."""
 
-    a: int
-    b: int
-    d: int
+    __slots__ = _fields = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.d < 1 or not (0 <= self.b < self.d):
-            raise ValueError(f"invalid coset representative ({self.a}, {self.b}, {self.d})")
+    def __init__(self, a: int, b: int, d: int) -> None:
+        if a < 1 or d < 1 or not (0 <= b < d):
+            raise ValueError(f"invalid coset representative ({a}, {b}, {d})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a batch verification; empty ``violations`` means pass."""
 
     check: str
@@ -302,8 +302,7 @@ def hecke_apply(f: QSeries, meta: FormMeta, n: int) -> QSeries:
     return QSeries(0, tuple(_hecke_coeffs(a, meta, n, out_order)))
 
 
-@dataclass(frozen=True)
-class HeckeComposeReport:
+class HeckeComposeReport(NamedTuple):
     """Coefficientwise comparison of T_m T_n f against its divisor sum."""
 
     m: int
@@ -348,8 +347,7 @@ def hecke_compose_check(
     return HeckeComposeReport(m, n, order, None)
 
 
-@dataclass(frozen=True)
-class EigenformReport:
+class EigenformReport(NamedTuple):
     """Result of checking T_n f = a(n) f over a range of operator indices.
 
     ``eigenvalues`` holds a(n) for every fully checked index;
@@ -451,8 +449,7 @@ def tau_properties_check(n_max: int) -> CheckReport:
 # -- eigenvalue pair of the coset quadratic ---------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """Roots of X^2 - (1 + b^2 + n^2) X + n^2, squared-eigenvalue pair.
 
     The roots are exact :class:`Fraction` values when the discriminant

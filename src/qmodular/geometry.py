@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+from .qseries import Record
 
 __all__ = [
     "EllipseSpec",
@@ -47,20 +48,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EllipseSpec:
+class EllipseSpec(Record):
     """Ellipse with semiaxes r_ref*f (real axis) and r_ref*e (imaginary)."""
 
-    r_ref: float
-    e: float
-    f: float
+    __slots__ = _fields = ("r_ref", "e", "f")
 
-    def __post_init__(self) -> None:
-        if not (self.r_ref > 0 and self.e > 0 and self.f > 0):
+    def __init__(self, r_ref: float, e: float, f: float) -> None:
+        if not (r_ref > 0 and e > 0 and f > 0):
             raise ValueError(
-                f"r_ref, e, f must all be positive, got "
-                f"({self.r_ref}, {self.e}, {self.f})"
+                f"r_ref, e, f must all be positive, got ({r_ref}, {e}, {f})"
             )
+        object.__setattr__(self, "r_ref", r_ref)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
     @property
     def semi_real(self) -> float:
@@ -130,8 +130,7 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class TorusTerm:
+class TorusTerm(NamedTuple):
     """One series term: circle radius r_a times a perimeter-matched ellipse.
 
     ``c_hol`` is the coefficient of the inscribed-circle (holomorphic)

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import forms
-from .qseries import QSeries, Rational, rational
+from .qseries import QSeries, Rational, Record, rational
 
 __all__ = [
     "DirichletSeries",
@@ -61,8 +60,7 @@ class BracketingError(RuntimeError):
 # -- Dirichlet series ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirichletSeries:
+class DirichletSeries(Record):
     """Coefficients c_1 .. c_N of sum c_n n^(-s), exact.
 
     ``normalized_eigenform`` asserts the coefficient bound
@@ -70,14 +68,16 @@ class DirichletSeries:
     estimates in :func:`dirichlet_eval`.
     """
 
-    coeffs: tuple[Rational, ...]
-    weight: int = 0
-    normalized_eigenform: bool = False
+    __slots__ = _fields = ("coeffs", "weight", "normalized_eigenform")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 1:
+    def __init__(
+        self, coeffs: Sequence[Rational], weight: int = 0, normalized_eigenform: bool = False
+    ) -> None:
+        if len(coeffs) < 1:
             raise ValueError("need at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(map(rational, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(rational, coeffs)))
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "normalized_eigenform", normalized_eigenform)
 
     def coeff(self, n: int) -> Rational:
         if not 1 <= n <= len(self.coeffs):
@@ -109,8 +109,7 @@ def mellin_coeffs(f: QSeries, normalized_eigenform: bool = False) -> DirichletSe
     )
 
 
-@dataclass(frozen=True)
-class EulerProductCoeffs:
+class EulerProductCoeffs(NamedTuple):
     """Dirichlet coefficients rebuilt from local Euler factors.
 
     ``values[n]`` is exact for every n <= n_max whose prime factors all
@@ -215,8 +214,7 @@ def dirichlet_eval(ds: DirichletSeries, s: float) -> DirichletValue:
 # -- completed Lambda by quadrature ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompletedLValue:
+class CompletedLValue(NamedTuple):
     """Numeric Lambda(s) with its quadrature + truncation error estimate."""
 
     s: float
@@ -405,18 +403,18 @@ def z_function(t: float) -> float:
     return val.real
 
 
-@dataclass(frozen=True)
-class ZeroList:
+class ZeroList(Record):
     """Increasing critical-line ordinates with refinement residuals."""
 
-    gammas: tuple[float, ...]
-    residuals: tuple[float, ...]
+    __slots__ = _fields = ("gammas", "residuals")
 
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.gammas, self.gammas[1:])):
+    def __init__(self, gammas: tuple[float, ...], residuals: tuple[float, ...]) -> None:
+        if any(b <= a for a, b in zip(gammas, gammas[1:])):
             raise ValueError("ordinates must be strictly increasing")
-        if any(g <= 0 for g in self.gammas):
+        if any(g <= 0 for g in gammas):
             raise ValueError("ordinates must be positive")
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def spacings(self) -> tuple[float, ...]:

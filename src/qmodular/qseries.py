@@ -39,7 +39,6 @@ benchmarking convolution cost; see :func:`conv_ops`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -93,29 +92,79 @@ def reset_conv_ops() -> None:
     _CONV_OPS = 0
 
 
-@dataclass(frozen=True)
-class QSeries:
+class Record:
+    """Read-only value record, the base of the package's validated types.
+
+    A subclass names its fields in constructor order in ``_fields`` (and
+    in ``__slots__`` unless it needs a ``__dict__``), validates them in
+    its ``__init__`` and stores each with ``object.__setattr__``.
+    Assignment and deletion raise :class:`AttributeError`; ``==`` and
+    ``hash`` compare ``_key()`` (every field unless a subclass narrows
+    it) between instances of the same class; ``repr`` prints
+    ``Name(field=value, ...)``; pickling and copying rebuild through
+    ``__init__``.  Plain classes, not dataclasses: importing
+    :mod:`dataclasses` loads :mod:`inspect`, and each dataclass execs
+    generated code, milliseconds of every CLI process's start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class QSeries(Record):
     """Truncated exact power series ``q^offset * sum c[j] q^j``.
 
     Values are kept in the normal form of :func:`rational`.  ``weight``
     and ``level`` are optional bookkeeping tags set by the named
-    constructors (they do not participate in equality and are dropped by
-    arithmetic).
+    constructors (they do not participate in equality or hashing and
+    are dropped by arithmetic).
     """
 
-    offset: Rational
-    coeffs: tuple[Rational, ...]
-    weight: Optional[int] = field(default=None, compare=False)
-    level: Optional[int] = field(default=None, compare=False)
+    __slots__ = _fields = ("offset", "coeffs", "weight", "level")
 
-    def __post_init__(self) -> None:
-        off = rational(self.offset)
+    def __init__(
+        self,
+        offset: RationalLike,
+        coeffs: Sequence[RationalLike],
+        weight: Optional[int] = None,
+        level: Optional[int] = None,
+    ) -> None:
+        off = rational(offset)
         if 24 % off.denominator != 0:
             raise ValueError(
                 f"offset denominator must divide 24, got {off.denominator}"
             )
         object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "coeffs", tuple(map(rational, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(rational, coeffs)))
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "level", level)
+
+    def _key(self) -> tuple:
+        return (self.offset, self.coeffs)
 
     # -- window bookkeeping -------------------------------------------------
 

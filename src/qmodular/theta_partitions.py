@@ -32,14 +32,13 @@ additions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
-from .qseries import QSeries, make_series, pow as qpow
+from .qseries import QSeries, Record, make_series, pow as qpow
 
 __all__ = [
     "OmegaPoly",
@@ -158,8 +157,7 @@ def partition_count(n: int) -> int:
     return _PARTITIONS[n]
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(Record):
     """Exact table of N(n, m): partitions of n whose rank is m.
 
     Stored sparsely; absent (n, m) keys mean zero.  For every n,
@@ -169,8 +167,11 @@ class RankTable:
     O(row) rather than O(table); each rejects n outside 1..n_max.
     """
 
-    n_max: int
-    entries: Mapping[tuple[int, int], int]
+    _fields = ("n_max", "entries")  # no __slots__: cached_property needs a __dict__
+
+    def __init__(self, n_max: int, entries: Mapping[tuple[int, int], int]) -> None:
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "entries", entries)
 
     @cached_property
     def _by_n(self) -> dict[int, dict[int, int]]:
@@ -255,8 +256,7 @@ def rank_table(n_max: int) -> RankTable:
 # -- exact Laurent polynomials in the phase variable --------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaPoly:
+class OmegaPoly(NamedTuple):
     """Laurent polynomial in w with exact integer coefficients.
 
     ``coeffs[j]`` is the coefficient of w^(lo + j); leading and trailing

@@ -19,7 +19,6 @@ loads neither the L-function nor the geometry code.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -217,6 +216,10 @@ def _lattice_counts(k: int, m_max: int) -> list[int]:
 
 
 def verify_theta(count_k_max: int = 4, count_m_max: int = 100, order: int = 100) -> list[CheckReport]:
+    if order < 2:
+        raise ValueError(
+            f"theta suite needs order >= 2 (order 1 holds only the constant term), got {order}"
+        )
     from . import theta_partitions
 
     reports = []
@@ -439,8 +442,16 @@ def suite_names() -> list[str]:
 
 
 def suite_parameters(name: str) -> frozenset[str]:
-    """Names of the parameters the named suite takes."""
-    return frozenset(inspect.signature(SUITES[name]).parameters)
+    """Names of the parameters the named suite takes.
+
+    Read from the code object of the function under any
+    :func:`functools.wraps` layers, so no ``inspect`` import is needed.
+    """
+    fn = SUITES[name]
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    code = fn.__code__
+    return frozenset(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount])
 
 
 def run_suite(name: str, **overrides) -> list[CheckReport]:

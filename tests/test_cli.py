@@ -389,10 +389,12 @@ def test_verify_small_bounds_pass(argv):
     [
         ["verify", "hecke", "--order", "3"],
         ["verify", "rank", "--n-max", "3"],
+        ["verify", "theta", "--order", "1"],
     ],
 )
 def test_verify_bounds_that_compare_nothing_exit_2(argv, capsys):
-    # T_2 needs two coefficients (order >= 4); the mod-5 check starts at n = 4
+    # T_2 needs two coefficients (order >= 4); the mod-5 check starts at n = 4;
+    # theta order 1 holds only the constant term 1 = 1 * 1
     code, out = _run_main(argv)
     assert code == 2
     assert out == ""

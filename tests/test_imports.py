@@ -113,17 +113,20 @@ def test_cli_suite_choices_match_verify():
 _PROBE = """
 import contextlib, io, json, sys
 argv = sys.argv[1:]
-if argv:
+if argv == ["--import-cli"]:
+    from qmodular import cli
+elif argv:
     from qmodular import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
 else:
     import qmodular
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("qmodular"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _loaded(*argv: str) -> set[str]:
+def _modules(*argv: str) -> set[str]:
+    """Every module a fresh process has loaded after running the probe."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -135,7 +138,13 @@ def _loaded(*argv: str) -> set[str]:
         env=env,
         check=True,
     )
-    return {m.removeprefix("qmodular.") for m in json.loads(proc.stdout)}
+    return set(json.loads(proc.stdout))
+
+
+def _loaded(*argv: str) -> set[str]:
+    return {
+        m.removeprefix("qmodular.") for m in _modules(*argv) if m.startswith("qmodular")
+    }
 
 
 def test_import_qmodular_loads_no_submodule():
@@ -156,3 +165,33 @@ def test_verify_tau_skips_lseries_geometry_theta():
     loaded = _loaded("verify", "tau", "--n-max", "60")
     assert {"verify", "forms"} <= loaded
     assert not loaded & {"lseries", "geometry", "theta_partitions"}
+
+
+# dataclasses imports inspect (and with it ast, dis and tokenize), several
+# milliseconds of every short CLI process; records are plain classes instead
+_START_UP_HEAVY = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--import-cli",),
+        ("expand", "delta", "--order", "40"),
+        ("expand", "euler--1", "--order", "40"),
+        ("expand", "mock-f", "--order", "40"),
+        ("verify", "tau", "--n-max", "40"),
+        ("tables", "rank", "--n-max", "12", "--format", "json"),
+        ("verify", "all"),
+    ],
+    ids=" ".join,
+)
+def test_cli_process_loads_neither_dataclasses_nor_inspect(argv):
+    bare = subprocess.run(
+        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    heavy = _START_UP_HEAVY - set(json.loads(bare.stdout))
+    loaded = _modules(*argv) & heavy
+    assert loaded == set()

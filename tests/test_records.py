@@ -1,0 +1,105 @@
+"""Contracts of the package's value records: validation, immutability, equality."""
+
+import copy
+import functools
+import pickle
+import re
+
+import pytest
+
+from qmodular import verify
+from qmodular.forms import CosetRep, FormMeta
+from qmodular.geometry import EllipseSpec
+from qmodular.lseries import DirichletSeries, ZeroList
+from qmodular.qseries import QSeries
+from qmodular.theta_partitions import rank_table
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FormMeta(0), "weight must be a positive even integer, got 0"),
+        (lambda: FormMeta(11), "weight must be a positive even integer, got 11"),
+        (lambda: FormMeta(12, level=0), "level must be >= 1, got 0"),
+        (lambda: CosetRep(0, 0, 1), "invalid coset representative (0, 0, 1)"),
+        (lambda: CosetRep(1, 2, 2), "invalid coset representative (1, 2, 2)"),
+        (lambda: CosetRep(1, -1, 2), "invalid coset representative (1, -1, 2)"),
+        (lambda: DirichletSeries(()), "need at least one coefficient"),
+        (lambda: QSeries("1/5", (1,)), "offset denominator must divide 24, got 5"),
+        (lambda: ZeroList((1.0, 1.0), (0.0, 0.0)), "ordinates must be strictly increasing"),
+        (lambda: ZeroList((-1.0,), (0.0,)), "ordinates must be positive"),
+        (lambda: EllipseSpec(1.0, 0.0, 1.0), "r_ref, e, f must all be positive, got (1.0, 0.0, 1.0)"),
+    ],
+)
+def test_validation_error_messages(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+VALIDATED = [
+    (QSeries(0, (1, 2)), "offset"),
+    (FormMeta(12), "weight"),
+    (CosetRep(1, 0, 2), "b"),
+    (DirichletSeries((1, -24)), "coeffs"),
+    (ZeroList((14.1, 21.0), (0.0, 0.0)), "gammas"),
+    (EllipseSpec(1.0, 2.0, 3.0), "e"),
+    (rank_table(4), "n_max"),
+]
+
+
+@pytest.mark.parametrize("record, field", VALIDATED)
+def test_records_are_read_only(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.unknown_field = 1
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("record, field", VALIDATED)
+def test_records_copy_and_pickle_to_equal_values(record, field):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert clone == record
+        assert getattr(clone, field) == getattr(record, field)
+
+
+def test_qseries_equality_and_hash_ignore_weight_and_level():
+    plain = QSeries(0, (0, 1, -24))
+    tagged = QSeries(0, (0, 1, -24), weight=12, level=1)
+    assert tagged.weight == 12 and tagged.level == 1
+    assert plain == tagged
+    assert hash(plain) == hash(tagged)
+    assert plain != QSeries(1, (0, 1, -24))
+    assert plain != QSeries(0, (0, 1, -23))
+
+
+def test_equality_is_same_class_on_the_fields():
+    assert FormMeta(12) == FormMeta(12, 1, None)
+    assert hash(CosetRep(1, 0, 2)) == hash(CosetRep(1, 0, 2))
+    assert CosetRep(1, 0, 2) != CosetRep(1, 1, 2)
+    assert EllipseSpec(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
+    assert DirichletSeries((1, 2)) != DirichletSeries((1, 2), weight=12)
+    assert rank_table(6) == rank_table(6)
+
+
+def test_ellipse_spec_repr_is_the_dataclass_form():
+    # it appears in the agm-vs-quadrature violation message
+    assert repr(EllipseSpec(1.0, 2.0, 3.0)) == "EllipseSpec(r_ref=1.0, e=2.0, f=3.0)"
+
+
+def test_suite_parameters_see_through_functools_wraps(monkeypatch):
+    for name in verify.SUITES:
+        fn = verify.SUITES[name]
+        want = verify.suite_parameters(name)
+
+        @functools.wraps(fn)
+        def traced(*args, _fn=fn, **kwargs):
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setitem(verify.SUITES, name, traced)
+        assert verify.suite_parameters(name) == want
+    assert verify.suite_parameters("theta") == {"count_k_max", "count_m_max", "order"}
