@@ -102,19 +102,14 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     from . import forms, verify
 
-    # each verify flag, the suite parameter it sets, and its value
-    flags = (
-        ("--n-max", "n_max", args.n_max),
-        ("--order", "order", args.order),
-        ("--count", "zero_count", args.count),
-        ("--tol", "fe_rel_tol", args.tol),
-    )
+    # each suite parameter is named after the verify flag that sets it
+    overrides = {"n_max": args.n_max, "order": args.order, "count": args.count, "tol": args.tol}
     if args.suite != "all":  # `verify all` gives each suite the flags it takes
         takes = verify.suite_parameters(args.suite)
-        for flag, param, value in flags:
+        for param, value in overrides.items():
             if value is not None and param not in takes:
+                flag = "--" + param.replace("_", "-")
                 raise ValueError(f"verify {args.suite} does not take {flag}")
-    overrides = {param: value for _, param, value in flags}
     if args.inject_tau_fault:
         forms.corrupt_tau_cache_for_testing()
     if args.suite == "all":

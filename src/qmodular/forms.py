@@ -124,7 +124,7 @@ def eta(order: int) -> QSeries:
 
 def delta(order: int) -> QSeries:
     """q * prod_{n>=1} (1 - q^n)^24; coefficients tau(1) .. tau(order)."""
-    return euler_product(24, order).shift(1).with_meta(weight=12, level=1)
+    return euler_product(24, order).shift(1)
 
 
 class _TauCache:
@@ -228,7 +228,7 @@ def eisenstein_e12(order: int) -> QSeries:
         for m in range(d, order, d):
             coeffs[m] += p
     coeffs[0] = Fraction(691, 65520)
-    return QSeries(0, tuple(coeffs), weight=12, level=1)
+    return QSeries(0, tuple(coeffs))
 
 
 # -- Hecke operators ------------------------------------------------------------

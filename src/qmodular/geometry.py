@@ -119,8 +119,8 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
     perimeter lands on the root at once; a residual above the 1e-10
     relative contract raises ``ArithmeticError`` anyway.
     """
-    if r_target <= 0:
-        raise ValueError(f"r_target must be positive, got {r_target}")
+    if not 0 < r_target < math.inf:  # also rejects nan
+        raise ValueError(f"r_target must be positive and finite, got {r_target}")
     unit = ellipse_perimeter(EllipseSpec(1.0, e, f))
     r_ref = 2.0 * math.pi * r_target / unit
     spec = EllipseSpec(r_ref, e, f)
@@ -162,8 +162,8 @@ def torus_term(
     """Build the index-n term record from its four radii/axis parameters."""
     if grid_size < 4:
         raise ValueError(f"grid_size must be >= 4, got {grid_size}")
-    if r_a <= 0 or r_d <= 0:
-        raise ValueError(f"radii must be positive, got ({r_a}, {r_d})")
+    if not (0 < r_a < math.inf and 0 < r_d < math.inf):  # also rejects nan
+        raise ValueError(f"radii must be positive and finite, got ({r_a}, {r_d})")
     spec = circle_matching_ellipse(r_d, e, f)
     c_hol = r_a * spec.inscribed_radius
     # Semiaxes and inscribed radius are shared subexpressions, so for

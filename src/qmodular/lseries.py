@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import forms
@@ -54,7 +53,13 @@ __all__ = [
 
 
 class BracketingError(RuntimeError):
-    """Zero scan missed sign changes; retry with a finer step."""
+    """The zero scan lost its bracketing.
+
+    Raised when the scan runs past t = 400, a refined zero leaves a
+    residual above its tolerance, or the counting function shows that
+    zeros slipped between grid points.  The grid is fixed, so no retry
+    can change the outcome; the CLI exits 1.
+    """
 
 
 # -- Dirichlet series ------------------------------------------------------------
@@ -65,7 +70,8 @@ class DirichletSeries(Record):
 
     ``normalized_eigenform`` asserts the coefficient bound
     |c_n| <= d(n) n^((weight-1)/2), which powers the rigorous tail
-    estimates in :func:`dirichlet_eval`.
+    estimates in :func:`dirichlet_eval`; it needs a positive even
+    ``weight``, since the bound and its convergence region depend on it.
     """
 
     __slots__ = _fields = ("coeffs", "weight", "normalized_eigenform")
@@ -75,6 +81,10 @@ class DirichletSeries(Record):
     ) -> None:
         if len(coeffs) < 1:
             raise ValueError("need at least one coefficient")
+        if normalized_eigenform and (weight <= 0 or weight % 2 != 0):
+            raise ValueError(
+                f"a normalized eigenform needs a positive even weight, got {weight}"
+            )
         object.__setattr__(self, "coeffs", tuple(map(rational, coeffs)))
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "normalized_eigenform", normalized_eigenform)
@@ -85,12 +95,16 @@ class DirichletSeries(Record):
         return self.coeffs[n - 1]
 
 
-def mellin_coeffs(f: QSeries, normalized_eigenform: bool = False) -> DirichletSeries:
+def mellin_coeffs(
+    f: QSeries, weight: int = 0, normalized_eigenform: bool = False
+) -> DirichletSeries:
     """Dirichlet coefficients of a cusp expansion: c_n = coefficient of q^n.
 
     ``f`` must have an integer offset >= 0 and a vanishing constant
     term (the cusp condition); coefficients run from exponent 1 to the
-    end of f's window.
+    end of f's window.  ``weight`` and ``normalized_eigenform`` go to
+    :class:`DirichletSeries` as given: a series carries no weight of
+    its own.
     """
     if f.offset.denominator != 1 or f.offset < 0:
         raise ValueError(f"mellin_coeffs requires an integer offset >= 0, got {f.offset}")
@@ -102,11 +116,7 @@ def mellin_coeffs(f: QSeries, normalized_eigenform: bool = False) -> DirichletSe
     if n_max < 1:
         raise ValueError("window too short: no coefficients at exponent >= 1")
     cs = [f.coeff(n) for n in range(1, n_max + 1)]
-    return DirichletSeries(
-        tuple(cs),
-        weight=f.weight if f.weight is not None else 0,
-        normalized_eigenform=normalized_eigenform,
-    )
+    return DirichletSeries(tuple(cs), weight, normalized_eigenform)
 
 
 class EulerProductCoeffs(NamedTuple):
@@ -274,6 +284,11 @@ def _tanh_sinh(fn, a: float, b: float) -> tuple[float, float]:
     return value, abs(value - coarse) + floor
 
 
+# Lambda's upper integration limit, and the tau terms each integrand point sums
+_Y_CUT = 12.0
+_TAU_TERMS = 48
+
+
 def _cut_tail_bound(s: float, y_cut: float) -> float:
     """Bound on the discarded tail integral_{y_cut}^inf F(iy) y^(s-1) dy.
 
@@ -290,29 +305,23 @@ def _cut_tail_bound(s: float, y_cut: float) -> float:
     return 2.0 * y_cut**a * math.exp(-2.0 * math.pi * y_cut) / rate
 
 
-def completed_lambda_integral(
-    s: float, y_cut: float = 12.0, order: int = 48
-) -> CompletedLValue:
+def completed_lambda_integral(s: float) -> CompletedLValue:
     """Lambda(s) = integral_0^inf F(iy) y^(s-1) dy for the weight-12 form.
 
-    The integral is split at y = 1.  On [1, y_cut] the integrand uses
+    The integral is split at y = 1.  On [1, 12] the integrand uses
     the exponential sum directly; on (0, 1] it uses the inversion
     relation, under which the integrand vanishes double-exponentially
     at 0.  Each piece is one tanh-sinh pass of 225 nodes, and each node
-    sums tau(1..order), read once per call, by Horner's rule in
+    sums tau(1..48), read once per call, by Horner's rule in
     x = exp(-2 pi y) at the cost of one ``exp``.  The reported error adds
-    the quadrature estimates to bounds for the discarded y > y_cut tail
+    the quadrature estimates to bounds for the discarded y > 12 tail
     and for the truncation of the exponential sum.
     """
     if not 0.0 < s < 12.0:
         raise ValueError(f"s must lie in (0, 12), got {s}")
-    if y_cut < 2.0:
-        raise ValueError(f"y_cut must be >= 2, got {y_cut}")
-    if order < 8:
-        raise ValueError(f"order must be >= 8, got {order}")
 
     # read through forms.tau, so an injected cache fault reaches Lambda too
-    row = tuple(float(forms.tau(n)) for n in range(order, 0, -1))
+    row = tuple(float(forms.tau(n)) for n in range(_TAU_TERMS, 0, -1))
 
     def upper(y: float) -> float:
         return _cusp_exp_sum(y, row) * y ** (s - 1.0)
@@ -320,12 +329,12 @@ def completed_lambda_integral(
     def lower(y: float) -> float:  # nodes keep y > 1e-23, so y^(s-13) is finite
         return _cusp_exp_sum(1.0 / y, row) * y ** (s - 13.0)
 
-    v_up, e_up = _tanh_sinh(upper, 1.0, y_cut)
+    v_up, e_up = _tanh_sinh(upper, 1.0, _Y_CUT)
     v_lo, e_lo = _tanh_sinh(lower, 0.0, 1.0)
-    tail_cut = _cut_tail_bound(s, y_cut)
+    tail_cut = _cut_tail_bound(s, _Y_CUT)
     # exponential-sum truncation, evaluated at the slowest-decaying point y = 1
-    n1 = order + 1
-    series_tail = 4.0 * n1**6 * math.exp(-2.0 * math.pi * n1) * (y_cut - 1.0 + 1.0)
+    n1 = _TAU_TERMS + 1
+    series_tail = 4.0 * n1**6 * math.exp(-2.0 * math.pi * n1) * _Y_CUT
     err = e_up + e_lo + tail_cut + series_tail
     return CompletedLValue(s, v_up + v_lo, err)
 
@@ -333,30 +342,20 @@ def completed_lambda_integral(
 # -- zeta on the critical line -----------------------------------------------------
 
 
-_BERNOULLI_2K = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-]
+# Bernoulli numbers B_2, B_4, ..., B_16: one per Euler-Maclaurin correction
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-def zeta_em(s: complex, terms: Optional[int] = None, corrections: int = 8) -> complex:
+def zeta_em(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin summation.
 
-    Accurate to ~1e-12 for |Im s| up to a few hundred with the default
-    term count N ~ 2|Im s|.  Not valid at s = 1.
+    Sums N = max(24, 2|Im s| + 8) terms directly and adds one correction
+    per entry of ``_BERNOULLI_2K``; accurate to ~1e-12 for |Im s| up to
+    a few hundred.  Not valid at s = 1.
     """
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
-    t = abs(s.imag)
-    n_terms = terms if terms is not None else max(24, int(2.0 * t) + 8)
+    n_terms = max(24, int(2.0 * abs(s.imag)) + 8)
     total = complex(0.0)
     for n in range(1, n_terms):
         total += cmath.exp(-s * math.log(n))
@@ -366,14 +365,9 @@ def zeta_em(s: complex, terms: Optional[int] = None, corrections: int = 8) -> co
     # correction terms B_2k/(2k)! * (s)(s+1)...(s+2k-2) * N^(1-s-2k)
     poch = s
     fact = 1.0
-    for k in range(1, corrections + 1):
+    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
         fact *= (2 * k - 1) * (2 * k)
-        total += (
-            float(_BERNOULLI_2K[k - 1])
-            / fact
-            * poch
-            * cmath.exp((1.0 - s - 2.0 * k) * math.log(n_terms))
-        )
+        total += b2k / fact * poch * cmath.exp((1.0 - s - 2.0 * k) * math.log(n_terms))
         poch *= (s + 2 * k - 1) * (s + 2 * k)
     return total
 
@@ -428,18 +422,19 @@ class ZeroList(Record):
         ]
 
 
-def zeta_zero_spacings(
-    count: int,
-    step: float = 0.2,
-    refine_tol: float = 1e-6,
-    residual_tol: float = 1e-4,
-) -> ZeroList:
+# zero scan: grid step in t, bisection width, and the largest |Z| accepted at a zero
+_SCAN_STEP = 0.2
+_REFINE_TOL = 1e-6
+_RESIDUAL_TOL = 1e-4
+
+
+def zeta_zero_spacings(count: int) -> ZeroList:
     """First ``count`` critical-line ordinates and their spacings.
 
-    Sign changes of Z(t) are bracketed on a uniform grid from t = 4 and
-    refined by bisection to ``refine_tol`` in t.  A Riemann-von Mangoldt
+    Sign changes of Z(t) are bracketed on a grid of step 0.2 from t = 4
+    and refined by bisection to 1e-6 in t.  A Riemann-von Mangoldt
     count check guards against pairs of zeros slipping between grid
-    points; on mismatch a BracketingError asks for a finer step.
+    points; a mismatch raises :class:`BracketingError`.
     """
     if not 1 <= count <= 50:
         raise ValueError(f"count must be in 1..50 (desk scale), got {count}")
@@ -448,7 +443,7 @@ def zeta_zero_spacings(
     t = 4.0
     z_prev = z_function(t)
     while len(gammas) < count:
-        t_next = t + step
+        t_next = t + _SCAN_STEP
         if t_next > 400.0:
             raise BracketingError("scan ran away; step too coarse?")
         z_next = z_function(t_next)
@@ -458,7 +453,7 @@ def zeta_zero_spacings(
         elif z_prev * z_next < 0.0:
             lo, hi = t, t_next
             f_lo = z_prev
-            while hi - lo > refine_tol:
+            while hi - lo > _REFINE_TOL:
                 mid = 0.5 * (lo + hi)
                 f_mid = z_function(mid)
                 if f_mid == 0.0:
@@ -470,10 +465,10 @@ def zeta_zero_spacings(
                     lo, f_lo = mid, f_mid
             gamma = 0.5 * (lo + hi)
             res = abs(z_function(gamma))
-            if res > residual_tol:
+            if res > _RESIDUAL_TOL:
                 raise BracketingError(
                     f"refinement residual {res:.3g} at t={gamma:.6f} exceeds "
-                    f"{residual_tol}; bracket may be spurious"
+                    f"{_RESIDUAL_TOL}; bracket may be spurious"
                 )
             gammas.append(gamma)
             residuals.append(res)
@@ -482,6 +477,6 @@ def zeta_zero_spacings(
     if expected - count > 1.2:
         raise BracketingError(
             f"zero count {count} up to t={gammas[-1]:.4f} falls short of the "
-            f"counting function ({expected:.2f}); step {step} too coarse"
+            f"counting function ({expected:.2f}); step {_SCAN_STEP} too coarse"
         )
     return ZeroList(tuple(gammas), tuple(residuals))

@@ -40,7 +40,7 @@ benchmarking convolution cost; see :func:`conv_ops`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 RationalLike = Union[int, Fraction, str]
@@ -99,27 +99,27 @@ class Record:
     in ``__slots__`` unless it needs a ``__dict__``), validates them in
     its ``__init__`` and stores each with ``object.__setattr__``.
     Assignment and deletion raise :class:`AttributeError`; ``==`` and
-    ``hash`` compare ``_key()`` (every field unless a subclass narrows
-    it) between instances of the same class; ``repr`` prints
-    ``Name(field=value, ...)``; pickling and copying rebuild through
-    ``__init__``.  Plain classes, not dataclasses: importing
-    :mod:`dataclasses` loads :mod:`inspect`, and each dataclass execs
-    generated code, milliseconds of every CLI process's start-up.
+    ``hash`` compare the tuple of every field between instances of the
+    same class; ``repr`` prints ``Name(field=value, ...)``; pickling
+    and copying rebuild through ``__init__`` from that same tuple.
+    Plain classes, not dataclasses: importing :mod:`dataclasses` loads
+    :mod:`inspect`, and each dataclass execs generated code,
+    milliseconds of every CLI process's start-up.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._values())
 
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -132,27 +132,18 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._values()
 
 
 class QSeries(Record):
     """Truncated exact power series ``q^offset * sum c[j] q^j``.
 
-    Values are kept in the normal form of :func:`rational`.  ``weight``
-    and ``level`` are optional bookkeeping tags set by the named
-    constructors (they do not participate in equality or hashing and
-    are dropped by arithmetic).
+    Values are kept in the normal form of :func:`rational`.
     """
 
-    __slots__ = _fields = ("offset", "coeffs", "weight", "level")
+    __slots__ = _fields = ("offset", "coeffs")
 
-    def __init__(
-        self,
-        offset: RationalLike,
-        coeffs: Sequence[RationalLike],
-        weight: Optional[int] = None,
-        level: Optional[int] = None,
-    ) -> None:
+    def __init__(self, offset: RationalLike, coeffs: Sequence[RationalLike]) -> None:
         off = rational(offset)
         if 24 % off.denominator != 0:
             raise ValueError(
@@ -160,11 +151,6 @@ class QSeries(Record):
             )
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "coeffs", tuple(map(rational, coeffs)))
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "level", level)
-
-    def _key(self) -> tuple:
-        return (self.offset, self.coeffs)
 
     # -- window bookkeeping -------------------------------------------------
 
@@ -196,9 +182,6 @@ class QSeries(Record):
         if rel < 0 or rel.denominator != 1:
             return 0
         return self.coeffs[int(rel)]
-
-    def with_meta(self, weight: Optional[int], level: Optional[int]) -> "QSeries":
-        return QSeries(self.offset, self.coeffs, weight=weight, level=level)
 
     def shift(self, delta: RationalLike) -> "QSeries":
         """Multiply by the monomial ``q^delta`` (exact, window unchanged)."""

@@ -2,11 +2,13 @@
 
 Each suite function recomputes its objects from scratch and returns
 :class:`~qmodular.forms.CheckReport` records; an empty violation list
-means the property battery passed.  Default bounds match the acceptance
-targets of the project; the CLI can override them.  :func:`run_suite`
-passes each override straight to its suite, so one the suite has no
-parameter for fails instead of being dropped; :func:`run_all` gives
-each suite only the overrides it takes.
+means the property battery passed.  A suite's parameters are the bounds
+its CLI flags set, each named after its flag (``n_max`` for ``--n-max``,
+``order``, ``count``, ``tol``), with defaults at the acceptance targets
+of the project; every other size is fixed.  :func:`run_suite` passes
+each override straight to its suite, so one the suite has no parameter
+for fails instead of being dropped; :func:`run_all` gives each suite
+only the overrides it takes.
 
 The geometry suite checks the AGM perimeters against its own periodic
 trapezoid rule, an algorithm that shares no code with the AGM or with
@@ -63,15 +65,13 @@ def verify_tau(n_max: int = 1000) -> list[CheckReport]:
 # -- hecke suite ----------------------------------------------------------------
 
 
-def verify_hecke(
-    order: int = 200, eigen_n_max: int = 20, compose_bound: int = 48
-) -> list[CheckReport]:
+def verify_hecke(order: int = 200) -> list[CheckReport]:
     if order < 4:
         raise ValueError(
             f"hecke suite needs order >= 4 (T_2 compares two coefficients), got {order}"
         )
     # T_n compares floor(order / n) coefficients; below two it falsifies nothing
-    eigen_n_max = min(eigen_n_max, order // 2)
+    eigen_n_max = min(20, order // 2)
     reports = []
     bad = []
     for n in range(1, 51):
@@ -95,7 +95,7 @@ def verify_hecke(
 
     bad = []
     # every pair needs m * n <= order, or its comparison window is empty
-    compose_bound = min(compose_bound, order)
+    compose_bound = min(48, order)
     for m in range(1, compose_bound + 1):
         for n in range(1, compose_bound // m + 1):
             target = order // (m * n)
@@ -115,13 +115,7 @@ def verify_hecke(
 # -- rank suite -----------------------------------------------------------------
 
 
-def verify_rank(
-    n_max: int = 60,
-    gen_n_max: int = 40,
-    equid_bound: int = 49,
-    congruence_bound: int = 500,
-    mock_order: int = 50,
-) -> list[CheckReport]:
+def verify_rank(n_max: int = 60) -> list[CheckReport]:
     if n_max < 4:
         raise ValueError(
             f"rank suite needs n_max >= 4 (the mod-5 check starts at n = 4), got {n_max}"
@@ -130,10 +124,11 @@ def verify_rank(
 
     reports = []
     # the table is the arbiter, so no check may read a row it did not build
-    gen_n_max = min(gen_n_max, n_max)
-    equid_bound = min(equid_bound, n_max)
+    gen_n_max = min(40, n_max)
+    equid_bound = min(49, n_max)
+    mock_order = 50  # also past every row the generating check reads
     table = theta_partitions.rank_table(n_max)
-    polys = theta_partitions.rank_generating(max(gen_n_max, mock_order) + 1)
+    polys = theta_partitions.rank_generating(mock_order + 1)
     bad = []
     for n in range(1, n_max + 1):
         if sum(table.counts(n).values()) != theta_partitions.partition_count(n):
@@ -168,13 +163,11 @@ def verify_rank(
     bad = []
     for mod, res in ((5, 4), (7, 5), (11, 6)):
         n = res
-        while n <= congruence_bound:
+        while n <= 500:
             if theta_partitions.partition_count(n) % mod != 0:
                 bad.append(f"p({n}) not divisible by {mod}")
             n += mod
-    reports.append(
-        _report("partition-congruences", {"n_max": congruence_bound}, bad)
-    )
+    reports.append(_report("partition-congruences", {"n_max": 500}, bad))
 
     bad = []
     head = polys[: mock_order + 1]
@@ -215,7 +208,7 @@ def _lattice_counts(k: int, m_max: int) -> list[int]:
     return counts
 
 
-def verify_theta(count_k_max: int = 4, count_m_max: int = 100, order: int = 100) -> list[CheckReport]:
+def verify_theta(order: int = 100) -> list[CheckReport]:
     if order < 2:
         raise ValueError(
             f"theta suite needs order >= 2 (order 1 holds only the constant term), got {order}"
@@ -224,19 +217,12 @@ def verify_theta(count_k_max: int = 4, count_m_max: int = 100, order: int = 100)
 
     reports = []
     bad = []
-    for k in range(1, count_k_max + 1):
-        series = theta_partitions.theta_diagonal(k, count_m_max + 1)
-        counts = _lattice_counts(k, count_m_max)
-        for m in range(count_m_max + 1):
-            if series.coeff(m) != counts[m]:
+    for k in range(1, 5):
+        series = theta_partitions.theta_diagonal(k, 101)
+        for m, count in enumerate(_lattice_counts(k, 100)):
+            if series.coeff(m) != count:
                 bad.append(f"lattice count mismatch at k={k}, m={m}")
-    reports.append(
-        _report(
-            "theta-lattice-counts",
-            {"k_max": count_k_max, "m_max": count_m_max},
-            bad,
-        )
-    )
+    reports.append(_report("theta-lattice-counts", {"k_max": 4, "m_max": 100}, bad))
 
     bad = []
     for k in range(1, 4):
@@ -263,31 +249,25 @@ def _log10(x: float) -> int | float:
     return float(format(math.log10(x), ".12g"))
 
 
-def verify_lfunc(
-    smooth_bound: int = 200,
-    fe_rel_tol: float = 1e-8,
-    dirichlet_n_max: int = 1000,
-    zero_count: int = 10,
-) -> list[CheckReport]:
+def verify_lfunc(tol: float = 1e-8, count: int = 10) -> list[CheckReport]:
     from . import lseries
 
     reports = []
 
     bad = []
-    disc = forms.delta(smooth_bound)
-    mell = lseries.mellin_coeffs(disc, normalized_eigenform=True)
+    mell = lseries.mellin_coeffs(forms.delta(200), 12, normalized_eigenform=True)
     ep = lseries.euler_product_coeffs(
-        {p: forms.tau(p) for p in forms.primes_up_to(13)}, 12, 13, smooth_bound
+        {p: forms.tau(p) for p in forms.primes_up_to(13)}, 12, 13, 200
     )
     smooth_seen = 0
-    for n in range(1, smooth_bound + 1):
+    for n in range(1, 201):
         if ep.known(n):
             smooth_seen += 1
             if ep.coeff(n) != mell.coeff(n):
                 bad.append(f"euler product coefficient differs at n={n}")
     if smooth_seen < 60:
         bad.append(f"only {smooth_seen} 13-smooth indices found; expected more")
-    reports.append(_report("euler-product-vs-expansion", {"n_max": smooth_bound}, bad))
+    reports.append(_report("euler-product-vs-expansion", {"n_max": 200}, bad))
 
     bad = []
     lam: dict[float, lseries.CompletedLValue] = {}
@@ -296,16 +276,12 @@ def verify_lfunc(
     for s in (4.0, 5.0, 8.0, 9.0):
         a, b = lam[s], lam[12.0 - s]
         rel = abs(a.value - b.value) / abs(a.value)
-        if rel >= fe_rel_tol:
+        if rel >= tol:
             bad.append(f"functional equation off by {rel:.3g} at s={s}")
-    reports.append(
-        _report("lambda-functional-equation", {"tol_exp": _log10(fe_rel_tol)}, bad)
-    )
+    reports.append(_report("lambda-functional-equation", {"tol_exp": _log10(tol)}, bad))
 
     bad = []
-    series = lseries.mellin_coeffs(
-        forms.delta(dirichlet_n_max), normalized_eigenform=True
-    )
+    series = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
     lam[10.0] = lseries.completed_lambda_integral(10.0)
     for s in (8.0, 9.0, 10.0):
         integral = lam[s]
@@ -318,21 +294,19 @@ def verify_lfunc(
             bad.append(
                 f"pipelines disagree at s={s}: diff {diff:.3g} vs bars {allowed:.3g}"
             )
-    reports.append(
-        _report("lambda-two-pipelines", {"n_max": dirichlet_n_max}, bad)
-    )
+    reports.append(_report("lambda-two-pipelines", {"n_max": 1000}, bad))
 
     bad = []
-    zeros = lseries.zeta_zero_spacings(zero_count)
-    if len(zeros.gammas) != zero_count:
-        bad.append(f"found {len(zeros.gammas)} ordinates, want {zero_count}")
+    zeros = lseries.zeta_zero_spacings(count)
+    if len(zeros.gammas) != count:
+        bad.append(f"found {len(zeros.gammas)} ordinates, want {count}")
     if any(s <= 0 for s in zeros.spacings):
         bad.append("nonpositive spacing")
     if abs(zeros.gammas[0] - 14.1347251417) > 1e-4:
         bad.append(f"first ordinate {zeros.gammas[0]:.6f} off the reference value")
     if any(r > 1e-4 for r in zeros.residuals):
         bad.append("refinement residual above tolerance")
-    reports.append(_report("zeta-zero-spacings", {"count": zero_count}, bad))
+    reports.append(_report("zeta-zero-spacings", {"count": count}, bad))
     return reports
 
 
@@ -363,12 +337,10 @@ def _arc_length_quadrature(spec: EllipseSpec) -> float:
     raise ArithmeticError(f"trapezoid perimeter of {spec} unresolved at {n} points")
 
 
-def verify_geometry(
-    sample_sets: int = 100, agm_pairs: int = 20, seed: int = 20240911
-) -> list[CheckReport]:
+def verify_geometry() -> list[CheckReport]:
     from . import geometry
 
-    rng = random.Random(seed)
+    rng = random.Random(20240911)
     reports = []
 
     bad = []
@@ -397,7 +369,8 @@ def verify_geometry(
     reports.append(_report("shadow-vanishing", {}, bad))
 
     bad = []
-    for i in range(sample_sets):
+    sets = 100
+    for i in range(sets):
         n_terms = rng.randint(1, 8)
         terms = [
             (
@@ -413,17 +386,18 @@ def verify_geometry(
         scale = max(abs(val.full), abs(val.hol) + abs(val.shadow), 1e-30)
         if abs(val.full - (val.hol + val.shadow)) > 1e-12 * scale:
             bad.append(f"decomposition identity fails on sample {i}")
-    reports.append(_report("decomposition-identity", {"sets": sample_sets}, bad))
+    reports.append(_report("decomposition-identity", {"sets": sets}, bad))
 
     bad = []
-    for _ in range(agm_pairs):
+    pairs = 20
+    for _ in range(pairs):
         e, f = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
         spec = geometry.EllipseSpec(rng.uniform(0.2, 2.0), e, f)
         agm = geometry.ellipse_perimeter(spec)
         quad = _arc_length_quadrature(spec)
         if abs(agm - quad) >= 1e-9 * agm:
             bad.append(f"AGM vs quadrature differ for {spec}")
-    reports.append(_report("agm-vs-quadrature", {"pairs": agm_pairs}, bad))
+    reports.append(_report("agm-vs-quadrature", {"pairs": pairs}, bad))
     return reports
 
 

@@ -124,7 +124,7 @@ def test_acceptance_5_theta_suite():
 
 def test_acceptance_6_lfunction_suite():
     with criterion(6, 30.0, "Euler product match, functional equation, two pipelines"):
-        mell = lseries.mellin_coeffs(forms.delta(200), normalized_eigenform=True)
+        mell = lseries.mellin_coeffs(forms.delta(200), 12, normalized_eigenform=True)
         ep = lseries.euler_product_coeffs(
             {p: forms.tau(p) for p in forms.primes_up_to(13)}, 12, 13, 200
         )
@@ -135,7 +135,7 @@ def test_acceptance_6_lfunction_suite():
         for s in (4, 5, 8, 9):
             rel = abs(lam[s].value - lam[12 - s].value) / abs(lam[s].value)
             assert rel < 1e-8
-        series = lseries.mellin_coeffs(forms.delta(1000), normalized_eigenform=True)
+        series = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
         for s in (8.0, 9.0, 10.0):
             partial = lseries.dirichlet_eval(series, s)
             prefactor = (2 * math.pi) ** (-s) * math.gamma(s)
@@ -179,9 +179,12 @@ def test_acceptance_7_zero_ordinates():
 
 def test_acceptance_8_geometry_suite():
     with criterion(8, 10.0, "perimeter preservation, shadow, decomposition, AGM"):
-        reports = verify.verify_geometry(sample_sets=100, agm_pairs=20)
+        reports = verify.verify_geometry()
         for rep in reports:
             assert rep.ok, (rep.check, rep.violations[:3])
+        params = {rep.check: dict(rep.params) for rep in reports}
+        assert params["decomposition-identity"]["sets"] == 100
+        assert params["agm-vs-quadrature"]["pairs"] == 20
 
 
 def test_acceptance_9_cli_contract(tmp_path):

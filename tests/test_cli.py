@@ -248,6 +248,8 @@ def test_tables_json_formats_no_text_cells(monkeypatch):
         ["tables", "shadow", "--grid", "2"],
         ["tables", "shadow", "--e", "-1"],
         ["tables", "shadow", "--r-d", "0"],
+        ["tables", "shadow", "--r-d", "inf"],
+        ["tables", "shadow", "--r-a", "nan"],
     ],
 )
 def test_tables_out_of_range_arguments_exit_2(argv, capsys):

@@ -122,6 +122,15 @@ def test_matching_against_perimeter_ratio():
     assert spec.r_ref == pytest.approx(2.0 * math.pi / unit, rel=1e-13)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_matching_and_torus_term_reject_radii_that_are_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="r_target must be positive"):
+        geometry.circle_matching_ellipse(radius, 1.0, 2.0)
+    for r_a, r_d in ((radius, 1.0), (1.0, radius)):
+        with pytest.raises(ValueError, match="radii must be positive"):
+            geometry.torus_term(1, r_a, r_d, 1.0, 2.0, 8)
+
+
 # -- torus terms ----------------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from conftest import dense_product_one_minus_qn, poly_mul
 
 
 def test_mellin_reads_cusp_coefficients():
-    ds = lseries.mellin_coeffs(forms.delta(10), normalized_eigenform=True)
+    ds = lseries.mellin_coeffs(forms.delta(10), 12, normalized_eigenform=True)
     assert [int(c) for c in ds.coeffs] == [
         1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920,
     ]
@@ -97,18 +97,30 @@ def test_dirichlet_eval_zero_series():
 
 
 def test_dirichlet_eval_outside_convergence_region():
-    ds = lseries.mellin_coeffs(forms.delta(50), normalized_eigenform=True)
+    ds = lseries.mellin_coeffs(forms.delta(50), 12, normalized_eigenform=True)
     with pytest.raises(ValueError):
         lseries.dirichlet_eval(ds, 4.0)
 
 
 def test_dirichlet_eval_tail_bound_shrinks():
-    short = lseries.mellin_coeffs(forms.delta(100), normalized_eigenform=True)
-    long = lseries.mellin_coeffs(forms.delta(1000), normalized_eigenform=True)
+    short = lseries.mellin_coeffs(forms.delta(100), 12, normalized_eigenform=True)
+    long = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
     v1 = lseries.dirichlet_eval(short, 9.0)
     v2 = lseries.dirichlet_eval(long, 9.0)
     assert v2.tail_bound < v1.tail_bound
     assert abs(v1.value - v2.value) <= v1.tail_bound + v2.tail_bound
+
+
+def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
+    # the weight is passed, not read off the series, so slicing keeps it
+    cut = forms.delta(1000).truncate(500)
+    via_cut = lseries.mellin_coeffs(cut, 12, normalized_eigenform=True)
+    direct = lseries.mellin_coeffs(forms.delta(500), 12, normalized_eigenform=True)
+    assert via_cut == direct
+    assert lseries.dirichlet_eval(via_cut, 7.5) == lseries.dirichlet_eval(direct, 7.5)
+    assert lseries.dirichlet_eval(direct, 7.5).tail_bound > 0.1
+    with pytest.raises(ValueError):
+        lseries.dirichlet_eval(via_cut, 3.0)
 
 
 def test_dirichlet_eval_unflagged_has_no_bound():
@@ -133,7 +145,7 @@ def test_lambda_functional_equation_pairs():
 
 
 def test_lambda_vs_dirichlet_gamma_route():
-    ds = lseries.mellin_coeffs(forms.delta(1000), normalized_eigenform=True)
+    ds = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
     for s in (8.0, 9.0, 10.0):
         integral = lseries.completed_lambda_integral(s)
         partial = lseries.dirichlet_eval(ds, s)

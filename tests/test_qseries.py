@@ -181,14 +181,6 @@ def test_convolution_benchmark_hook_counts_work():
     assert 0 < qs.conv_ops() < dense
 
 
-def test_metadata_tags_ride_along_but_not_equality():
-    f = qs.make_series(0, [0, 1], 2).with_meta(weight=12, level=1)
-    g = qs.make_series(0, [0, 1], 2)
-    assert f == g
-    assert f.weight == 12 and f.level == 1
-    assert qs.mul(f, g).weight is None
-
-
 # -- property tests ----------------------------------------------------------------------
 
 
@@ -346,8 +338,6 @@ def _all_fraction(f: QSeries) -> QSeries:
     g = object.__new__(QSeries)
     object.__setattr__(g, "offset", Fraction(f.offset))
     object.__setattr__(g, "coeffs", tuple(Fraction(c) for c in f.coeffs))
-    object.__setattr__(g, "weight", None)
-    object.__setattr__(g, "level", None)
     return g
 
 

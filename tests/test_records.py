@@ -25,6 +25,14 @@ from qmodular.theta_partitions import rank_table
         (lambda: CosetRep(1, 2, 2), "invalid coset representative (1, 2, 2)"),
         (lambda: CosetRep(1, -1, 2), "invalid coset representative (1, -1, 2)"),
         (lambda: DirichletSeries(()), "need at least one coefficient"),
+        (
+            lambda: DirichletSeries((1, -24), 0, normalized_eigenform=True),
+            "a normalized eigenform needs a positive even weight, got 0",
+        ),
+        (
+            lambda: DirichletSeries((1, -24), 11, normalized_eigenform=True),
+            "a normalized eigenform needs a positive even weight, got 11",
+        ),
         (lambda: QSeries("1/5", (1,)), "offset denominator must divide 24, got 5"),
         (lambda: ZeroList((1.0, 1.0), (0.0, 0.0)), "ordinates must be strictly increasing"),
         (lambda: ZeroList((-1.0,), (0.0,)), "ordinates must be positive"),
@@ -67,12 +75,10 @@ def test_records_copy_and_pickle_to_equal_values(record, field):
         assert getattr(clone, field) == getattr(record, field)
 
 
-def test_qseries_equality_and_hash_ignore_weight_and_level():
+def test_qseries_equality_and_hash_are_on_offset_and_coeffs():
     plain = QSeries(0, (0, 1, -24))
-    tagged = QSeries(0, (0, 1, -24), weight=12, level=1)
-    assert tagged.weight == 12 and tagged.level == 1
-    assert plain == tagged
-    assert hash(plain) == hash(tagged)
+    assert plain == QSeries("0", ("0", 1, -24))
+    assert hash(plain) == hash(QSeries(0, (0, 1, -24)))
     assert plain != QSeries(1, (0, 1, -24))
     assert plain != QSeries(0, (0, 1, -23))
 
@@ -102,4 +108,4 @@ def test_suite_parameters_see_through_functools_wraps(monkeypatch):
 
         monkeypatch.setitem(verify.SUITES, name, traced)
         assert verify.suite_parameters(name) == want
-    assert verify.suite_parameters("theta") == {"count_k_max", "count_m_max", "order"}
+    assert verify.suite_parameters("theta") == {"order"}

@@ -56,6 +56,14 @@ def test_perimeter_preservation_sees_a_perimeter_off_by_1e_8(monkeypatch):
     assert len(preserved.violations) == 20
 
 
+def test_each_suite_parameter_is_named_after_a_verify_flag():
+    # cli maps a parameter back to its flag by replacing "_" with "-"
+    flag_params = {"n_max", "order", "count", "tol"}
+    taken = [verify.suite_parameters(name) for name in verify.SUITES]
+    assert all(params <= flag_params for params in taken)
+    assert set().union(*taken) == flag_params
+
+
 def test_hecke_suite_rejects_orders_without_a_t2_window():
     with pytest.raises(ValueError):
         verify.verify_hecke(order=3)
