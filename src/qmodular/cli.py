@@ -102,20 +102,12 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     from . import forms, verify
 
-    # each suite parameter is named after the verify flag that sets it
-    overrides = {"n_max": args.n_max, "order": args.order, "count": args.count, "tol": args.tol}
-    if args.suite != "all":  # `verify all` gives each suite the flags it takes
-        takes = verify.suite_parameters(args.suite)
-        for param, value in overrides.items():
-            if value is not None and param not in takes:
-                flag = "--" + param.replace("_", "-")
-                raise ValueError(f"verify {args.suite} does not take {flag}")
     if args.inject_tau_fault:
         forms.corrupt_tau_cache_for_testing()
-    if args.suite == "all":
-        pairs = verify.run_all(**overrides)
-    else:
-        pairs = [(args.suite, verify.run_suite(args.suite, **overrides))]
+    # each suite parameter is named after the verify flag that sets it
+    pairs = verify.run_suite(
+        args.suite, n_max=args.n_max, order=args.order, count=args.count, tol=args.tol
+    )
     checks = []
     ok = True
     for suite_name, reports in pairs:
@@ -200,7 +192,8 @@ def _table_lvalues(args) -> tuple[list[str], list[dict]]:
 def _table_shadow(args) -> tuple[list[str], list[dict]]:
     from . import geometry
 
-    term = geometry.torus_term(args.n, args.r_a, args.r_d, args.e, args.f, args.grid)
+    # the samples depend only on r_d, e, f and the grid, so n and r_a stay fixed
+    term = geometry.torus_term(1, 1.0, args.r_d, args.e, args.f, args.grid)
     return ["theta", "re", "im"], [
         {
             "theta": _fmt_float(2.0 * math.pi * j / args.grid),
@@ -248,7 +241,7 @@ def _cmd_tables(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
-# verify.suite_names(), spelled out so that parsing imports no suite
+# [*verify.SUITES, "all"], spelled out so that parsing imports no suite
 _VERIFY_SUITES = ["tau", "hecke", "rank", "theta", "lfunc", "geometry", "all"]
 
 
@@ -291,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument(
         "--s-values", dest="s_values", type=_s_value_list, default="4,5,8,9"
     )
-    p_tables.add_argument("--n", type=int, default=1)
-    p_tables.add_argument("--r-a", dest="r_a", type=float, default=1.0)
     p_tables.add_argument("--r-d", dest="r_d", type=float, default=1.0)
     p_tables.add_argument("--e", type=float, default=1.0)
     p_tables.add_argument("--f", type=float, default=1.0)

@@ -18,15 +18,12 @@ the composition check and the eigenform check share one kernel on the
 stored coefficients as a plain list; only :func:`hecke_apply` wraps its
 result into a :class:`QSeries`.
 
-tau values come from a process-wide cache backed by the product
-expansion of the discriminant form; the cache extends itself on demand.
-Reads are lock-free; only the fill takes a lock, and it publishes the
-extended table in one assignment, so every reader sees identical values.
+tau values come from a module-level table, refilled from the product
+expansion of the discriminant form whenever a read goes past its end.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Mapping, NamedTuple, Optional, Union
@@ -72,9 +69,7 @@ class FormMeta(Record):
             raise ValueError(f"weight must be a positive even integer, got {weight}")
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "character", character)
+        super().__init__(weight, level, character)
 
     def eps(self, d: int) -> int:
         if self.character is None:
@@ -90,9 +85,7 @@ class CosetRep(Record):
     def __init__(self, a: int, b: int, d: int) -> None:
         if a < 1 or d < 1 or not (0 <= b < d):
             raise ValueError(f"invalid coset representative ({a}, {b}, {d})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, d)
 
 
 class CheckReport(NamedTuple):
@@ -127,72 +120,45 @@ def delta(order: int) -> QSeries:
     return euler_product(24, order).shift(1)
 
 
-class _TauCache:
-    """Lazily extended tau table; deterministic.
-
-    Reads take no lock: they index whichever list is currently
-    published.  Fills run under the lock and publish a new list only
-    after the sticky test fault is applied, so a reader never sees an
-    unpoisoned refill.
-    """
-
-    def __init__(self) -> None:
-        self._values: list[int] = [0]  # index 0 unused
-        self._lock = threading.Lock()
-        self._fault: Optional[tuple[int, int]] = None
-
-    def get(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"tau(n) requires n >= 1, got {n}")
-        values = self._values
-        if n >= len(values):
-            values = self._fill(n)
-        return values[n]
-
-    def _fill(self, n: int) -> list[int]:
-        with self._lock:
-            if n >= len(self._values):
-                order = 64
-                while order < n:
-                    order *= 2
-                values = [0, *delta(order).coeffs]
-                if self._fault is not None and self._fault[0] < len(values):
-                    values[self._fault[0]] += self._fault[1]
-                self._values = values
-            return self._values
-
-    def corrupt_for_testing(self, n: int = 2, offset: int = 1) -> None:
-        """Fault-injection hook: poison one cached value, stickily.
-
-        Used by negative-control tests to prove the verification
-        pipeline actually notices wrong data; the poison survives cache
-        refills.  Never call outside tests.
-        """
-        self.get(n)
-        with self._lock:
-            self._fault = (n, offset)
-            self._values[n] += offset
-
-    def reset(self) -> None:
-        with self._lock:
-            self._values = [0]
-            self._fault = None
-
-
-_TAU = _TauCache()
+_TAU: list[int] = [0]  # _TAU[n] = tau(n); index 0 unused
+_TAU_FAULT: Optional[tuple[int, int]] = None  # (n, offset) of the test fault
 
 
 def tau(n: int) -> int:
-    """Coefficient of q^n in the discriminant form (extends cache on demand)."""
-    return _TAU.get(n)
+    """Coefficient of q^n in the discriminant form (extends the table on demand).
+
+    A read past the table refills it to the smallest 64 * 2^k >= n and
+    re-applies the test fault, so the fault survives every refill.
+    """
+    global _TAU
+    if n < 1:
+        raise ValueError(f"tau(n) requires n >= 1, got {n}")
+    if n >= len(_TAU):
+        order = 64
+        while order < n:
+            order *= 2
+        _TAU = [0, *delta(order).coeffs]
+        if _TAU_FAULT is not None and _TAU_FAULT[0] <= order:
+            _TAU[_TAU_FAULT[0]] += _TAU_FAULT[1]
+    return _TAU[n]
 
 
 def corrupt_tau_cache_for_testing(n: int = 2, offset: int = 1) -> None:
-    _TAU.corrupt_for_testing(n, offset)
+    """Fault-injection hook: poison one tau value, stickily.
+
+    Used by negative-control tests to prove the verification pipeline
+    actually notices wrong data; the poison survives table refills.
+    Never call outside tests.
+    """
+    global _TAU_FAULT
+    tau(n)
+    _TAU_FAULT = (n, offset)
+    _TAU[n] += offset
 
 
 def reset_tau_cache() -> None:
-    _TAU.reset()
+    global _TAU, _TAU_FAULT
+    _TAU, _TAU_FAULT = [0], None
 
 
 # -- divisor sums and the weight-12 Eisenstein series ---------------------------

@@ -58,9 +58,9 @@ class EllipseSpec(Record):
             raise ValueError(
                 f"r_ref, e, f must all be positive, got ({r_ref}, {e}, {f})"
             )
-        object.__setattr__(self, "r_ref", r_ref)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
+        if math.inf in (r_ref, e, f):
+            raise ValueError(f"r_ref, e, f must all be finite, got ({r_ref}, {e}, {f})")
+        super().__init__(r_ref, e, f)
 
     @property
     def semi_real(self) -> float:
@@ -123,6 +123,8 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
         raise ValueError(f"r_target must be positive and finite, got {r_target}")
     unit = ellipse_perimeter(EllipseSpec(1.0, e, f))
     r_ref = 2.0 * math.pi * r_target / unit
+    if not 0 < r_ref < math.inf:  # the perimeter or r_ref left the float range
+        raise ValueError(f"no finite ellipse with factors ({e}, {f}) matches radius {r_target}")
     spec = EllipseSpec(r_ref, e, f)
     residual = abs(ellipse_perimeter(spec) - 2.0 * math.pi * r_target)
     if not residual < 1e-10 * r_target:
@@ -143,17 +145,6 @@ class TorusTerm(NamedTuple):
     ellipse: EllipseSpec
     c_hol: float
     shadow_samples: tuple[complex, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r_a": self.r_a,
-            "r_ref": self.ellipse.r_ref,
-            "e": self.ellipse.e,
-            "f": self.ellipse.f,
-            "c_hol": self.c_hol,
-            "shadow_samples": [[s.real, s.imag] for s in self.shadow_samples],
-        }
 
 
 def torus_term(

@@ -85,9 +85,7 @@ class DirichletSeries(Record):
             raise ValueError(
                 f"a normalized eigenform needs a positive even weight, got {weight}"
             )
-        object.__setattr__(self, "coeffs", tuple(map(rational, coeffs)))
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "normalized_eigenform", normalized_eigenform)
+        super().__init__(tuple(map(rational, coeffs)), weight, normalized_eigenform)
 
     def coeff(self, n: int) -> Rational:
         if not 1 <= n <= len(self.coeffs):
@@ -230,9 +228,6 @@ class CompletedLValue(NamedTuple):
     s: float
     value: float
     quadrature_error: float
-
-    def to_json_obj(self) -> dict:
-        return {"s": self.s, "value": self.value, "err": self.quadrature_error}
 
 
 def _cusp_exp_sum(y: float, row: tuple[float, ...]) -> float:
@@ -407,8 +402,7 @@ class ZeroList(Record):
             raise ValueError("ordinates must be strictly increasing")
         if any(g <= 0 for g in gammas):
             raise ValueError("ordinates must be positive")
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "residuals", residuals)
+        super().__init__(gammas, residuals)
 
     @property
     def spacings(self) -> tuple[float, ...]:

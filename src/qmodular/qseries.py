@@ -97,7 +97,7 @@ class Record:
 
     A subclass names its fields in constructor order in ``_fields`` (and
     in ``__slots__`` unless it needs a ``__dict__``), validates them in
-    its ``__init__`` and stores each with ``object.__setattr__``.
+    its ``__init__`` and passes the values to ``Record.__init__``.
     Assignment and deletion raise :class:`AttributeError`; ``==`` and
     ``hash`` compare the tuple of every field between instances of the
     same class; ``repr`` prints ``Name(field=value, ...)``; pickling
@@ -109,6 +109,10 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -149,8 +153,7 @@ class QSeries(Record):
             raise ValueError(
                 f"offset denominator must divide 24, got {off.denominator}"
             )
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "coeffs", tuple(map(rational, coeffs)))
+        super().__init__(off, tuple(map(rational, coeffs)))
 
     # -- window bookkeeping -------------------------------------------------
 

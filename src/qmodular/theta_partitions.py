@@ -170,8 +170,7 @@ class RankTable(Record):
     _fields = ("n_max", "entries")  # no __slots__: cached_property needs a __dict__
 
     def __init__(self, n_max: int, entries: Mapping[tuple[int, int], int]) -> None:
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(n_max, entries)
 
     @cached_property
     def _by_n(self) -> dict[int, dict[int, int]]:

@@ -5,10 +5,9 @@ Each suite function recomputes its objects from scratch and returns
 means the property battery passed.  A suite's parameters are the bounds
 its CLI flags set, each named after its flag (``n_max`` for ``--n-max``,
 ``order``, ``count``, ``tol``), with defaults at the acceptance targets
-of the project; every other size is fixed.  :func:`run_suite` passes
-each override straight to its suite, so one the suite has no parameter
-for fails instead of being dropped; :func:`run_all` gives each suite
-only the overrides it takes.
+of the project; every other size is fixed.  :func:`run_suite` is the
+one entry point: it runs a named suite, or every suite for ``"all"``,
+and rejects a flag that no suite it runs takes before any suite starts.
 
 The geometry suite checks the AGM perimeters against its own periodic
 trapezoid rule, an algorithm that shares no code with the AGM or with
@@ -33,7 +32,7 @@ from .qseries import mul
 if TYPE_CHECKING:
     from .geometry import EllipseSpec
 
-__all__ = ["SUITES", "run_suite", "run_all", "suite_names", "suite_parameters"]
+__all__ = ["SUITES", "run_suite", "suite_parameters"]
 
 
 def _report(check: str, params: dict, violations: list[str]) -> CheckReport:
@@ -411,10 +410,6 @@ SUITES: dict[str, Callable[..., list[CheckReport]]] = {
 }
 
 
-def suite_names() -> list[str]:
-    return list(SUITES) + ["all"]
-
-
 def suite_parameters(name: str) -> frozenset[str]:
     """Names of the parameters the named suite takes.
 
@@ -428,20 +423,21 @@ def suite_parameters(name: str) -> frozenset[str]:
     return frozenset(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount])
 
 
-def run_suite(name: str, **overrides) -> list[CheckReport]:
-    """Run one named suite; an override of None keeps the suite's default.
+def run_suite(name: str, **flags) -> list[tuple[str, list[CheckReport]]]:
+    """Run the named suite, or every suite in fixed order for ``"all"``.
 
-    An override the suite has no parameter for raises TypeError rather
-    than being dropped.
+    Returns (suite name, reports) pairs.  A flag of None keeps the
+    default; each suite gets the flags it takes, read from
+    ``SUITES[name]`` at call time.  A flag that no suite run here takes
+    raises ValueError before any suite runs.
     """
-    return SUITES[name](**{k: v for k, v in overrides.items() if v is not None})
-
-
-def run_all(**overrides) -> list[tuple[str, list[CheckReport]]]:
-    """Run every suite in fixed order, each with the overrides it takes."""
-    pairs = []
-    for name in SUITES:
-        takes = suite_parameters(name)
-        kwargs = {k: v for k, v in overrides.items() if k in takes}
-        pairs.append((name, run_suite(name, **kwargs)))
-    return pairs
+    names = list(SUITES) if name == "all" else [name]
+    takes = {n: suite_parameters(n) for n in names}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    for flag in flags:
+        if not any(flag in t for t in takes.values()):
+            raise ValueError(f"verify {name} does not take --{flag.replace('_', '-')}")
+    return [
+        (n, SUITES[n](**{k: v for k, v in flags.items() if k in t}))
+        for n, t in takes.items()
+    ]

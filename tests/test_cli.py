@@ -199,7 +199,7 @@ def test_tables_csv_format():
 # stay the same.  The `--n-max 120` rank table was recorded before
 # rank_table moved to dense rows.
 _RANK_ARGS = ("--n-max", "40")
-_SHADOW_ARGS = ("--n", "3", "--r-a", "2", "--e", "0.5", "--grid", "8")
+_SHADOW_ARGS = ("--e", "0.5", "--grid", "8")
 TABLES_SHA256 = {
     ("rank", (), "tsv"): "2fcdcce82e8ed4f2b41163f1ddcd76be7101b1d19edad46d83d1c982dd07c0b9",
     ("rank", (), "json"): "0f939f7ee216b743a93721fb7a609341e411c0f89e9bdd683a00461f64140b71",
@@ -249,14 +249,17 @@ def test_tables_json_formats_no_text_cells(monkeypatch):
         ["tables", "shadow", "--e", "-1"],
         ["tables", "shadow", "--r-d", "0"],
         ["tables", "shadow", "--r-d", "inf"],
-        ["tables", "shadow", "--r-a", "nan"],
+        ["tables", "shadow", "--e", "inf"],
+        ["tables", "shadow", "--f", "inf"],
     ],
 )
 def test_tables_out_of_range_arguments_exit_2(argv, capsys):
     code, out = _run_main(argv)
     assert code == 2
     assert out == ""
-    assert "invalid arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid arguments" in err
+    assert "nan" not in err  # the message names the bad input, not a derived r_ref
 
 
 def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,14 @@ def test_matching_and_torus_term_reject_radii_that_are_not_positive_and_finite(r
     for r_a, r_d in ((radius, 1.0), (1.0, radius)):
         with pytest.raises(ValueError, match="radii must be positive"):
             geometry.torus_term(1, r_a, r_d, 1.0, 2.0, 8)
+
+
+def test_matching_names_the_factor_or_range_that_fails():
+    with pytest.raises(ValueError, match=re.escape("must all be finite, got (1.0, inf, 2.0)")):
+        geometry.circle_matching_ellipse(1.0, math.inf, 2.0)
+    for r_target, e in ((1.0, 1e308), (1e308, 1.0)):
+        with pytest.raises(ValueError, match="no finite ellipse"):
+            geometry.circle_matching_ellipse(r_target, e, 1.0)
 
 
 # -- torus terms ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_cli_suite_choices_match_verify():
-    assert cli._VERIFY_SUITES == verify.suite_names()
+    assert cli._VERIFY_SUITES == [*verify.SUITES, "all"]
 
 
 # -- what a fresh process loads ------------------------------------------------------
