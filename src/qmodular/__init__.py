@@ -39,7 +39,7 @@ _EXPORTS_BY_MODULE = {
         "pow",
         "scalar_mul",
     ),
-    "forms": ("CosetRep", "EigenPair", "FormMeta", "delta", "eisenstein_e12", "eta", "tau"),
+    "forms": ("CosetRep", "FormMeta", "delta", "eisenstein_e12", "eta", "tau"),
     "theta_partitions": (
         "OmegaPoly",
         "RankTable",
@@ -65,7 +65,6 @@ _EXPORTS_BY_MODULE = {
         "TorusTerm",
         "circle_matching_ellipse",
         "ellipse_perimeter",
-        "elliptic_form_term",
         "torus_term",
         "weak_maass_series",
     ),

@@ -6,8 +6,9 @@ digits before serialization, and all text is UTF-8 with LF endings.
 
 Exit codes: 0 success, 1 verification failure (or a zero scan that
 lost its bracketing), 2 usage error, including out-of-range arguments,
-an ``--out`` path that cannot be written, and a ``verify`` flag that the
-named suite does not take.
+an ``--out`` path that cannot be written, a ``verify`` flag that the
+named suite does not take, a ``tables`` flag that another kind owns,
+and an abbreviated flag (``--n`` for ``--n-max``).
 
 Only :mod:`qmodular.qseries` is imported up front; each command imports
 the modules it runs, so ``expand euler-E`` loads nothing else.
@@ -246,13 +247,15 @@ _VERIFY_SUITES = ["tau", "hecke", "rank", "theta", "lfunc", "geometry", "all"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Python 3.11 does not pass allow_abbrev down, so every parser sets it
     parser = argparse.ArgumentParser(
         prog="qmodular",
         description="Exact q-expansions, verification batteries, and numeric tables.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_expand = sub.add_parser("expand", help="print a named q-expansion")
+    p_expand = sub.add_parser("expand", help="print a named q-expansion", allow_abbrev=False)
     p_expand.add_argument(
         "object",
         help="eta | delta | e12 | mock-f | theta-K | euler-E (K, E integers)",
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--out", default=None)
     p_expand.set_defaults(fn=_cmd_expand)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     p_verify.add_argument("suite", choices=_VERIFY_SUITES)
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
     p_verify.add_argument("--order", type=int, default=None)
@@ -277,20 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(fn=_cmd_verify)
 
-    p_tables = sub.add_parser("tables", help="emit a data table")
-    p_tables.add_argument("table", choices=sorted(_TABLES))
-    p_tables.add_argument("--n-max", dest="n_max", type=int, default=10)
-    p_tables.add_argument("--count", type=int, default=10)
-    p_tables.add_argument(
-        "--s-values", dest="s_values", type=_s_value_list, default="4,5,8,9"
-    )
-    p_tables.add_argument("--r-d", dest="r_d", type=float, default=1.0)
-    p_tables.add_argument("--e", type=float, default=1.0)
-    p_tables.add_argument("--f", type=float, default=1.0)
-    p_tables.add_argument("--grid", type=int, default=16)
-    p_tables.add_argument("--format", choices=["json", "tsv", "csv"], default="tsv")
-    p_tables.add_argument("--out", default=None)
+    p_tables = sub.add_parser("tables", help="emit a data table", allow_abbrev=False)
     p_tables.set_defaults(fn=_cmd_tables)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["json", "tsv", "csv"], default="tsv")
+    output.add_argument("--out", default=None)
+    kinds = p_tables.add_subparsers(dest="table", required=True)
+    kind = {
+        name: kinds.add_parser(name, parents=[output], allow_abbrev=False)
+        for name in sorted(_TABLES)
+    }
+    kind["rank"].add_argument("--n-max", type=int, default=10)
+    kind["zeros"].add_argument("--count", type=int, default=10)
+    kind["spacings"].add_argument("--count", type=int, default=10)
+    kind["lvalues"].add_argument("--s-values", type=_s_value_list, default="4,5,8,9")
+    kind["shadow"].add_argument("--r-d", type=float, default=1.0)
+    kind["shadow"].add_argument("--e", type=float, default=1.0)
+    kind["shadow"].add_argument("--f", type=float, default=1.0)
+    kind["shadow"].add_argument("--grid", type=int, default=16)
 
     return parser
 

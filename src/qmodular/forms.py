@@ -8,8 +8,7 @@ action on q-expansions
     coefficient of q^m in T_n f  =  sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2),
 
 the operator composition law T_m T_n = sum_{d | gcd(m,n)} d^(k-1) T_{mn/d^2},
-eigenform verification, the tau congruence battery, and the exact
-eigenvalue pair of the shear/diagonal coset quadratic.
+eigenform verification, and the tau congruence battery.
 
 A :class:`QSeries` stores integral coefficients as ints, so nothing here
 converts between int and Fraction (only the report fields
@@ -26,14 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional
 
 from .qseries import QSeries, Record, WindowError, euler_product
 
 __all__ = [
     "FormMeta",
     "CosetRep",
-    "EigenPair",
     "CheckReport",
     "HeckeComposeReport",
     "EigenformReport",
@@ -47,7 +45,6 @@ __all__ = [
     "hecke_compose_check",
     "is_eigenform",
     "tau_properties_check",
-    "eigen_pair",
     "primes_up_to",
 ]
 
@@ -410,54 +407,3 @@ def tau_properties_check(n_max: int) -> CheckReport:
     return CheckReport(
         "tau-properties", (("n_max", n_max),), tuple(violations)
     )
-
-
-# -- eigenvalue pair of the coset quadratic ---------------------------------------
-
-
-class EigenPair(NamedTuple):
-    """Roots of X^2 - (1 + b^2 + n^2) X + n^2, squared-eigenvalue pair.
-
-    The roots are exact :class:`Fraction` values when the discriminant
-    (trace^2 - 4 det) is a perfect square, 64-bit floats otherwise; the
-    Vieta invariants hold exactly in the integer data either way.
-    """
-
-    n: int
-    b: int
-    lambda_plus_sq: Union[Fraction, float]
-    lambda_minus_sq: Union[Fraction, float]
-
-    @property
-    def trace(self) -> int:
-        return 1 + self.b**2 + self.n**2
-
-    @property
-    def det(self) -> int:
-        return self.n**2
-
-
-def eigen_pair(n: int, b: int) -> EigenPair:
-    """Eigenvalue pair with trace 1 + b^2 + n^2 and determinant n^2.
-
-    The discriminant trace^2 - 4 det is nonnegative for every n >= 1,
-    b >= 0 (trace >= 2n), so the roots are always real.
-    """
-    if n < 1 or b < 0:
-        raise ValueError(f"require n >= 1 and b >= 0, got ({n}, {b})")
-    tr = 1 + b * b + n * n
-    det = n * n
-    disc = tr * tr - 4 * det
-    if disc < 0:
-        raise ArithmeticError(f"negative discriminant {disc} for (n, b) = ({n}, {b})")
-    root = isqrt(disc)
-    if root * root == disc:
-        plus = Fraction(tr + root, 2)
-        minus = Fraction(tr - root, 2)
-        if plus + minus != tr or plus * minus != det:
-            raise ArithmeticError(
-                f"roots {plus}, {minus} of (n, b) = ({n}, {b}) fail the Vieta check"
-            )
-        return EigenPair(n, b, plus, minus)
-    sq = disc**0.5
-    return EigenPair(n, b, (tr + sq) / 2, (tr - sq) / 2)

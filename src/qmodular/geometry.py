@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from .qseries import Record
@@ -43,8 +44,6 @@ __all__ = [
     "circle_matching_ellipse",
     "torus_term",
     "weak_maass_series",
-    "elliptic_form_term",
-    "surface_grid_json_obj",
 ]
 
 
@@ -117,14 +116,19 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
     Solves perimeter(r_ref, e, f) = 2 pi r_target for r_ref.  The map is
     exactly linear in r_ref, so the Newton step from the unit-reference
     perimeter lands on the root at once; a residual above the 1e-10
-    relative contract raises ``ArithmeticError`` anyway.
+    relative contract raises ``ArithmeticError`` anyway.  Both radii must
+    be normal floats: a subnormal one holds too few digits for the
+    contract, and 1e-10 of it can round to 0.0.
     """
-    if not 0 < r_target < math.inf:  # also rejects nan
-        raise ValueError(f"r_target must be positive and finite, got {r_target}")
+    if not sys.float_info.min <= r_target < math.inf:  # also rejects nan
+        raise ValueError(f"r_target must be positive, finite and normal, got {r_target}")
     unit = ellipse_perimeter(EllipseSpec(1.0, e, f))
     r_ref = 2.0 * math.pi * r_target / unit
-    if not 0 < r_ref < math.inf:  # the perimeter or r_ref left the float range
-        raise ValueError(f"no finite ellipse with factors ({e}, {f}) matches radius {r_target}")
+    if not sys.float_info.min <= r_ref < math.inf:  # the perimeter or r_ref left the range
+        raise ValueError(
+            f"no finite ellipse with factors ({e}, {f}) matches radius {r_target}"
+            f" (r_ref {r_ref} is not a normal float)"
+        )
     spec = EllipseSpec(r_ref, e, f)
     residual = abs(ellipse_perimeter(spec) - 2.0 * math.pi * r_target)
     if not residual < 1e-10 * r_target:
@@ -228,40 +232,3 @@ def weak_maass_series(
         hol += circle * inscribed
         shadow += circle * (section - inscribed)
     return WeakMaassValue(full, hol, shadow)
-
-
-def elliptic_form_term(
-    n: int,
-    a: float,
-    b: float,
-    e: float,
-    f: float,
-    r_a: float,
-    r_d: float,
-    grid: int,
-) -> list[list[complex]]:
-    """Sample grid of the index-n ellipse-around-ellipse surface.
-
-    Outer curve r_a (b cos th + i a sin th), inner curve
-    r_d (f cos ph + i e sin ph); entry [i][j] is the product of the two
-    at th_i = 2 pi i / grid, ph_j = 2 pi j / grid.  The index n labels
-    the term in table output and does not enter the parametrization.
-    """
-    if min(a, b, e, f, r_a, r_d) <= 0:
-        raise ValueError("all axis factors and radii must be positive")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
-    outer = [
-        r_a * complex(b * math.cos(t), a * math.sin(t))
-        for t in (2.0 * math.pi * i / grid for i in range(grid))
-    ]
-    inner = [
-        r_d * complex(f * math.cos(t), e * math.sin(t))
-        for t in (2.0 * math.pi * j / grid for j in range(grid))
-    ]
-    return [[o * p for p in inner] for o in outer]
-
-
-def surface_grid_json_obj(grid: Sequence[Sequence[complex]]) -> list:
-    """JSON form of a sample grid: nested [re, im] pairs."""
-    return [[[v.real, v.imag] for v in row] for row in grid]

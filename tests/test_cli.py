@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -251,6 +252,10 @@ def test_tables_json_formats_no_text_cells(monkeypatch):
         ["tables", "shadow", "--r-d", "inf"],
         ["tables", "shadow", "--e", "inf"],
         ["tables", "shadow", "--f", "inf"],
+        # 1e-10 of a subnormal radius rounds to 0.0, which no residual is below
+        ["tables", "shadow", "--r-d", "1e-320"],
+        ["tables", "shadow", "--r-d", "5e-324", "--e", "2"],
+        ["tables", "shadow", "--r-d", "1e-300", "--e", "1e15"],  # subnormal r_ref
     ],
 )
 def test_tables_out_of_range_arguments_exit_2(argv, capsys):
@@ -271,6 +276,48 @@ def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "table generation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a flag that another kind owns
+        ["tables", "shadow", "--n", "7"],
+        ["tables", "rank", "--e", "2"],
+        ["tables", "zeros", "--s-values", "3"],
+        ["tables", "lvalues", "--grid", "9"],
+        ["tables", "spacings", "--n-max", "4"],
+        # an abbreviated flag
+        ["verify", "tau", "--n-m", "5"],
+        ["expand", "delta", "--ord", "3"],
+        ["tables", "rank", "--n", "4"],
+        ["tables", "shadow", "--gr", "8"],
+    ],
+    ids=" ".join,
+)
+def test_foreign_or_abbreviated_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "kind,flags",
+    [
+        ("rank", ["--n-max"]),
+        ("zeros", ["--count"]),
+        ("spacings", ["--count"]),
+        ("lvalues", ["--s-values"]),
+        ("shadow", ["--r-d", "--e", "--f", "--grid"]),
+    ],
+)
+def test_tables_help_lists_only_the_kinds_flags(kind, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tables", kind, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"(?m)^  (-[\w-]+)", capsys.readouterr().out)
+    assert listed == ["-h", "--format", "--out", *flags]
 
 
 # -- determinism -----------------------------------------------------------------

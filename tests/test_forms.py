@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -303,55 +302,6 @@ def test_tau_fault_survives_lock_free_refill():
     finally:
         forms.reset_tau_cache()
 
-
-# -- eigenvalue pair -----------------------------------------------------------------------
-
-
-def test_eigen_pair_perfect_square_case():
-    pair = forms.eigen_pair(2, 0)
-    assert (pair.lambda_plus_sq, pair.lambda_minus_sq) == (4, 1)
-    assert isinstance(pair.lambda_plus_sq, Fraction)
-
-
-def test_eigen_pair_double_root():
-    pair = forms.eigen_pair(1, 0)
-    assert pair.lambda_plus_sq == pair.lambda_minus_sq == 1
-
-
-def test_eigen_pair_irrational_case_against_quadratic_formula():
-    pair = forms.eigen_pair(3, 2)
-    disc = 14.0**2 - 4 * 9.0
-    assert pair.lambda_plus_sq == pytest.approx((14.0 + math.sqrt(disc)) / 2)
-    assert pair.lambda_minus_sq == pytest.approx((14.0 - math.sqrt(disc)) / 2)
-    assert pair.lambda_plus_sq + pair.lambda_minus_sq == pytest.approx(14.0)
-    assert pair.lambda_plus_sq * pair.lambda_minus_sq == pytest.approx(9.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 30), st.integers(0, 30))
-def test_eigen_pair_vieta_invariants(n, b):
-    pair = forms.eigen_pair(n, b)
-    trace = 1 + b * b + n * n
-    if isinstance(pair.lambda_plus_sq, Fraction):
-        assert pair.lambda_plus_sq + pair.lambda_minus_sq == trace
-        assert pair.lambda_plus_sq * pair.lambda_minus_sq == n * n
-    else:
-        assert pair.lambda_plus_sq + pair.lambda_minus_sq == pytest.approx(trace)
-        assert pair.lambda_plus_sq * pair.lambda_minus_sq == pytest.approx(n * n)
-
-
-class _OffByOneRoot(int):
-    """One more than the true square root, yet it squares like the true root."""
-
-    def __mul__(self, other):
-        return (int(self) - 1) ** 2
-
-
-def test_eigen_pair_vieta_failure_raises_without_assert(monkeypatch):
-    # the perfect-square test passes, so the wrong root reaches the Vieta check
-    monkeypatch.setattr(forms, "isqrt", lambda d: _OffByOneRoot(math.isqrt(d) + 1))
-    with pytest.raises(ArithmeticError, match="Vieta"):
-        forms.eigen_pair(2, 0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -244,36 +244,3 @@ def test_series_decomposition_identity(data):
     val = geometry.weak_maass_series(terms, z, n_terms)
     scale = max(abs(val.full), abs(val.hol) + abs(val.shadow), 1e-30)
     assert abs(val.full - (val.hol + val.shadow)) <= 1e-12 * scale
-
-
-# -- elliptic form surfaces ----------------------------------------------------------------
-
-
-def test_elliptic_form_reduces_to_circular_products():
-    grid = geometry.elliptic_form_term(1, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 8)
-    for i in range(8):
-        for j in range(8):
-            th = 2 * math.pi * i / 8
-            ph = 2 * math.pi * j / 8
-            expected = 2.0 * cmath.exp(1j * th) * 3.0 * cmath.exp(1j * ph)
-            assert grid[i][j] == pytest.approx(expected, abs=1e-12)
-
-
-def test_elliptic_form_axis_point():
-    grid = geometry.elliptic_form_term(1, 1.0, 2.0, 1.0, 2.0, 1.0, 1.0, 8)
-    assert grid[0][0] == pytest.approx(2.0 * 2.0, rel=1e-12)
-
-
-def test_elliptic_form_parity_in_outer_angle():
-    grid_n = 16
-    grid = geometry.elliptic_form_term(2, 1.5, 1.5, 0.7, 1.9, 1.1, 0.8, grid_n)
-    for i in range(grid_n // 2):
-        for j in range(grid_n):
-            assert grid[i + grid_n // 2][j] == pytest.approx(
-                -grid[i][j], abs=1e-12
-            )
-
-
-def test_elliptic_form_validation():
-    with pytest.raises(ValueError):
-        geometry.elliptic_form_term(1, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 8)

@@ -27,7 +27,7 @@ PUBLIC = {
         "pow",
         "scalar_mul",
     ],
-    "forms": ["CosetRep", "EigenPair", "FormMeta", "delta", "eisenstein_e12", "eta", "tau"],
+    "forms": ["CosetRep", "FormMeta", "delta", "eisenstein_e12", "eta", "tau"],
     "theta_partitions": [
         "OmegaPoly",
         "RankTable",
@@ -53,7 +53,6 @@ PUBLIC = {
         "TorusTerm",
         "circle_matching_ellipse",
         "ellipse_perimeter",
-        "elliptic_form_term",
         "torus_term",
         "weak_maass_series",
     ],
@@ -115,6 +114,9 @@ import contextlib, io, json, sys
 argv = sys.argv[1:]
 if argv == ["--import-cli"]:
     from qmodular import cli
+elif argv[:1] == ["--parse"]:
+    from qmodular import cli
+    cli.build_parser().parse_args(argv[1:])
 elif argv:
     from qmodular import cli
     with contextlib.redirect_stdout(io.StringIO()):
@@ -159,6 +161,24 @@ def test_tables_rank_skips_forms_lseries_geometry_verify():
     loaded = _loaded("tables", "rank", "--n-max", "8")
     assert "theta_partitions" in loaded
     assert not loaded & {"forms", "lseries", "geometry", "verify"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "rank"),
+        ("tables", "zeros"),
+        ("tables", "spacings"),
+        ("tables", "lvalues", "--s-values", "4,6"),
+        ("tables", "shadow", "--e", "2"),
+        ("verify", "all"),
+        ("expand", "delta"),
+    ],
+    ids=" ".join,
+)
+def test_building_and_parsing_loads_only_qseries(argv):
+    # each command imports what it runs only after parsing
+    assert _loaded("--parse", *argv) == {"qmodular", "cli", "qseries"}
 
 
 def test_verify_tau_skips_lseries_geometry_theta():
