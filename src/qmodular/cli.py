@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--order", type=int, default=10)
     p_expand.add_argument("--format", choices=["json", "tsv"], default="json")
     p_expand.add_argument("--out", default=None)
-    p_expand.set_defaults(fn=_cmd_expand)
+    p_expand.set_defaults(fn=_cmd_expand, parser=p_expand)
 
     p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     p_verify.add_argument("suite", choices=_VERIFY_SUITES)
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=argparse.SUPPRESS,
     )
-    p_verify.set_defaults(fn=_cmd_verify)
+    p_verify.set_defaults(fn=_cmd_verify, parser=p_verify)
 
     p_tables = sub.add_parser("tables", help="emit a data table", allow_abbrev=False)
     p_tables.set_defaults(fn=_cmd_tables)
@@ -290,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         name: kinds.add_parser(name, parents=[output], allow_abbrev=False)
         for name in sorted(_TABLES)
     }
+    for leaf in kind.values():
+        leaf.set_defaults(parser=leaf)
     kind["rank"].add_argument("--n-max", type=int, default=10)
     kind["zeros"].add_argument("--count", type=int, default=10)
     kind["spacings"].add_argument("--count", type=int, default=10)
@@ -303,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # a flag the command does not take is reported with that command's usage
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _check_bounds(args)
         return args.fn(args)

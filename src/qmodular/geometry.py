@@ -97,6 +97,9 @@ def ellipse_perimeter(spec: EllipseSpec) -> float:
     if a == b:
         return 2.0 * math.pi * a
     an, bn = 1.0, b / a
+    if bn == 0.0:
+        # b/a underflowed: the b -> 0 limit 4a is off by O((b/a)^2 log(a/b)) relative
+        return 4.0 * a
     s = 0.5 * (1.0 - bn * bn)  # 2^{-1} c_0^2 with c_0^2 = 1 - (b/a)^2
     pw = 0.5
     for _ in range(64):  # quadratic convergence: ~6 rounds to machine eps

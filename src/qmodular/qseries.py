@@ -95,8 +95,8 @@ def reset_conv_ops() -> None:
 class Record:
     """Read-only value record, the base of the package's validated types.
 
-    A subclass names its fields in constructor order in ``_fields`` (and
-    in ``__slots__`` unless it needs a ``__dict__``), validates them in
+    A subclass names its fields in constructor order in ``_fields`` and
+    in ``__slots__``, validates them in
     its ``__init__`` and passes the values to ``Record.__init__``.
     Assignment and deletion raise :class:`AttributeError`; ``==`` and
     ``hash`` compare the tuple of every field between instances of the

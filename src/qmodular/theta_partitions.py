@@ -3,13 +3,14 @@
 The pieces fit together as follows.  Diagonal theta series count lattice
 points of a given squared norm.  Unary theta series weight each lattice
 point n by eps(n) * n for an odd periodic eps, with a rational exponent
-scale.  Partition counts p(n) come from the pentagonal recurrence; the
-rank of a partition is its largest part minus its number of parts, and
-N(n, m) counts partitions of n with rank m.  :func:`rank_table` counts
-N(n, m) directly by (largest part, number of parts) on dense integer
-rows, O(n_max^2) slice additions, and :class:`RankTable` answers each
-per-n query from an index built once.  The two-variable rank
-generating series
+scale.  Partition counts p(n) are read from 1 / prod (1 - q^k), which
+the power kernel of :mod:`qmodular.qseries` expands; the rank of a
+partition is its largest part minus its number of parts, and N(n, m)
+counts partitions of n with rank m.  :func:`rank_table` counts N(n, m)
+directly by (largest part, number of parts) on dense integer rows,
+O(n_max^2) slice additions, and :class:`RankTable` keeps each row n as
+one :class:`OmegaPoly`, which every per-n query reads.  The two-variable
+rank generating series
 
     R(w, q) = 1 + sum_{n>=1} q^(n^2) / prod_{m=1}^{n} (1 - w q^m)(1 - w^{-1} q^m)
 
@@ -32,13 +33,11 @@ additions.
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from operator import add
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .qseries import QSeries, Record, make_series, pow as qpow
+from .qseries import QSeries, Record, euler_product, make_series, pow as qpow
 
 __all__ = [
     "OmegaPoly",
@@ -132,84 +131,61 @@ def unary_theta(
 # -- partitions and ranks -----------------------------------------------------------
 
 
-_PARTITIONS = [1]  # p(0)
+_PARTITIONS: list[int] = [1]  # _PARTITIONS[n] = p(n)
 
 
 def partition_count(n: int) -> int:
-    """p(n) by the pentagonal-number recurrence (cached)."""
+    """p(n), the coefficient of q^n in 1 / prod_{k>=1} (1 - q^k).
+
+    A read past the table refills it from ``euler_product(-1, order)``
+    for the smallest order = 64 * 2^k above n, so the pentagonal
+    recurrence runs only in the power kernel of :mod:`qmodular.qseries`.
+    """
+    global _PARTITIONS
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    while len(_PARTITIONS) <= n:
-        m = len(_PARTITIONS)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * _PARTITIONS[m - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= m:
-                total += sign * _PARTITIONS[m - g2]
-            k += 1
-        _PARTITIONS.append(total)
+    if n >= len(_PARTITIONS):
+        order = 64
+        while order <= n:
+            order *= 2
+        _PARTITIONS = list(euler_product(-1, order).coeffs)
     return _PARTITIONS[n]
 
 
 class RankTable(Record):
     """Exact table of N(n, m): partitions of n whose rank is m.
 
-    Stored sparsely; absent (n, m) keys mean zero.  For every n,
-    sum_m N(n, m) = p(n) and N(n, m) = N(n, -m) (conjugation), which the
-    test suite verifies rather than assumes.  The row queries read a
-    per-n index of ``entries``, built once on first use, so each costs
-    O(row) rather than O(table); each rejects n outside 1..n_max.
+    ``polys[n - 1]`` is row n as the Laurent polynomial
+    sum_m N(n, m) w^m.  For every n, sum_m N(n, m) = p(n) and
+    N(n, m) = N(n, -m) (conjugation), which the test suite verifies
+    rather than assumes.  Each row query rejects n outside 1..n_max.
     """
 
-    _fields = ("n_max", "entries")  # no __slots__: cached_property needs a __dict__
+    __slots__ = _fields = ("n_max", "polys")
 
-    def __init__(self, n_max: int, entries: Mapping[tuple[int, int], int]) -> None:
-        super().__init__(n_max, entries)
+    def __init__(self, n_max: int, polys: Sequence["OmegaPoly"]) -> None:
+        super().__init__(n_max, tuple(polys))
 
-    @cached_property
-    def _by_n(self) -> dict[int, dict[int, int]]:
-        """``entries`` grouped by n, each row in ascending m."""
-        by_n: dict[int, dict[int, int]] = {}
-        for (n, m), c in sorted(self.entries.items()):
-            by_n.setdefault(n, {})[m] = c
-        return by_n
-
-    def _row(self, n: int) -> dict[int, int]:
+    def polynomial(self, n: int) -> "OmegaPoly":
+        """The Laurent polynomial sum_m N(n, m) w^m."""
         if n < 1 or n > self.n_max:
             raise ValueError(f"n must be in 1..{self.n_max}, got {n}")
-        return self._by_n.get(n, {})
+        return self.polys[n - 1]
 
-    def count(self, n: int, m: int) -> int:
-        return self._row(n).get(m, 0)
-
-    def counts(self, n: int) -> Mapping[int, int]:
-        """Read-only map m -> N(n, m) over the stored ranks, in ascending m."""
-        return MappingProxyType(self._row(n))
-
-    def ranks(self, n: int) -> list[int]:
-        return list(self._row(n))
+    def counts(self, n: int) -> dict[int, int]:
+        """A new map m -> N(n, m) over the nonzero counts, in ascending m."""
+        return self.polynomial(n).terms()
 
     def counts_mod(self, n: int, s: int) -> list[int]:
         """Partition counts of n grouped by rank residue mod s."""
         if s < 1:
             raise ValueError(f"s must be >= 1, got {s}")
-        out = [0] * s
-        for m, c in self._row(n).items():
-            out[m % s] += c
-        return out
-
-    def polynomial(self, n: int) -> "OmegaPoly":
-        """The Laurent polynomial sum_m N(n, m) w^m."""
-        return OmegaPoly.from_terms(self._row(n))
+        return _residue_sums(self.polynomial(n), 1, s)
 
     def rows(self) -> list[tuple[int, int, int]]:
-        return sorted((n, m, c) for (n, m), c in self.entries.items())
+        """Every nonzero (n, m, N(n, m)), in ascending (n, m)."""
+        numbered = enumerate(self.polys, 1)
+        return [(n, m, c) for n, poly in numbered for m, c in poly.terms().items()]
 
 
 def rank_table(n_max: int) -> RankTable:
@@ -226,7 +202,7 @@ def rank_table(n_max: int) -> RankTable:
     into D[n] and once, reversed, into rank[n].  D[n] is no longer
     updated once n > n_max - l, since no later part reads it.  That is
     O(n_max^2) slice additions in place of O(n_max^3) per-element steps.
-    ``entries`` is built once at the end, in (n, m) order.
+    Each finished row becomes its :class:`OmegaPoly` once, at the end.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -243,13 +219,9 @@ def rank_table(n_max: int) -> RankTable:
             lo, hi = n_max + 2 * part - n - 1, n_max + part
             row = rank[n]
             row[lo:hi] = map(add, row[lo:hi], reversed(src))
-    entries = {
-        (n, j - n_max): c
-        for n in range(1, n_max + 1)
-        for j, c in enumerate(rank[n])
-        if c
-    }
-    return RankTable(n_max, entries)
+    # enumerate from -n_max turns slot n_max + m back into the key m
+    polys = [OmegaPoly.from_terms(dict(enumerate(row, -n_max))) for row in rank[1:]]
+    return RankTable(n_max, polys)
 
 
 # -- exact Laurent polynomials in the phase variable --------------------------------
@@ -284,27 +256,6 @@ class OmegaPoly(NamedTuple):
 
     def terms(self) -> dict[int, int]:
         return {self.lo + j: c for j, c in enumerate(self.coeffs) if c}
-
-    def eval_root_of_unity(self, r: int, s: int):
-        """Value at w = exp(2 pi i r / s), exactly.
-
-        For s in {1, 2} the value is an integer.  Otherwise the result
-        is the length-s integer vector of coefficients on the group
-        basis 1, z, ..., z^(s-1) with z^s = 1 (exponents reduced mod s,
-        no further cyclotomic reduction).
-        """
-        if s < 1:
-            raise ValueError(f"s must be >= 1, got {s}")
-        if s == 1:
-            return sum(self.coeffs)
-        if s == 2:
-            return sum(c if (r * (self.lo + j)) % 2 == 0 else -c
-                       for j, c in enumerate(self.coeffs))
-        vec = [0] * s
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[(r * (self.lo + j)) % s] += c
-        return tuple(vec)
 
 
 # -- the rank generating series and its specializations -----------------------------
@@ -394,4 +345,20 @@ def specialize_omega(
     r, s = w
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return [p.eval_root_of_unity(r, s) for p in polys]
+    sums = [_residue_sums(p, r, s) for p in polys]
+    if s > 2:
+        return [tuple(v) for v in sums]
+    # z = 1 (s = 1) or z = -1 (s = 2): the value is an integer
+    return [v[0] - sum(v[1:]) for v in sums]
+
+
+def _residue_sums(poly: OmegaPoly, r: int, s: int) -> list[int]:
+    """Value of ``poly`` at w = exp(2 pi i r / s) on the basis 1, z, ..., z^(s-1).
+
+    Slot i sums the coefficients of the w^m with r m = i mod s, so for
+    r = 1 it is the count of rank residue class i.
+    """
+    vec = [0] * s
+    for j in range(min(s, len(poly.coeffs))):
+        vec[r * (poly.lo + j) % s] += sum(poly.coeffs[j::s])
+    return vec

@@ -72,6 +72,26 @@ def partition_count_by_enumeration(n: int) -> int:
     return sum(1 for _ in enumerate_partitions(n))
 
 
+def partition_counts_by_pentagonal_recurrence(n_max: int) -> list[int]:
+    """p(0) .. p(n_max) by Euler's pentagonal-number recurrence.
+
+    p(m) = sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)),
+    with p of a negative argument read as zero.
+    """
+    p = [1]
+    for m in range(1, n_max + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
+
+
 def rank_counts_by_enumeration(n: int) -> dict[int, int]:
     """N(n, m) by listing partitions and taking largest part minus parts."""
     out: dict[int, int] = {}

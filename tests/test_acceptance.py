@@ -78,10 +78,10 @@ def test_acceptance_4_rank_suite():
     with criterion(4, 20.0, "rank table invariants, generating match, congruences"):
         table = theta_partitions.rank_table(60)
         for n in range(1, 61):
-            row_sum = sum(c for (nn, _), c in table.entries.items() if nn == n)
+            row_sum = sum(table.counts(n).values())
             assert row_sum == theta_partitions.partition_count(n)
-        for (n, m), c in table.entries.items():
-            assert table.count(n, -m) == c
+        for n, m, c in table.rows():
+            assert table.counts(n).get(-m, 0) == c
         polys = theta_partitions.rank_generating(41)
         for n in range(1, 41):
             assert polys[n] == table.polynomial(n)

@@ -267,6 +267,13 @@ def test_tables_out_of_range_arguments_exit_2(argv, capsys):
     assert "nan" not in err  # the message names the bad input, not a derived r_ref
 
 
+def test_tables_shadow_with_an_underflowing_axis_ratio():
+    # b / a = 1e-400 underflows to 0.0; the perimeter is then its b -> 0 limit 4a
+    code, out = _run_main(["tables", "shadow", "--e", "1e-200", "--f", "1e200"])
+    assert code == 0
+    assert out == _run_main(["tables", "shadow", "--e", "1e-300", "--f", "1e300"])[1]
+
+
 def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):
     def lost(count):
         raise lseries.BracketingError("missed sign changes")
@@ -299,7 +306,12 @@ def test_foreign_or_abbreviated_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the parser of the command that got the flag reports it with its own usage
+    command = " ".join(argv[:2] if argv[0] == "tables" else argv[:1])
+    assert err.startswith(f"usage: qmodular {command} [-h]")
+    assert f"qmodular {command}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 @pytest.mark.parametrize(

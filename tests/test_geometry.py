@@ -45,6 +45,11 @@ def test_perimeter_scales_linearly():
     assert p3 == pytest.approx(3.0 * p1, rel=1e-13)
 
 
+def test_perimeter_of_an_underflowing_axis_ratio_is_4a():
+    spec = geometry.EllipseSpec(1.0, 1e-200, 1e200)  # b / a underflows to 0.0
+    assert geometry.ellipse_perimeter(spec) == pytest.approx(4e200, rel=1e-15)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.floats(0.2, 3.0),

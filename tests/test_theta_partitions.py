@@ -11,6 +11,7 @@ from conftest import (
     lattice_vectors_with_norm,
     naive_inverse,
     partition_count_by_enumeration,
+    partition_counts_by_pentagonal_recurrence,
     poly_mul,
     rank_counts_by_enumeration,
 )
@@ -116,10 +117,15 @@ def test_partition_count_matches_enumeration():
         assert tp.partition_count(n) == partition_count_by_enumeration(n)
 
 
-def test_partition_count_matches_euler_product():
-    f = qs.euler_product(-1, 120)
-    for n in range(120):
-        assert tp.partition_count(n) == f.coeff(n)
+def test_partition_count_matches_pentagonal_recurrence():
+    expected = partition_counts_by_pentagonal_recurrence(600)
+    assert [tp.partition_count(n) for n in range(601)] == expected
+
+
+def test_partition_count_pinned_values():
+    # MacMahon's table, as quoted by Hardy and Ramanujan (1918)
+    assert tp.partition_count(100) == 190569292
+    assert tp.partition_count(200) == 3972999029388
 
 
 def test_partition_congruence_instances():
@@ -133,13 +139,13 @@ def test_partition_congruence_instances():
 
 def test_rank_table_n2():
     t = tp.rank_table(2)
-    assert t.count(2, 1) == 1 and t.count(2, -1) == 1
-    assert t.count(2, 0) == 0
+    assert t.counts(2) == {-1: 1, 1: 1}
+    assert t.polynomial(2) == tp.OmegaPoly(-1, (1, 0, 1))
 
 
 def test_rank_table_n4():
     t = tp.rank_table(4)
-    assert {m: t.count(4, m) for m in t.ranks(4)} == {
+    assert t.counts(4) == {
         3: 1,
         1: 1,
         0: 1,
@@ -151,9 +157,9 @@ def test_rank_table_n4():
 def test_rank_table_row_sums_and_symmetry():
     t = tp.rank_table(40)
     for n in range(1, 41):
-        assert sum(c for (nn, _), c in t.entries.items() if nn == n) == tp.partition_count(n)
-    for (n, m), c in t.entries.items():
-        assert t.count(n, -m) == c
+        assert sum(t.counts(n).values()) == tp.partition_count(n)
+    for n, m, c in t.rows():
+        assert t.counts(n).get(-m, 0) == c
         if n >= 2:
             assert abs(m) < n
 
@@ -162,8 +168,7 @@ def test_rank_table_matches_explicit_enumeration():
     t = tp.rank_table(30)
     for n in range(1, 31):
         expected = rank_counts_by_enumeration(n)
-        got = {m: t.count(n, m) for m in t.ranks(n)}
-        assert got == expected
+        assert t.counts(n) == expected
 
 
 def test_rank_equidistribution_mod5_instance():
@@ -180,43 +185,42 @@ def test_rank_equidistribution_mod5_instance():
 @example(n=80)
 def test_rank_table_matches_triple_loop_oracle(rank_entries_80, n):
     # N(n, m) does not depend on the table's bound, so the oracle's rows
-    # up to n are exactly rank_table(n)'s entries
-    entries = tp.rank_table(n).entries
-    assert entries == {k: c for k, c in rank_entries_80.items() if k[0] <= n}
-    assert list(entries) == sorted(entries)
+    # up to n are exactly rank_table(n)'s rows
+    rows = tp.rank_table(n).rows()
+    assert rows == sorted((k, m, c) for (k, m), c in rank_entries_80.items() if k <= n)
 
 
 @st.composite
 def hand_built_rank_tables(draw):
+    """A table of arbitrary rows and the plain {m: count} dict of each row."""
     n_max = draw(st.integers(1, 8))
-    keys = st.tuples(st.integers(1, n_max), st.integers(-n_max, n_max))
-    entries = draw(st.dictionaries(keys, st.integers(-2, 3), max_size=40))
-    return tp.RankTable(n_max, entries)
+    row = st.dictionaries(st.integers(-n_max, n_max), st.integers(-2, 3), max_size=8)
+    rows = draw(st.lists(row, min_size=n_max, max_size=n_max))
+    return tp.RankTable(n_max, [tp.OmegaPoly.from_terms(r) for r in rows]), rows
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=hand_built_rank_tables(), s=st.integers(1, 7))
-def test_rank_table_queries_match_a_plain_scan(table, s):
-    # entries arrive in any order and may hold zero counts
-    for n in range(1, table.n_max + 1):
-        row = {m: c for (nn, m), c in table.entries.items() if nn == n}
-        assert table.ranks(n) == sorted(row)
-        assert dict(table.counts(n)) == row
+@given(built=hand_built_rank_tables(), s=st.integers(1, 7))
+def test_rank_table_queries_match_a_plain_scan(built, s):
+    # rows arrive with their ranks in any order and may hold zero counts
+    table, rows = built
+    for n, row in enumerate(rows, 1):
+        live = {m: c for m, c in sorted(row.items()) if c}
+        assert list(table.counts(n).items()) == list(live.items())
         by_residue = [0] * s
         for m, c in row.items():
             by_residue[m % s] += c
         assert table.counts_mod(n, s) == by_residue
         assert table.polynomial(n) == tp.OmegaPoly.from_terms(row)
-        for m in range(-table.n_max - 1, table.n_max + 2):
-            assert table.count(n, m) == row.get(m, 0)
-    assert table.rows() == sorted((n, m, c) for (n, m), c in table.entries.items())
+    expected = [(n, m, c) for n, row in enumerate(rows, 1) for m, c in row.items() if c]
+    assert table.rows() == sorted(expected)
 
 
-@pytest.mark.parametrize("query", ["count", "counts", "ranks", "counts_mod", "polynomial"])
+@pytest.mark.parametrize("query", ["counts", "counts_mod", "polynomial"])
 @pytest.mark.parametrize("n", [0, -1, 7])
 def test_rank_table_rows_outside_the_table_raise(query, n):
     table = tp.rank_table(6)
-    args = {"count": (n, 0), "counts_mod": (n, 5)}.get(query, (n,))
+    args = (n, 5) if query == "counts_mod" else (n,)
     with pytest.raises(ValueError):
         getattr(table, query)(*args)
 
@@ -228,9 +232,12 @@ def test_rank_table_counts_mod_rejects_nonpositive_modulus(s):
 
 
 def test_rank_table_counts_is_read_only():
-    row = tp.rank_table(6).counts(4)
-    with pytest.raises(TypeError):
-        row[0] = 2
+    table = tp.rank_table(6)
+    row = table.counts(4)
+    row[0] = 2
+    del row[3]
+    assert table.counts(4) == {-3: 1, -1: 1, 0: 1, 1: 1, 3: 1}
+    assert table.polynomial(4) == tp.OmegaPoly(-3, (1, 0, 1, 1, 1, 0, 1))
 
 
 # -- Laurent polynomials ----------------------------------------------------------------
@@ -238,16 +245,19 @@ def test_rank_table_counts_is_read_only():
 
 def test_omega_poly_root_of_unity_values():
     p = tp.OmegaPoly.from_terms({-3: 1, -1: 1, 0: 1, 1: 1, 3: 1})
-    assert p.eval_root_of_unity(0, 1) == 5
-    assert p.eval_root_of_unity(1, 2) == -3  # four odd exponents flip sign
+    assert tp.specialize_omega([p], (0, 1)) == [5]
+    assert tp.specialize_omega([p], (1, 2)) == [-3]  # four odd exponents flip sign
+    assert tp.specialize_omega([p], (2, 2)) == [5]  # w = exp(2 pi i) = 1
     # exponents mod 4: -3 -> 1, -1 -> 3, 0 -> 0, 1 -> 1, 3 -> 3
-    assert p.eval_root_of_unity(1, 4) == (1, 2, 0, 2)
+    assert tp.specialize_omega([p], (1, 4)) == [(1, 2, 0, 2)]
 
 
 def test_omega_poly_vector_form():
     p = tp.OmegaPoly.from_terms({-1: 2, 1: 3})
     # on the basis 1, z, z^2 with z^3 = 1: z^{-1} = z^2
-    assert p.eval_root_of_unity(1, 3) == (0, 3, 2)
+    assert tp.specialize_omega([p], (1, 3)) == [(0, 3, 2)]
+    # w = z^2 sends w^{-1} to z^{-2} = z and w to z^2
+    assert tp.specialize_omega([p], (2, 3)) == [(0, 2, 3)]
 
 
 # -- rank generating series ----------------------------------------------------------------
@@ -292,7 +302,7 @@ def test_rank_generating_dyson_rank_conjectures(rank_polys_200):
         for n in range(res, 200, s):
             p_n = tp.partition_count(n)
             assert p_n % s == 0
-            assert rank_polys_200[n].eval_root_of_unity(1, s) == (p_n // s,) * s
+            assert tp.specialize_omega([rank_polys_200[n]], (1, s)) == [(p_n // s,) * s]
 
 
 # -- mock theta series -----------------------------------------------------------------------

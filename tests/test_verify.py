@@ -109,11 +109,14 @@ def test_rank_suite_sees_a_moved_and_an_extra_rank_count(monkeypatch):
 
     def corrupted(n_max):
         table = real(n_max)
-        entries = dict(table.entries)
-        entries[9, 1] -= 1  # one partition of 9 moves from rank 1 to rank 2
-        entries[9, 2] += 1
-        entries[12, 0] += 1  # and 12 gains one
-        return theta_partitions.RankTable(table.n_max, entries)
+        polys = list(table.polys)
+        row9, row12 = table.counts(9), table.counts(12)
+        row9[1] -= 1  # one partition of 9 moves from rank 1 to rank 2
+        row9[2] += 1
+        row12[0] += 1  # and 12 gains one
+        polys[8] = theta_partitions.OmegaPoly.from_terms(row9)
+        polys[11] = theta_partitions.OmegaPoly.from_terms(row12)
+        return theta_partitions.RankTable(table.n_max, polys)
 
     monkeypatch.setattr(theta_partitions, "rank_table", corrupted)
     reports = {r.check: r.violations for r in verify.verify_rank()}
