@@ -6,9 +6,10 @@ digits before serialization, and all text is UTF-8 with LF endings.
 
 Exit codes: 0 success, 1 verification failure (or a zero scan that
 lost its bracketing), 2 usage error, including out-of-range arguments,
-an ``--out`` path that cannot be written, a ``verify`` flag that the
-named suite does not take, a ``tables`` flag that another kind owns,
-and an abbreviated flag (``--n`` for ``--n-max``).
+an ``--out`` path that cannot be written, a flag that the named
+``verify`` suite or ``tables`` kind does not take, and an abbreviated
+flag (``--n`` for ``--n-max``).  Each suite and each kind has its own
+parser, which reports a flag it does not take under its own usage line.
 
 Only :mod:`qmodular.qseries` is imported up front; each command imports
 the modules it runs, so ``expand euler-E`` loads nothing else.
@@ -73,23 +74,26 @@ def _expand_object(name: str, order: int) -> QSeries:
         from . import forms
 
         return {"eta": forms.eta, "delta": forms.delta, "e12": forms.eisenstein_e12}[name](order)
-    if name == "mock-f" or name.startswith("theta-"):
+    if name == "mock-f":
         from . import theta_partitions
 
-        if name == "mock-f":
-            return theta_partitions.mock_theta_f(order)
-        return theta_partitions.theta_diagonal(int(name.split("-", 1)[1]), order)
-    if name.startswith("euler-"):
-        return euler_product(int(name.split("-", 1)[1]), order)
-    raise KeyError(name)
+        return theta_partitions.mock_theta_f(order)
+    family, _, index = name.partition("-")
+    if family not in ("theta", "euler"):
+        raise ValueError(f"unknown object {name!r}")
+    try:
+        k = int(index)
+    except ValueError:
+        raise ValueError(f"malformed object {name!r}: {index!r} is not an integer") from None
+    if family == "euler":
+        return euler_product(k, order)
+    from . import theta_partitions
+
+    return theta_partitions.theta_diagonal(k, order)
 
 
 def _cmd_expand(args) -> int:
-    try:
-        series = _expand_object(args.object, args.order)
-    except (KeyError, ValueError) as exc:
-        print(f"unknown or malformed object: {exc}", file=sys.stderr)
-        return 2
+    series = _expand_object(args.object, args.order)
     if args.format == "json":
         _emit(_dump_json(to_json_obj(series)), args.out)
     else:
@@ -105,17 +109,19 @@ def _cmd_verify(args) -> int:
 
     if args.inject_tau_fault:
         forms.corrupt_tau_cache_for_testing()
-    # each suite parameter is named after the verify flag that sets it
-    pairs = verify.run_suite(
-        args.suite, n_max=args.n_max, order=args.order, count=args.count, tol=args.tol
-    )
     checks = []
     ok = True
-    for suite_name, reports in pairs:
-        for rep in reports:
+    for suite_name in verify.SUITES if args.suite == "all" else [args.suite]:
+        # each suite parameter is named after the verify flag that sets it
+        flags = {k: getattr(args, k) for k in _VERIFY_FLAGS[suite_name]}
+        flags = {k: v for k, v in flags.items() if v is not None}
+        for rep in verify.SUITES[suite_name](**flags):
             obj = rep.to_json_obj()
             obj["suite"] = suite_name
-            obj["violations"] = obj["violations"][:20]
+            if len(rep.violations) > 20:
+                shown = f"20 of {len(rep.violations)} violations shown"
+                print(f"verify {suite_name}: {rep.check}: {shown}", file=sys.stderr)
+                obj["violations"] = obj["violations"][:20]
             ok = ok and rep.ok
             checks.append(obj)
     payload = {"suite": args.suite, "checks": checks, "ok": ok}
@@ -242,8 +248,17 @@ def _cmd_tables(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
-# [*verify.SUITES, "all"], spelled out so that parsing imports no suite
-_VERIFY_SUITES = ["tau", "hecke", "rank", "theta", "lfunc", "geometry", "all"]
+# the parameters of each suite in verify.SUITES, in order, spelled out so
+# that parsing imports no suite; each is named after the flag that sets it
+_VERIFY_FLAGS = {
+    "tau": ["n_max"],
+    "hecke": ["order"],
+    "rank": ["n_max"],
+    "theta": ["order"],
+    "lfunc": ["tol", "count"],
+    "geometry": [],
+}
+_VERIFY_FLAG_TYPES = {"n_max": int, "order": int, "count": int, "tol": float}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,19 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.set_defaults(fn=_cmd_expand, parser=p_expand)
 
     p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
-    p_verify.add_argument("suite", choices=_VERIFY_SUITES)
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_verify.add_argument("--order", type=int, default=None)
-    p_verify.add_argument("--count", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--format", choices=["json"], default="json")
-    p_verify.add_argument("--out", default=None)
-    p_verify.add_argument(
-        "--inject-tau-fault",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
-    p_verify.set_defaults(fn=_cmd_verify, parser=p_verify)
+    verify_output = argparse.ArgumentParser(add_help=False)
+    verify_output.add_argument("--format", choices=["json"], default="json")
+    verify_output.add_argument("--out", default=None)
+    verify_output.add_argument("--inject-tau-fault", action="store_true", help=argparse.SUPPRESS)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    for name, params in {**_VERIFY_FLAGS, "all": list(_VERIFY_FLAG_TYPES)}.items():
+        leaf = suites.add_parser(name, parents=[verify_output], allow_abbrev=False)
+        for param in params:
+            leaf.add_argument("--" + param.replace("_", "-"), type=_VERIFY_FLAG_TYPES[param])
+        leaf.set_defaults(fn=_cmd_verify, parser=leaf)
 
     p_tables = sub.add_parser("tables", help="emit a data table", allow_abbrev=False)
     p_tables.set_defaults(fn=_cmd_tables)

@@ -220,6 +220,8 @@ def weak_maass_series(
     """
     if z.imag <= 0:
         raise ValueError(f"need Im(z) > 0, got {z.imag}")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     x, y = z.real, z.imag
     full = complex(0.0)
     hol = complex(0.0)

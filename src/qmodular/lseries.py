@@ -149,6 +149,8 @@ def euler_product_coeffs(
     c(p^(e+1)) = c(p) c(p^e) - p^(k-1) c(p^(e-1)); multiplicativity
     assembles c(n) for every prime_bound-smooth n <= n_max.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     primes = forms.primes_up_to(prime_bound)
     missing = [p for p in primes if p not in prime_values]
     if missing:

@@ -5,9 +5,8 @@ Each suite function recomputes its objects from scratch and returns
 means the property battery passed.  A suite's parameters are the bounds
 its CLI flags set, each named after its flag (``n_max`` for ``--n-max``,
 ``order``, ``count``, ``tol``), with defaults at the acceptance targets
-of the project; every other size is fixed.  :func:`run_suite` is the
-one entry point: it runs a named suite, or every suite for ``"all"``,
-and rejects a flag that no suite it runs takes before any suite starts.
+of the project; every other size is fixed.  :data:`SUITES` maps each
+suite name to its function, in the order ``verify all`` runs them.
 
 The geometry suite checks the AGM perimeters against its own periodic
 trapezoid rule, an algorithm that shares no code with the AGM or with
@@ -32,7 +31,7 @@ from .qseries import mul
 if TYPE_CHECKING:
     from .geometry import EllipseSpec
 
-__all__ = ["SUITES", "run_suite", "suite_parameters"]
+__all__ = ["SUITES"]
 
 
 def _report(check: str, params: dict, violations: list[str]) -> CheckReport:
@@ -409,35 +408,3 @@ SUITES: dict[str, Callable[..., list[CheckReport]]] = {
     "geometry": verify_geometry,
 }
 
-
-def suite_parameters(name: str) -> frozenset[str]:
-    """Names of the parameters the named suite takes.
-
-    Read from the code object of the function under any
-    :func:`functools.wraps` layers, so no ``inspect`` import is needed.
-    """
-    fn = SUITES[name]
-    while hasattr(fn, "__wrapped__"):
-        fn = fn.__wrapped__
-    code = fn.__code__
-    return frozenset(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount])
-
-
-def run_suite(name: str, **flags) -> list[tuple[str, list[CheckReport]]]:
-    """Run the named suite, or every suite in fixed order for ``"all"``.
-
-    Returns (suite name, reports) pairs.  A flag of None keeps the
-    default; each suite gets the flags it takes, read from
-    ``SUITES[name]`` at call time.  A flag that no suite run here takes
-    raises ValueError before any suite runs.
-    """
-    names = list(SUITES) if name == "all" else [name]
-    takes = {n: suite_parameters(n) for n in names}
-    flags = {k: v for k, v in flags.items() if v is not None}
-    for flag in flags:
-        if not any(flag in t for t in takes.values()):
-            raise ValueError(f"verify {name} does not take --{flag.replace('_', '-')}")
-    return [
-        (n, SUITES[n](**{k: v for k, v in flags.items() if k in t}))
-        for n, t in takes.items()
-    ]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from qmodular import cli, lseries
+from qmodular import cli, lseries, verify
 from qmodular import qseries as qs
 
 
@@ -112,9 +113,14 @@ def test_expand_output_digest_is_stable(name, order):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_SHA256[name, order]
 
 
-def test_expand_unknown_object_exits_2():
-    code, _ = _run_main(["expand", "bogus"])
-    assert code == 2
+def test_expand_unknown_object_exits_2(capsys):
+    for name in ("bogus", "theta-x", "euler-"):
+        code, out = _run_main(["expand", name])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments:")
+        assert repr(name) in err
 
 
 def test_unknown_subcommand_exits_2():
@@ -294,6 +300,10 @@ def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):
         ["tables", "zeros", "--s-values", "3"],
         ["tables", "lvalues", "--grid", "9"],
         ["tables", "spacings", "--n-max", "4"],
+        # a flag that another suite takes
+        ["verify", "theta", "--n-max", "1"],
+        ["verify", "geometry", "--order", "3"],
+        ["verify", "lfunc", "--n-max", "5"],
         # an abbreviated flag
         ["verify", "tau", "--n-m", "5"],
         ["expand", "delta", "--ord", "3"],
@@ -309,7 +319,7 @@ def test_foreign_or_abbreviated_flag_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     # the parser of the command that got the flag reports it with its own usage
-    command = " ".join(argv[:2] if argv[0] == "tables" else argv[:1])
+    command = " ".join(argv[:1] if argv[0] == "expand" else argv[:2])
     assert err.startswith(f"usage: qmodular {command} [-h]")
     assert f"qmodular {command}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
@@ -327,6 +337,26 @@ def test_foreign_or_abbreviated_flag_exits_2(argv, capsys):
 def test_tables_help_lists_only_the_kinds_flags(kind, flags, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tables", kind, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"(?m)^  (-[\w-]+)", capsys.readouterr().out)
+    assert listed == ["-h", "--format", "--out", *flags]
+
+
+@pytest.mark.parametrize(
+    "suite,flags",
+    [
+        ("tau", ["--n-max"]),
+        ("hecke", ["--order"]),
+        ("rank", ["--n-max"]),
+        ("theta", ["--order"]),
+        ("lfunc", ["--tol", "--count"]),
+        ("geometry", []),
+        ("all", ["--n-max", "--order", "--count", "--tol"]),
+    ],
+)
+def test_verify_help_lists_only_the_suites_flags(suite, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", suite, "--help"])
     assert exc.value.code == 0
     listed = re.findall(r"(?m)^  (-[\w-]+)", capsys.readouterr().out)
     assert listed == ["-h", "--format", "--out", *flags]
@@ -424,6 +454,18 @@ def test_verify_suite_exit_codes_subprocess():
     assert payload["ok"] is False
 
 
+def test_verify_says_how_many_violations_it_cut():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmodular.cli", "verify", "tau", "--inject-tau-fault"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    checks = {c["check"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert len(checks["tau-properties"]["violations"]) == 20
+    assert proc.stderr == "verify tau: tau-properties: 20 of 507 violations shown\n"
+
+
 def test_verify_unknown_suite_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "qmodular.cli", "verify", "nonsense"],
@@ -465,22 +507,6 @@ def test_verify_bounds_that_compare_nothing_exit_2(argv, capsys):
     assert "invalid arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv,flag",
-    [
-        (["verify", "theta", "--n-max", "1"], "--n-max"),
-        (["verify", "geometry", "--order", "3"], "--order"),
-        (["verify", "lfunc", "--n-max", "5"], "--n-max"),
-    ],
-)
-def test_verify_flag_the_suite_does_not_take_exits_2(argv, flag, capsys):
-    # the suite used to drop the flag silently and run at its defaults
-    code, out = _run_main(argv)
-    assert code == 2
-    assert out == ""
-    assert flag in capsys.readouterr().err
-
-
 def test_verify_all_gives_each_flag_to_the_suites_that_take_it():
     code, out = _run_main(["verify", "all", "--count", "5", "--order", "30"])
     assert code == 0
@@ -488,6 +514,30 @@ def test_verify_all_gives_each_flag_to_the_suites_that_take_it():
     assert params["zeta-zero-spacings"]["count"] == 5
     assert params["hecke-eigenform"]["order"] == 30
     assert params["theta-multiplicativity"]["order"] == 30
+
+
+def test_verify_all_passes_each_suite_only_its_own_flags(monkeypatch):
+    # functools.wraps recorders, as perfbench's tracer wraps the suites
+    calls = []
+    for name, fn in list(verify.SUITES.items()):
+
+        @functools.wraps(fn)
+        def record(_name=name, **flags):
+            calls.append((_name, flags))
+            return []
+
+        monkeypatch.setitem(verify.SUITES, name, record)
+    code, out = _run_main(["verify", "all", "--order", "30", "--count", "5"])
+    assert code == 0
+    assert json.loads(out) == {"suite": "all", "checks": [], "ok": True}
+    assert calls == [
+        ("tau", {}),
+        ("hecke", {"order": 30}),
+        ("rank", {}),
+        ("theta", {"order": 30}),
+        ("lfunc", {"count": 5}),
+        ("geometry", {}),
+    ]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])

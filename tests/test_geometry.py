@@ -232,6 +232,16 @@ def test_series_requires_upper_half_plane():
         geometry.weak_maass_series([(1.0, 1.0, 1.0, 1.0)], complex(0.0, -1.0), 1)
 
 
+def test_series_rejects_a_negative_truncation():
+    # a slice terms[:-1] would drop the last term instead
+    terms = [(1.0, 1.0, 1.3, 0.7), (0.5, 1.2, 0.8, 1.1), (0.3, 0.9, 1.0, 2.0)]
+    z = complex(0.1, 0.6)
+    with pytest.raises(ValueError, match="truncation"):
+        geometry.weak_maass_series(terms, z, -1)
+    empty = geometry.weak_maass_series(terms, z, 0)
+    assert (empty.full, empty.hol, empty.shadow) == (0, 0, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_series_decomposition_identity(data):

@@ -1,6 +1,7 @@
 """The package loads submodules on first use, and each command only what it runs."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -103,8 +104,12 @@ def test_unknown_attribute_raises_attribute_error():
         exec("from qmodular import no_such_name", {})
 
 
-def test_cli_suite_choices_match_verify():
-    assert cli._VERIFY_SUITES == [*verify.SUITES, "all"]
+def test_cli_verify_flags_are_each_suites_parameters():
+    # cli sets each parameter from the verify flag named after it
+    assert list(cli._VERIFY_FLAGS) == list(verify.SUITES)
+    for name, fn in verify.SUITES.items():
+        assert cli._VERIFY_FLAGS[name] == list(inspect.signature(fn).parameters)
+    assert set().union(*cli._VERIFY_FLAGS.values()) == set(cli._VERIFY_FLAG_TYPES)
 
 
 # -- what a fresh process loads ------------------------------------------------------

@@ -75,6 +75,12 @@ def test_euler_product_missing_prime_rejected():
         lseries.euler_product_coeffs({2: -24}, 12, 5, 10)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_euler_product_rejects_n_max_below_1(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        lseries.euler_product_coeffs(_tau_primes(3), 12, 3, n_max)
+
+
 def test_euler_product_matches_expansion_13_smooth():
     mell = lseries.mellin_coeffs(forms.delta(200))
     ep = lseries.euler_product_coeffs(_tau_primes(13), 12, 13, 200)

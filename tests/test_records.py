@@ -1,13 +1,11 @@
 """Contracts of the package's value records: validation, immutability, equality."""
 
 import copy
-import functools
 import pickle
 import re
 
 import pytest
 
-from qmodular import verify
 from qmodular.forms import CosetRep, FormMeta
 from qmodular.geometry import EllipseSpec
 from qmodular.lseries import DirichletSeries, ZeroList
@@ -95,17 +93,3 @@ def test_equality_is_same_class_on_the_fields():
 def test_ellipse_spec_repr_is_the_dataclass_form():
     # it appears in the agm-vs-quadrature violation message
     assert repr(EllipseSpec(1.0, 2.0, 3.0)) == "EllipseSpec(r_ref=1.0, e=2.0, f=3.0)"
-
-
-def test_suite_parameters_see_through_functools_wraps(monkeypatch):
-    for name in verify.SUITES:
-        fn = verify.SUITES[name]
-        want = verify.suite_parameters(name)
-
-        @functools.wraps(fn)
-        def traced(*args, _fn=fn, **kwargs):
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setitem(verify.SUITES, name, traced)
-        assert verify.suite_parameters(name) == want
-    assert verify.suite_parameters("theta") == {"order"}

@@ -56,40 +56,6 @@ def test_perimeter_preservation_sees_a_perimeter_off_by_1e_8(monkeypatch):
     assert len(preserved.violations) == 20
 
 
-def test_each_suite_parameter_is_named_after_a_verify_flag():
-    # cli maps a parameter back to its flag by replacing "_" with "-"
-    flag_params = {"n_max", "order", "count", "tol"}
-    taken = [verify.suite_parameters(name) for name in verify.SUITES]
-    assert all(params <= flag_params for params in taken)
-    assert set().union(*taken) == flag_params
-
-
-def test_run_suite_rejects_a_flag_before_any_suite_runs(monkeypatch):
-    calls = []
-    for name, fn in list(verify.SUITES.items()):
-        def record(_name=name, **flags):
-            calls.append((_name, flags))
-            return []
-
-        record.__wrapped__ = fn  # suite_parameters reads through it
-        monkeypatch.setitem(verify.SUITES, name, record)
-    with pytest.raises(ValueError, match="verify theta does not take --n-max"):
-        verify.run_suite("theta", n_max=5)
-    with pytest.raises(ValueError, match="verify all does not take --depth"):
-        verify.run_suite("all", order=30, depth=2)
-    assert calls == []
-    pairs = verify.run_suite("all", n_max=None, order=30, count=5)
-    assert [name for name, _ in pairs] == list(verify.SUITES)
-    assert dict(calls) == {
-        "tau": {},
-        "hecke": {"order": 30},
-        "rank": {},
-        "theta": {"order": 30},
-        "lfunc": {"count": 5},
-        "geometry": {},
-    }
-
-
 def test_hecke_suite_rejects_orders_without_a_t2_window():
     with pytest.raises(ValueError):
         verify.verify_hecke(order=3)
