@@ -104,7 +104,12 @@ def test_unknown_attribute_raises_attribute_error():
         exec("from qmodular import no_such_name", {})
 
 
-def test_cli_verify_flags_are_each_suites_parameters():
+def test_cli_suite_choices_match_verify(capsys):
+    # one verify leaf per suite, in verify.SUITES order, then "all"
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "bogus"])
+    choices = ", ".join(repr(name) for name in [*verify.SUITES, "all"])
+    assert f"(choose from {choices})" in capsys.readouterr().err
     # cli sets each parameter from the verify flag named after it
     assert list(cli._VERIFY_FLAGS) == list(verify.SUITES)
     for name, fn in verify.SUITES.items():

@@ -1,11 +1,15 @@
 """Contracts of the package's value records: validation, immutability, equality."""
 
 import copy
+import functools
+import inspect
+import json
 import pickle
 import re
 
 import pytest
 
+from qmodular import cli, verify
 from qmodular.forms import CosetRep, FormMeta
 from qmodular.geometry import EllipseSpec
 from qmodular.lseries import DirichletSeries, ZeroList
@@ -93,3 +97,19 @@ def test_equality_is_same_class_on_the_fields():
 def test_ellipse_spec_repr_is_the_dataclass_form():
     # it appears in the agm-vs-quadrature violation message
     assert repr(EllipseSpec(1.0, 2.0, 3.0)) == "EllipseSpec(r_ref=1.0, e=2.0, f=3.0)"
+
+
+def test_suite_parameters_see_through_functools_wraps(monkeypatch, capsys):
+    # perfbench's tracer puts functools.wraps layers over the suites; the
+    # parameters cli._VERIFY_FLAGS spells out must still be the wrapped suite's
+    for name, fn in list(verify.SUITES.items()):
+
+        @functools.wraps(fn)
+        def traced(*args, _fn=fn, **kwargs):
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setitem(verify.SUITES, name, traced)
+        assert list(inspect.signature(verify.SUITES[name]).parameters) == cli._VERIFY_FLAGS[name]
+    assert cli._VERIFY_FLAGS["theta"] == ["order"]
+    assert cli.main(["verify", "theta", "--order", "30"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True

@@ -1,7 +1,9 @@
+import inspect
+
 import pytest
 
 from qmodular import qseries as qs
-from qmodular import geometry, theta_partitions, verify
+from qmodular import cli, geometry, theta_partitions, verify
 
 from conftest import lattice_vectors_with_norm
 
@@ -54,6 +56,37 @@ def test_perimeter_preservation_sees_a_perimeter_off_by_1e_8(monkeypatch):
     preserved = reports["perimeter-preservation"]
     assert dict(preserved.params)["cases"] == 20
     assert len(preserved.violations) == 20
+
+
+def test_each_suite_parameter_is_named_after_a_verify_flag():
+    # cli maps a parameter back to its flag by replacing "_" with "-"
+    flag_params = {"n_max", "order", "count", "tol"}
+    taken = [set(inspect.signature(fn).parameters) for fn in verify.SUITES.values()]
+    assert all(params <= flag_params for params in taken)
+    assert set().union(*taken) == flag_params
+
+
+def test_run_suite_rejects_a_flag_before_any_suite_runs(monkeypatch, capsys):
+    # verify runs a suite only once the whole command line has parsed
+    calls = []
+    for name in list(verify.SUITES):
+
+        def record(_name=name, **flags):
+            calls.append((_name, flags))
+            return []
+
+        monkeypatch.setitem(verify.SUITES, name, record)
+    for argv, extra in [
+        (["verify", "theta", "--n-max", "5"], "--n-max 5"),
+        (["verify", "all", "--order", "30", "--depth", "2"], "--depth 2"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {extra}" in err
+    assert calls == []
 
 
 def test_hecke_suite_rejects_orders_without_a_t2_window():
