@@ -7,19 +7,22 @@ scale.  Partition counts p(n) are read from 1 / prod (1 - q^k), which
 the power kernel of :mod:`qmodular.qseries` expands; the rank of a
 partition is its largest part minus its number of parts, and N(n, m)
 counts partitions of n with rank m.  :func:`rank_table` counts N(n, m)
-directly by (largest part, number of parts) on dense integer rows,
-O(n_max^2) slice additions, and :class:`RankTable` keeps each row n as
-one :class:`OmegaPoly`, which every per-n query reads.  The two-variable
+directly by (largest part, number of parts), O(n_max^2) big-int
+shift-adds, and :class:`RankTable` keeps each row n as one
+:class:`OmegaPoly`, which every per-n query reads.  The two-variable
 rank generating series
 
     R(w, q) = 1 + sum_{n>=1} q^(n^2) / prod_{m=1}^{n} (1 - w q^m)(1 - w^{-1} q^m)
 
-is expanded with exact Laurent-polynomial coefficients in w.  The
-expansion runs on dense integer rows indexed by the power of w, one row
-per power of q, and folds each reciprocal factor in as an in-place
-recurrence, so order N costs O(N^2 sqrt(N)) integer additions; the rows
-become :class:`OmegaPoly` values only on return.  Its
-w = -1 specialization reproduces the q-hypergeometric series
+is expanded with exact Laurent-polynomial coefficients in w, folding
+each reciprocal factor in as an in-place recurrence, O(N^1.5) big-int
+shift-adds for order N.  Both kernels keep each dense DP row as one
+non-negative Python int packed in fixed-width slots, so a row update
+is one C-level shift and add.  The slot width comes from a proven
+bound on the coefficients of 1/(q;q)_oo^r (Apostol, Thm 14.5), and
+each kernel unpacks its finished rows into :class:`OmegaPoly` values
+on return, by its own conversion.  The w = -1 specialization of
+R(w, q) reproduces the q-hypergeometric series
 
     f(q) = sum_{n>=0} q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^2
 
@@ -33,6 +36,7 @@ additions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -195,32 +199,42 @@ def rank_table(n_max: int) -> RankTable:
     D_l(n, k) = #partitions of n into exactly k parts each <= l,
     D_l(n, k) = D_(l-1)(n, k) + D_l(n - l, k - 1), and the partitions
     with largest part exactly l and k parts are D_l(n - l, k - 1),
-    contributing rank m = l - k.  Both live on dense integer rows: D[n]
-    is indexed by k and updated in place as l grows, and slot n_max + m
-    of rank[n] holds N(n, m).  For each (l, n) the source row D[n - l],
-    which holds k - 1 = 0 .. n - l, is added once, shifted by one slot,
-    into D[n] and once, reversed, into rank[n].  D[n] is no longer
-    updated once n > n_max - l, since no later part reads it.  That is
-    O(n_max^2) slice additions in place of O(n_max^3) per-element steps.
-    Each finished row becomes its :class:`OmegaPoly` once, at the end.
+    contributing rank m = l - k.  Each row is one non-negative int packed
+    in fixed-width slots: slot k of D[n] holds D_l(n, k), updated in
+    place as l grows, and slot n - m of rank[n] holds N(n, m).  For each
+    (l, n) the source row D[n - l], which holds k - 1 = 0 .. n - l, is
+    added once, shifted by one slot, into D[n] and once, shifted by
+    n - l + 1 slots, into rank[n], so slot k - 1 lands on slot n - m.
+    D[n] is no longer updated once n > n_max - l, since no later part
+    reads it.  That is O(n_max^2) big-int shift-adds in place of
+    O(n_max^3) per-element steps.
+
+    No slot carries into the next: every slot counts partitions of some
+    n <= n_max, so it is at most p(n_max) < exp(pi sqrt(2 n_max / 3))
+    (from p(n) <= F(e^-t) e^(nt) and log F(e^-t) <= pi^2 / (6t), with F
+    the generating function; Apostol, Introduction to Analytic Number
+    Theory, Thm 14.5).  The slot width is that bound in bits plus 2,
+    rounded up to whole bytes.  Each finished row is unpacked once, over
+    its slots |m| <= n, into its :class:`OmegaPoly`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    D = [[0] * (n + 1) for n in range(n_max + 1)]
-    D[0][0] = 1
-    rank = [[0] * (2 * n_max + 1) for _ in range(n_max + 1)]
+    size = math.ceil((math.pi * math.sqrt(2 * n_max / 3) / math.log(2) + 2) / 8)
+    bits = 8 * size
+    D = [0] * (n_max + 1)
+    D[0] = 1
+    rank = [0] * (n_max + 1)
     for part in range(1, n_max + 1):
+        for n in range(part, n_max - part + 1):
+            D[n] += D[n - part] << bits
         for n in range(part, n_max + 1):
-            src = D[n - part]
-            if n <= n_max - part:
-                dst = D[n]
-                dst[1 : n - part + 2] = map(add, dst[1 : n - part + 2], src)
-            # k = 1 .. n - part + 1 parts give ranks part - 1 down to 2 part - n - 1
-            lo, hi = n_max + 2 * part - n - 1, n_max + part
-            row = rank[n]
-            row[lo:hi] = map(add, row[lo:hi], reversed(src))
-    # enumerate from -n_max turns slot n_max + m back into the key m
-    polys = [OmegaPoly.from_terms(dict(enumerate(row, -n_max))) for row in rank[1:]]
+            rank[n] += D[n - part] << (n - part + 1) * bits
+    polys = []
+    for n in range(1, n_max + 1):
+        raw = rank[n].to_bytes((2 * n + 1) * size, "little")
+        slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+        # slot j holds the count of rank n - j
+        polys.append(OmegaPoly.from_terms(dict(zip(range(n, -n - 1, -1), slots))))
     return RankTable(n_max, polys)
 
 
@@ -266,37 +280,45 @@ def rank_generating(order: int) -> list[OmegaPoly]:
 
     Expanded straight from the sum-over-n form: the n-th summand is
     q^(n^2) times the running inverse of
-    prod_{m<=n} (1 - w q^m)(1 - w^(-1) q^m).  Both series live on dense
-    integer rows: slot c + m of row p holds the coefficient of w^m q^p,
-    with c = order - 1, which is wide enough because |m| <= p.  Each
-    reciprocal factor 1/(1 - w^(+-1) q^n) folds in as the ascending
-    in-place recurrence row[p][m +- 1] += row[p - n][m], and only the
-    finished rows are trimmed into :class:`OmegaPoly`.  That is
-    O(order^2 sqrt(order)) integer additions.
+    prod_{m<=n} (1 - w q^m)(1 - w^(-1) q^m).  Both series keep one
+    non-negative int per power of q, packed in fixed-width slots: slot
+    p + m of row p holds the coefficient of w^m q^p, which fits because
+    |m| <= p.  Each reciprocal factor 1/(1 - w^(+-1) q^n) folds in as the
+    ascending in-place recurrence row[p] += row[p - n] shifted by n +- 1
+    slots, and the summand as result[n^2 + j] += row[j] shifted by n^2
+    slots, so each step is one big-int shift-add: O(order^1.5) of them.
+
+    No slot carries into the next: every coefficient is non-negative, so
+    each slot of row p is at most the value of its row at w = 1, which is
+    at most the coefficient of q^p in 1/(q;q)_oo^2, below
+    exp(pi sqrt(4 p / 3)) (the bound of :func:`rank_table` for the
+    square of the generating function; Apostol, Thm 14.5).  The slot
+    width is that bound at p = order - 1 in bits plus 2, rounded up to
+    whole bytes.  Each finished row is unpacked once, over its slots
+    |m| <= p, into an :class:`OmegaPoly`.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    c = order - 1
-    width = 2 * order - 1
-    inv_den = [[0] * width for _ in range(order)]
-    result = [[0] * width for _ in range(order)]
-    inv_den[0][c] = result[0][c] = 1
+    size = math.ceil((math.pi * math.sqrt(4 * (order - 1) / 3) / math.log(2) + 2) / 8)
+    bits = 8 * size
+    inv_den = [0] * order
+    result = [0] * order
+    inv_den[0] = result[0] = 1
     n = 1
     while n * n < order:
-        for shift in (1, -1):
+        for shift in ((n + 1) * bits, (n - 1) * bits):
             for p in range(n, order):
-                # row p - n is supported on |m| <= p - n
-                lo, hi = c - (p - n), c + (p - n) + 1
-                dst = inv_den[p]
-                dst[lo + shift : hi + shift] = map(
-                    add, dst[lo + shift : hi + shift], inv_den[p - n][lo:hi]
-                )
+                inv_den[p] += inv_den[p - n] << shift
+        shift = n * n * bits
         for j in range(order - n * n):
-            lo, hi = c - j, c + j + 1
-            dst = result[n * n + j]
-            dst[lo:hi] = map(add, dst[lo:hi], inv_den[j][lo:hi])
+            result[n * n + j] += inv_den[j] << shift
         n += 1
-    return [_row_poly(row, c) for row in result]
+    rows = []
+    for p, packed in enumerate(result):
+        raw = packed.to_bytes((2 * p + 1) * size, "little")
+        row = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+        rows.append(_row_poly(row, p))
+    return rows
 
 
 def _row_poly(row: list[int], c: int) -> OmegaPoly:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     partition_counts_by_pentagonal_recurrence,
     poly_mul,
     rank_counts_by_enumeration,
+    rank_entries_by_triple_loop,
 )
 
 
@@ -303,6 +305,68 @@ def test_rank_generating_dyson_rank_conjectures(rank_polys_200):
             p_n = tp.partition_count(n)
             assert p_n % s == 0
             assert tp.specialize_omega([rank_polys_200[n]], (1, s)) == [(p_n // s,) * s]
+
+
+# -- packed rows: the slot width ----------------------------------------------------------
+
+
+def slot_bytes(n: int, r: int) -> int:
+    """Bytes per slot for coefficients up to q^n of 1/(q;q)^r.
+
+    That coefficient is at most exp(pi sqrt(2 r n / 3)) (Apostol, Thm
+    14.5); the width is that bound in bits plus 2, rounded up to whole
+    bytes.  rank_table(n) packs with r = 1, rank_generating(n + 1) with r = 2.
+    """
+    return math.ceil((math.pi * math.sqrt(2 * r * n / 3) / math.log(2) + 2) / 8)
+
+
+def width_steps(r: int, n_max: int) -> list[int]:
+    """Each n <= n_max at which slot_bytes(n, r) steps up, and the n before it."""
+    steps = [n for n in range(1, n_max + 1) if slot_bytes(n, r) > slot_bytes(n - 1, r)]
+    return sorted({m for n in steps for m in (n - 1, n) if m >= 1})
+
+
+def test_slot_width_exceeds_every_coefficient_to_600():
+    inverse_square = qs.euler_product(-2, 601).coeffs
+    largest = 0
+    for n in range(601):
+        largest = max(largest, inverse_square[n])
+        assert 8 * slot_bytes(n, 1) > tp.partition_count(n).bit_length()
+        assert 8 * slot_bytes(n, 2) > largest.bit_length()
+
+
+@pytest.fixture(scope="module")
+def rank_entries_281():
+    return rank_entries_by_triple_loop(max(width_steps(1, 300)))
+
+
+@pytest.mark.parametrize("n_max", width_steps(1, 300))
+def test_rank_table_at_each_slot_width_step(rank_entries_281, n_max):
+    rows = tp.rank_table(n_max).rows()
+    assert rows == sorted((n, m, c) for (n, m), c in rank_entries_281.items() if n <= n_max)
+
+
+@pytest.fixture(scope="module")
+def rank_table_300():
+    return tp.rank_table(300)
+
+
+@pytest.mark.parametrize("n_max", width_steps(2, 300))
+def test_rank_generating_at_each_slot_width_step(rank_table_300, n_max):
+    polys = tp.rank_generating(n_max + 1)
+    assert polys[0] == tp.OmegaPoly.const(1)
+    assert polys[1:] == list(rank_table_300.polys[:n_max])
+
+
+def test_rank_table_300_past_64_bit_slots(rank_table_300):
+    assert 8 * slot_bytes(300, 1) > 64
+    for n in range(1, 301):
+        row = rank_table_300.counts(n)
+        assert sum(row.values()) == tp.partition_count(n)
+        assert all(row.get(-m) == c for m, c in row.items())
+        if n >= 2:
+            assert all(abs(m) < n for m in row)
+    assert tp.rank_generating(301)[1:] == list(rank_table_300.polys)
 
 
 # -- mock theta series -----------------------------------------------------------------------
