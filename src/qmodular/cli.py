@@ -6,10 +6,11 @@ digits before serialization, and all text is UTF-8 with LF endings.
 
 Exit codes: 0 success, 1 verification failure (or a zero scan that
 lost its bracketing), 2 usage error, including out-of-range arguments,
-an ``--out`` path that cannot be written, a flag that the named
-``verify`` suite or ``tables`` kind does not take, and an abbreviated
-flag (``--n`` for ``--n-max``).  Each suite and each kind has its own
-parser, which reports a flag it does not take under its own usage line.
+a bound too large to allocate, an ``--out`` path that cannot be
+written, a flag that the named ``verify`` suite or ``tables`` kind does
+not take, and an abbreviated flag (``--n`` for ``--n-max``).  Each
+suite and each kind has its own parser, which reports a flag it does
+not take under its own usage line.
 
 Only :mod:`qmodular.qseries` is imported up front; each command imports
 the modules it runs, so ``expand euler-E`` loads nothing else.
@@ -326,6 +327,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError):
+        # a bound past what a list can index or memory can hold
+        print("invalid arguments: a bound is too large to allocate", file=sys.stderr)
         return 2
 
 

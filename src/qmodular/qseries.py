@@ -33,8 +33,7 @@ series stay cheap).  Every power goes through one exact power kernel,
 J.C.P. Miller's recurrence: :func:`pow`, :func:`invert` (the power -1)
 and :func:`euler_product` (a power of Euler's pentagonal series).  It
 costs O(order * nnz(base)) for any exponent and stays on ints whenever
-the result is integral.  A module-level operation counter is kept for
-benchmarking convolution cost; see :func:`conv_ops`.
+the result is integral.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ __all__ = [
     "one",
     "to_json_obj",
     "from_json_obj",
-    "conv_ops",
-    "reset_conv_ops",
 ]
 
 
@@ -75,21 +72,6 @@ def rational(x: RationalLike) -> Rational:
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-# Convolution cost counter (coefficient multiplications).  Not a public
-# contract, only a benchmark hook; exact, since the library runs no threads.
-_CONV_OPS = 0
-
-
-def conv_ops() -> int:
-    """Number of coefficient multiplications performed so far."""
-    return _CONV_OPS
-
-
-def reset_conv_ops() -> None:
-    global _CONV_OPS
-    _CONV_OPS = 0
 
 
 class Record:
@@ -233,13 +215,11 @@ def _conv(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Rational
     eta-like pentagonal-support series costs O(sqrt(n) * n) instead of
     O(n^2).
     """
-    global _CONV_OPS
     if sum(1 for c in a[:n] if c) > sum(1 for c in b[:n] if c):
         a, b = b, a
     out = [0] * n
     for i, av in enumerate(a[:n]):
         if av:
-            _CONV_OPS += n - i
             for j, bv in enumerate(b[: n - i]):
                 if bv:
                     out[i + j] += av * bv

@@ -249,6 +249,8 @@ def _log10(x: float) -> int | float:
 
 
 def verify_lfunc(tol: float = 1e-8, count: int = 10) -> list[CheckReport]:
+    if not 0 < tol < math.inf:  # rejects nan
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     from . import lseries
 
     reports = []

@@ -422,6 +422,14 @@ def test_nonpositive_bounds_exit_2(argv, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+def test_bound_too_large_to_allocate_exits_2(capsys):
+    # no list holds 10^20 coefficients; exit 1 stays for a failed verification
+    code, out = _run_main(["expand", "eta", "--order", str(10**20)])
+    assert code == 2
+    assert out == ""
+    assert "invalid arguments: a bound is too large" in capsys.readouterr().err
+
+
 # -- verify (subprocess keeps the fault injection isolated) -------------------------
 
 

@@ -1,4 +1,4 @@
-"""The package loads submodules on first use, and each command only what it runs."""
+"""Each public name lives in its module, and each command loads only what it runs."""
 
 import importlib
 import inspect
@@ -15,81 +15,45 @@ from qmodular import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the names the package re-exported when it imported every submodule eagerly
-PUBLIC = {
-    "qseries": [
-        "QSeries",
-        "WindowError",
-        "add",
-        "euler_product",
-        "invert",
-        "make_series",
-        "mul",
-        "pow",
-        "scalar_mul",
-    ],
-    "forms": ["CosetRep", "FormMeta", "delta", "eisenstein_e12", "eta", "tau"],
-    "theta_partitions": [
-        "OmegaPoly",
-        "RankTable",
-        "mock_theta_f",
-        "partition_count",
-        "rank_generating",
-        "rank_table",
-        "theta_diagonal",
-        "unary_theta",
-    ],
-    "lseries": [
-        "CompletedLValue",
-        "DirichletSeries",
-        "ZeroList",
-        "completed_lambda_integral",
-        "dirichlet_eval",
-        "euler_product_coeffs",
-        "mellin_coeffs",
-        "zeta_zero_spacings",
-    ],
-    "geometry": [
-        "EllipseSpec",
-        "TorusTerm",
-        "circle_matching_ellipse",
-        "ellipse_perimeter",
-        "torus_term",
-        "weak_maass_series",
-    ],
-}
+SUBMODULES = ["qseries", "forms", "theta_partitions", "lseries", "geometry", "verify", "cli"]
+_LOADED = {m: importlib.import_module(f"qmodular.{m}") for m in SUBMODULES}
 
 
 @pytest.mark.parametrize(
-    "module, name", [(m, n) for m, names in PUBLIC.items() for n in names]
+    "module, name", [(m, n) for m, mod in _LOADED.items() for n in mod.__all__]
 )
 def test_public_name_is_the_submodule_object(module, name):
+    # each public name is defined in its module and reached only through it
+    mod = _LOADED[module]
     ns = {}
-    exec(f"from qmodular import {name}", ns)
-    assert ns[name] is getattr(sys.modules[f"qmodular.{module}"], name)
-    assert getattr(qmodular, name) is ns[name]
+    exec(f"from qmodular.{module} import {name}", ns)
+    assert ns[name] is getattr(mod, name)
+    assert getattr(ns[name], "__module__", mod.__name__) == mod.__name__
+    assert not hasattr(qmodular, name)
+    with pytest.raises(ImportError):
+        exec(f"from qmodular import {name}", {})
 
 
 def test_submodule_attributes_are_the_loaded_modules():
-    for module in PUBLIC:
-        assert getattr(qmodular, module) is sys.modules[f"qmodular.{module}"]
+    for module in SUBMODULES:
+        ns = {}
+        exec(f"from qmodular import {module}", ns)
+        assert ns[module] is getattr(qmodular, module) is sys.modules[f"qmodular.{module}"]
 
 
 def test_star_import_gives_the_same_names():
+    # the package root has no __all__: a star import gives the loaded submodules only
     ns = {}
     exec("from qmodular import *", ns)
     del ns["__builtins__"]
-    assert set(ns) == {n for names in PUBLIC.values() for n in names} | set(PUBLIC)
-    assert set(ns) <= set(dir(qmodular))
-
-
-SUBMODULES = [*PUBLIC, "verify", "cli"]
+    assert set(ns) == set(SUBMODULES)
+    assert set(ns) == {n for n in dir(qmodular) if not n.startswith("_")}
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_submodule_all_names_resolve(module):
     # a deleted name left in __all__ would break `from qmodular.m import *`
-    mod = importlib.import_module(f"qmodular.{module}")
+    mod = _LOADED[module]
     assert all(hasattr(mod, name) for name in mod.__all__)
     ns = {}
     exec(f"from qmodular.{module} import *", ns)

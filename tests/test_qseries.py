@@ -169,16 +169,38 @@ def test_json_round_trip():
     assert qs.from_json_obj(obj) == f
 
 
+class _Counted(int):
+    """An int that counts the products and truth tests made on it."""
+
+    products = 0
+    tests = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int.__mul__(self, other)
+
+    def __bool__(self):
+        _Counted.tests += 1
+        return int.__bool__(self)
+
+
+def _conv_work(a, b) -> tuple[int, int]:
+    _Counted.products = _Counted.tests = 0
+    qs._conv([_Counted(c) for c in a], [_Counted(c) for c in b], 50)
+    return _Counted.products, _Counted.tests
+
+
 def test_convolution_benchmark_hook_counts_work():
-    qs.reset_conv_ops()
-    f = qs.make_series(0, [1] * 50, 50)
-    qs.mul(f, f)
-    dense = qs.conv_ops()
-    assert dense > 0
-    qs.reset_conv_ops()
-    sparse = qs.make_series(0, [1] + [0] * 48 + [1], 50)
-    qs.mul(sparse, f)
-    assert 0 < qs.conv_ops() < dense
+    dense = [1] * 50
+    products, tests = _conv_work(dense, dense)
+    assert products == 1275
+    # zero coefficients are skipped, so both loop orders make 51 products; the
+    # truth tests show that the 2-term operand runs the outer loop either way
+    sparse = [1] + [0] * 48 + [1]
+    for a, b in ((sparse, dense), (dense, sparse)):
+        sparse_products, sparse_tests = _conv_work(a, b)
+        assert sparse_products == 51
+        assert sparse_tests < tests / 5
 
 
 # -- property tests ----------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Smoke tests: the README scripts run with small arguments and print their headers."""
+"""Smoke tests: the README scripts and CLI examples run as written."""
 
+import io
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from qmodular import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,3 +64,13 @@ def test_readme_script_runs(name, arg, headers, line_count):
     for header in headers:
         assert header in lines
     assert len(lines) == line_count
+
+
+def test_readme_cli_examples_exit_0():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines() if line]
+    assert argvs and all(argv[0] == "qmodular" for argv in argvs)
+    for argv in argvs:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv[1:]) == 0, argv

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import pytest
 
@@ -87,6 +88,34 @@ def test_run_suite_rejects_a_flag_before_any_suite_runs(monkeypatch, capsys):
         assert out == ""
         assert f"unrecognized arguments: {extra}" in err
     assert calls == []
+
+
+def test_rank_suite_sees_a_wrong_generating_coefficient_past_row_40(monkeypatch):
+    # only mock-theta-specialization reads rows 41-50 of rank_generating
+    real = theta_partitions.rank_generating
+
+    def bumped(order):
+        polys = real(order)
+        terms = polys[45].terms()
+        terms[0] += 1
+        polys[45] = theta_partitions.OmegaPoly.from_terms(terms)
+        return polys
+
+    monkeypatch.setattr(theta_partitions, "rank_generating", bumped)
+    reports = {r.check: r.violations for r in verify.verify_rank()}
+    assert reports.pop("mock-theta-specialization") == (
+        "w=-1 specialization differs from direct series at n=45",
+        "w=1 specialization differs from p(n) at n=45",
+    )
+    assert all(v == () for v in reports.values())
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8], ids=str)
+def test_lfunc_suite_rejects_a_non_finite_or_nonpositive_tolerance(tol, monkeypatch):
+    # rejected before any check runs: a delta call here would raise TypeError
+    monkeypatch.setattr(verify.forms, "delta", None)
+    with pytest.raises(ValueError, match="tolerance"):
+        verify.verify_lfunc(tol=tol)
 
 
 def test_hecke_suite_rejects_orders_without_a_t2_window():
