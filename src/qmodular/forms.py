@@ -1,4 +1,4 @@
-"""Classical level-1 modular form objects and Hecke operator action.
+"""Classical modular form objects and Hecke operator action.
 
 Provides the Dedekind eta expansion, the discriminant cusp form and its
 coefficient function tau(n), the weight-12 Eisenstein series, divisor
@@ -7,8 +7,9 @@ action on q-expansions
 
     coefficient of q^m in T_n f  =  sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2),
 
-the operator composition law T_m T_n = sum_{d | gcd(m,n)} d^(k-1) T_{mn/d^2},
-eigenform verification, and the tau congruence battery.
+the composition law T_m T_n = sum_{d | gcd(m,n)} eps(d) d^(k-1) T_{mn/d^2}
+(the factor is :meth:`FormMeta.hecke_weight`), eigenform verification,
+and the tau congruence battery.
 
 A :class:`QSeries` stores integral coefficients as ints, so nothing here
 converts between int and Fraction (only the report fields
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .qseries import QSeries, Record, WindowError, euler_product
 
@@ -50,28 +51,41 @@ __all__ = [
 
 
 class FormMeta(Record):
-    """Weight / level tag with an optional multiplicative character.
+    """Weight / level tag with an optional character table.
 
-    ``character`` maps residues mod ``level`` to exact integers; the
-    default is the trivial character (identically 1).  No character
-    arithmetic is performed here, only table lookup.
+    ``character`` maps every residue mod ``level`` to an exact integer (a
+    mapping, or the sequence of values on 0 .. level-1) and is stored as
+    that tuple; with none, ``eps`` is the principal character mod
+    ``level``.  :meth:`hecke_weight` is the one place the Hecke factor
+    eps(d) d^(k-1) is formed.
     """
 
     __slots__ = _fields = ("weight", "level", "character")
 
     def __init__(
-        self, weight: int, level: int = 1, character: Optional[Mapping[int, int]] = None
+        self, weight: int, level: int = 1, character: Mapping | Sequence | None = None
     ) -> None:
         if weight <= 0 or weight % 2 != 0:
             raise ValueError(f"weight must be a positive even integer, got {weight}")
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
+        if character is not None:
+            if not isinstance(character, Mapping):
+                character = dict(enumerate(character))
+            missing = [r for r in range(level) if r not in character]
+            if missing:
+                raise ValueError(f"character table misses residues {missing} mod {level}")
+            character = tuple(character[r] for r in range(level))
         super().__init__(weight, level, character)
 
     def eps(self, d: int) -> int:
         if self.character is None:
-            return 1
+            return int(gcd(d, self.level) == 1)
         return self.character[d % self.level]
+
+    def hecke_weight(self, d: int) -> int:
+        """eps(d) d^(k-1), the weight of d in T_n and in the Euler factors."""
+        return self.eps(d) * d ** (self.weight - 1)
 
 
 class CosetRep(Record):
@@ -143,9 +157,9 @@ def tau(n: int) -> int:
 def corrupt_tau_cache_for_testing(n: int = 2, offset: int = 1) -> None:
     """Fault-injection hook: poison one tau value, stickily.
 
-    Used by negative-control tests to prove the verification pipeline
-    actually notices wrong data; the poison survives table refills.
-    Never call outside tests.
+    The hook behind ``verify --inject-tau-fault`` and the negative-control
+    tests, which prove the verification pipeline notices wrong data; the
+    poison survives table refills and lasts for the rest of the process.
     """
     global _TAU_FAULT
     tau(n)
@@ -226,15 +240,14 @@ def _hecke_coeffs(a: list, meta: FormMeta, n: int, out_order: int) -> list:
 
     ``a[e]`` is the coefficient of q^e.  Output slot m is
     sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2), with the factor
-    eps(d) d^(k-1) formed once per divisor d of n.
+    ``meta.hecke_weight(d)`` taken once per divisor d of n.
     """
     if out_order > 0 and (out_order - 1) * n >= len(a):
         raise WindowError(
             f"T_{n} to order {out_order} reads q^{(out_order - 1) * n}, "
             f"but only {len(a)} coefficients are known"
         )
-    k = meta.weight
-    divisors = [(d, meta.eps(d) * d ** (k - 1)) for d in range(1, n + 1) if n % d == 0]
+    divisors = [(d, meta.hecke_weight(d)) for d in range(1, n + 1) if n % d == 0]
     out = []
     for m in range(out_order):
         mn = m * n
@@ -296,14 +309,13 @@ def hecke_compose_check(
         )
     a = _exact_coeffs(f)
     lhs = _hecke_coeffs(_hecke_coeffs(a, meta, n, order * m), meta, m, order)
-    rhs = [0] * order
     g = gcd(m, n)
-    k = meta.weight
-    for d in range(1, g + 1):
-        if g % d == 0:
-            w = meta.eps(d) * d ** (k - 1)
-            term = _hecke_coeffs(a, meta, m * n // (d * d), order)
-            rhs = [r + w * t for r, t in zip(rhs, term)]
+    terms = [
+        (meta.hecke_weight(d), _hecke_coeffs(a, meta, m * n // (d * d), order))
+        for d in range(1, g + 1)
+        if g % d == 0
+    ]
+    rhs = [sum(w * t[j] for w, t in terms) for j in range(order)]
     for j, (x, y) in enumerate(zip(lhs, rhs)):
         if x != y:
             return HeckeComposeReport(m, n, order, (j, Fraction(x), Fraction(y)))
@@ -327,25 +339,24 @@ class EigenformReport(NamedTuple):
         return self.first_failure is None
 
 
-def is_eigenform(f: QSeries, meta: FormMeta, n_max: int, order: int) -> EigenformReport:
+def is_eigenform(f: QSeries, meta: FormMeta, n_max: int) -> EigenformReport:
     """Check the simultaneous eigenvector property for T_1 .. T_{n_max}.
 
     ``f`` must be normalized (coefficient of q^1 equal to 1).  Each T_n
     is compared with a(n) * f on the whole shrunken window, as integer
     coefficient lists; the first violated coefficient stops the scan.
     """
-    work = f.truncate(min(order, f.order))
-    a1 = work.coeff(1)
+    a1 = f.coeff(1)
     if a1 != 1:
         raise ValueError(f"eigenform check requires a(1) = 1, got {a1}")
-    a = _exact_coeffs(work)
+    a = _exact_coeffs(f)
     eigenvalues = []
     insufficient = []
     for n in range(1, n_max + 1):
-        if work.order // n < 2 or n >= work.end:
+        if f.order // n < 2 or n >= f.end:
             insufficient.append(n)
             continue
-        t_n = _hecke_coeffs(a, meta, n, work.order // n)
+        t_n = _hecke_coeffs(a, meta, n, f.order // n)
         lam = a[n]
         for j, c in enumerate(t_n):
             if c != lam * a[j]:

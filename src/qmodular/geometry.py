@@ -169,11 +169,11 @@ def torus_term(
     # cancels exactly, not just to rounding.
     semi_re, semi_im = spec.semi_real, spec.semi_imag
     r_in = spec.inscribed_radius
-    samples = []
+    samples = [0j] * grid_size  # an impossible size fails here, before any work
     for j in range(grid_size):
         theta = 2.0 * math.pi * j / grid_size
         ct, st = math.cos(theta), math.sin(theta)
-        samples.append(complex(semi_re * ct - r_in * ct, semi_im * st - r_in * st))
+        samples[j] = complex(semi_re * ct - r_in * ct, semi_im * st - r_in * st)
     return TorusTerm(n, r_a, spec, c_hol, tuple(samples))
 
 
@@ -218,7 +218,7 @@ def weak_maass_series(
     identity full = hol + shadow then holds to rounding rather than by
     construction.
     """
-    if z.imag <= 0:
+    if not z.imag > 0:  # also rejects nan
         raise ValueError(f"need Im(z) > 0, got {z.imag}")
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")

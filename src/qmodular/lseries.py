@@ -5,7 +5,7 @@ can cross-check each other:
 
 * exact Dirichlet coefficients, read off a q-expansion or rebuilt from
   local Euler factors via the prime-power recursion
-  c(p^(e+1)) = c(p) c(p^e) - p^(k-1) c(p^(e-1));
+  c(p^(e+1)) = c(p) c(p^e) - chi(p) p^(k-1) c(p^(e-1));
 * the completed value Lambda(s) = integral_0^inf F(iy) y^s dy/y computed
   by tanh-sinh quadrature (Takahasi and Mori, 1974) on a fixed step
   schedule, using the weight-12 inversion
@@ -120,14 +120,12 @@ def mellin_coeffs(
 class EulerProductCoeffs(NamedTuple):
     """Dirichlet coefficients rebuilt from local Euler factors.
 
-    ``values[n]`` is exact for every n <= n_max whose prime factors all
-    lie under ``prime_bound``; other slots hold None (unknown), which a
-    plain DirichletSeries cannot represent.
+    ``values[n]`` is exact for every n whose prime factors all lie under
+    ``prime_bound``; other slots hold None (unknown), which a plain
+    DirichletSeries cannot represent.
     """
 
-    weight: int
     prime_bound: int
-    n_max: int
     values: tuple[Optional[int], ...]  # index 0 unused
 
     def known(self, n: int) -> bool:
@@ -141,16 +139,17 @@ class EulerProductCoeffs(NamedTuple):
 
 
 def euler_product_coeffs(
-    prime_values: Mapping[int, int], weight: int, prime_bound: int, n_max: int
+    prime_values: Mapping[int, int], meta: forms.FormMeta, n_max: int
 ) -> EulerProductCoeffs:
-    """Expand prod_p (1 - c(p) p^(-s) + p^(k-1) p^(-2s))^(-1) coefficientwise.
+    """Expand prod_p (1 - c(p) p^(-s) + chi(p) p^(k-1) p^(-2s))^(-1) coefficientwise.
 
     Each local factor contributes c(p^e) through the recursion
-    c(p^(e+1)) = c(p) c(p^e) - p^(k-1) c(p^(e-1)); multiplicativity
-    assembles c(n) for every prime_bound-smooth n <= n_max.
+    c(p^(e+1)) = c(p) c(p^e) - meta.hecke_weight(p) c(p^(e-1)); multiplicativity
+    assembles c(n) for every n <= n_max with no prime factor above max(prime_values).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    prime_bound = max(prime_values, default=1)
     primes = forms.primes_up_to(prime_bound)
     missing = [p for p in primes if p not in prime_values]
     if missing:
@@ -159,9 +158,7 @@ def euler_product_coeffs(
     for p in primes:
         powers = [1, prime_values[p]]
         while p ** len(powers) <= n_max:
-            powers.append(
-                prime_values[p] * powers[-1] - p ** (weight - 1) * powers[-2]
-            )
+            powers.append(prime_values[p] * powers[-1] - meta.hecke_weight(p) * powers[-2])
         local[p] = powers
     values: list[Optional[int]] = [None] * (n_max + 1)
     values[1] = 1
@@ -183,7 +180,7 @@ def euler_product_coeffs(
             else:
                 continue  # not smooth
         values[n] = acc
-    return EulerProductCoeffs(weight, prime_bound, n_max, tuple(values))
+    return EulerProductCoeffs(prime_bound, tuple(values))
 
 
 class DirichletValue(NamedTuple):
@@ -205,7 +202,7 @@ def dirichlet_eval(ds: DirichletSeries, s: float) -> DirichletValue:
     """
     if ds.normalized_eigenform:
         barrier = ds.weight / 2 + 1
-        if s <= barrier:
+        if not s > barrier:  # also rejects nan
             raise ValueError(
                 f"s={s} is outside the guaranteed convergence region s > {barrier}"
             )
@@ -376,7 +373,7 @@ def rs_theta(t: float) -> float:
     handled here.  Only sign changes matter for zero location, so the
     residual phase error cannot move a zero.
     """
-    if t < 1.0:
+    if not t >= 1.0:  # also rejects nan
         raise ValueError(f"asymptotic phase needs t >= 1, got {t}")
     return (
         0.5 * t * math.log(t / (2.0 * math.pi))

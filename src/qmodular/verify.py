@@ -80,7 +80,7 @@ def verify_hecke(order: int = 200) -> list[CheckReport]:
     meta = forms.FormMeta(weight=12, level=1)
     disc = forms.delta(order)
     bad = []
-    eigen = forms.is_eigenform(disc, meta, eigen_n_max, order)
+    eigen = forms.is_eigenform(disc, meta, eigen_n_max)
     if not eigen.ok:
         bad.append(f"eigenform property fails at {eigen.first_failure}")
     else:
@@ -258,7 +258,7 @@ def verify_lfunc(tol: float = 1e-8, count: int = 10) -> list[CheckReport]:
     bad = []
     mell = lseries.mellin_coeffs(forms.delta(200), 12, normalized_eigenform=True)
     ep = lseries.euler_product_coeffs(
-        {p: forms.tau(p) for p in forms.primes_up_to(13)}, 12, 13, 200
+        {p: forms.tau(p) for p in forms.primes_up_to(13)}, forms.FormMeta(12), 200
     )
     smooth_seen = 0
     for n in range(1, 201):

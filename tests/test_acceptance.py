@@ -49,7 +49,7 @@ def test_acceptance_2_eigenform_suite():
     with criterion(2, 30.0, "Hecke eigenform, composition law, tau battery"):
         meta = forms.FormMeta(weight=12, level=1)
         disc = forms.delta(200)
-        rep = forms.is_eigenform(disc, meta, 20, 200)
+        rep = forms.is_eigenform(disc, meta, 20)
         assert rep.ok
         assert dict(rep.eigenvalues) == {
             n: forms.tau(n) for n, _ in rep.eigenvalues
@@ -126,7 +126,7 @@ def test_acceptance_6_lfunction_suite():
     with criterion(6, 30.0, "Euler product match, functional equation, two pipelines"):
         mell = lseries.mellin_coeffs(forms.delta(200), 12, normalized_eigenform=True)
         ep = lseries.euler_product_coeffs(
-            {p: forms.tau(p) for p in forms.primes_up_to(13)}, 12, 13, 200
+            {p: forms.tau(p) for p in forms.primes_up_to(13)}, forms.FormMeta(12), 200
         )
         for n in range(1, 201):
             if ep.known(n):

@@ -430,6 +430,14 @@ def test_bound_too_large_to_allocate_exits_2(capsys):
     assert "invalid arguments: a bound is too large" in capsys.readouterr().err
 
 
+def test_shadow_grid_too_large_to_allocate_exits_2(capsys):
+    # the sample list is allocated before the first sample is computed
+    code, out = _run_main(["tables", "shadow", "--grid", str(10**20)])
+    assert code == 2
+    assert out == ""
+    assert "invalid arguments: a bound is too large" in capsys.readouterr().err
+
+
 # -- verify (subprocess keeps the fault injection isolated) -------------------------
 
 
@@ -600,6 +608,24 @@ def test_verify_all_stdout_digest_is_stable():
     )
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
+
+
+# the same for `qmodular verify all --inject-tau-fault`: its violation lines
+# run through the tau battery, the Hecke eigenvalues and the Euler product.
+VERIFY_ALL_FAULT_SHA256 = "31c8dc5ad6572ba9cfb1670758c228ef8e7993ed9a984c19730f0c5bae3601e6"
+
+
+def test_verify_all_fault_injected_stdout_digest_is_stable():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmodular.cli", "verify", "all", "--inject-tau-fault"],
+        capture_output=True,
+    )
+    assert proc.returncode == 1
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_FAULT_SHA256
+    assert proc.stderr == (
+        b"verify tau: tau-properties: 20 of 507 violations shown\n"
+        b"verify lfunc: euler-product-vs-expansion: 20 of 62 violations shown\n"
+    )
 
 
 def test_verify_threads_option_is_gone():

@@ -157,6 +157,7 @@ CHARACTERS = [
     (1, None),
     (4, {0: 0, 1: 1, 2: 0, 3: -1}),
     (5, {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}),
+    (6, None),  # the principal character mod 6
 ]
 
 _int_coeffs = st.integers(-(10**6), 10**6)
@@ -233,7 +234,7 @@ def test_hecke_compose_check_reports_first_mismatch(monkeypatch):
 
 def test_discriminant_is_eigenform_with_tau_eigenvalues():
     d = forms.delta(200)
-    rep = forms.is_eigenform(d, META12, 12, 200)
+    rep = forms.is_eigenform(d, META12, 12)
     assert rep.ok
     assert dict(rep.eigenvalues) == {n: forms.tau(n) for n in range(1, 13)}
 
@@ -242,7 +243,7 @@ def test_artificial_non_eigenform_detected():
     d = forms.delta(60)
     bump = qs.make_series(0, [0, 0, 1] + [0] * 57, 60)
     fake = qs.add(d, bump)  # coefficients 1, -23, 252, ...
-    rep = forms.is_eigenform(fake, META12, 6, 60)
+    rep = forms.is_eigenform(fake, META12, 6)
     assert not rep.ok
     assert rep.first_failure is not None
 
@@ -250,12 +251,12 @@ def test_artificial_non_eigenform_detected():
 def test_eigenform_requires_normalization():
     f = qs.scalar_mul(2, forms.delta(30))
     with pytest.raises(ValueError):
-        forms.is_eigenform(f, META12, 4, 30)
+        forms.is_eigenform(f, META12, 4)
 
 
 def test_eigenform_short_window_flagged_insufficient():
     f = qs.make_series(0, [0, 1], 2)
-    rep = forms.is_eigenform(f, META12, 3, 2)
+    rep = forms.is_eigenform(f, META12, 3)
     assert rep.ok  # nothing falsifiable
     assert set(rep.insufficient) == {2, 3}
 

@@ -1,11 +1,12 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from qmodular import forms, lseries
+from qmodular import forms, geometry, lseries
 from qmodular import qseries as qs
 
 from conftest import dense_product_one_minus_qn, poly_mul
@@ -43,27 +44,30 @@ def test_mellin_rejects_fractional_offset():
 # -- Euler product coefficients ---------------------------------------------------
 
 
+META12 = forms.FormMeta(12)
+
+
 def _tau_primes(bound):
     return {p: forms.tau(p) for p in forms.primes_up_to(bound)}
 
 
 def test_euler_product_unit():
-    ep = lseries.euler_product_coeffs(_tau_primes(3), 12, 3, 10)
+    ep = lseries.euler_product_coeffs(_tau_primes(3), META12, 10)
     assert ep.coeff(1) == 1
 
 
 def test_euler_product_prime_square_recursion():
-    ep = lseries.euler_product_coeffs(_tau_primes(2), 12, 2, 8)
+    ep = lseries.euler_product_coeffs(_tau_primes(2), META12, 8)
     assert ep.coeff(4) == forms.tau(2) ** 2 - 2**11 == -1472
 
 
 def test_euler_product_multiplicativity():
-    ep = lseries.euler_product_coeffs(_tau_primes(3), 12, 3, 10)
+    ep = lseries.euler_product_coeffs(_tau_primes(3), META12, 10)
     assert ep.coeff(6) == forms.tau(2) * forms.tau(3) == -6048
 
 
 def test_euler_product_smoothness_flags():
-    ep = lseries.euler_product_coeffs(_tau_primes(3), 12, 3, 10)
+    ep = lseries.euler_product_coeffs(_tau_primes(3), META12, 10)
     assert ep.known(8) and ep.known(9) and ep.known(6)
     assert not ep.known(5) and not ep.known(7) and not ep.known(10)
     with pytest.raises(ValueError):
@@ -71,19 +75,20 @@ def test_euler_product_smoothness_flags():
 
 
 def test_euler_product_missing_prime_rejected():
-    with pytest.raises(ValueError):
-        lseries.euler_product_coeffs({2: -24}, 12, 5, 10)
+    # prime_bound is max(prime_values) = 5, so the gap at 3 is named
+    with pytest.raises(ValueError, match=r"missing for \[3\]"):
+        lseries.euler_product_coeffs({2: -24, 5: 4830}, META12, 10)
 
 
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_euler_product_rejects_n_max_below_1(n_max):
     with pytest.raises(ValueError, match="n_max"):
-        lseries.euler_product_coeffs(_tau_primes(3), 12, 3, n_max)
+        lseries.euler_product_coeffs(_tau_primes(3), META12, n_max)
 
 
 def test_euler_product_matches_expansion_13_smooth():
     mell = lseries.mellin_coeffs(forms.delta(200))
-    ep = lseries.euler_product_coeffs(_tau_primes(13), 12, 13, 200)
+    ep = lseries.euler_product_coeffs(_tau_primes(13), META12, 200)
     checked = 0
     for n in range(1, 201):
         if ep.known(n):
@@ -127,6 +132,32 @@ def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
     assert lseries.dirichlet_eval(direct, 7.5).tail_bound > 0.1
     with pytest.raises(ValueError):
         lseries.dirichlet_eval(via_cut, 3.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: lseries.dirichlet_eval(
+                lseries.mellin_coeffs(forms.delta(10), 12, normalized_eigenform=True),
+                math.nan,
+            ),
+            "outside the guaranteed convergence region",
+        ),
+        (lambda: lseries.rs_theta(math.nan), "asymptotic phase needs t >= 1"),
+        (
+            lambda: geometry.weak_maass_series(
+                [(1.0, 1.0, 1.0, 2.0)], complex(0.0, math.nan), 1
+            ),
+            "need Im(z) > 0",
+        ),
+    ],
+    ids=["dirichlet_eval", "rs_theta", "weak_maass_series"],
+)
+def test_nan_argument_is_rejected(call, message):
+    # a guard written as `x <= bound` lets nan through; each is `not x > bound`
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_dirichlet_eval_unflagged_has_no_bound():

@@ -23,6 +23,11 @@ from qmodular.theta_partitions import rank_table
         (lambda: FormMeta(0), "weight must be a positive even integer, got 0"),
         (lambda: FormMeta(11), "weight must be a positive even integer, got 11"),
         (lambda: FormMeta(12, level=0), "level must be >= 1, got 0"),
+        (
+            lambda: FormMeta(12, 5, {0: 0, 1: 1, 2: -1}),
+            "character table misses residues [3, 4] mod 5",
+        ),
+        (lambda: FormMeta(12, 3, (0, 1)), "character table misses residues [2] mod 3"),
         (lambda: CosetRep(0, 0, 1), "invalid coset representative (0, 0, 1)"),
         (lambda: CosetRep(1, 2, 2), "invalid coset representative (1, 2, 2)"),
         (lambda: CosetRep(1, -1, 2), "invalid coset representative (1, -1, 2)"),
@@ -54,6 +59,7 @@ VALIDATED = [
     (ZeroList((14.1, 21.0), (0.0, 0.0)), "gammas"),
     (EllipseSpec(1.0, 2.0, 3.0), "e"),
     (rank_table(4), "n_max"),
+    (FormMeta(12, 4, {0: 0, 1: 1, 2: 0, 3: -1}), "character"),
 ]
 
 
@@ -92,6 +98,16 @@ def test_equality_is_same_class_on_the_fields():
     assert EllipseSpec(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
     assert DirichletSeries((1, 2)) != DirichletSeries((1, 2), weight=12)
     assert rank_table(6) == rank_table(6)
+
+
+def test_form_meta_stores_a_character_table_as_a_hashable_tuple():
+    meta = FormMeta(12, 4, {0: 0, 1: 1, 2: 0, 3: -1})
+    assert meta.character == (0, 1, 0, -1)
+    assert meta == FormMeta(12, 4, (0, 1, 0, -1))
+    assert hash(meta) == hash(FormMeta(12, 4, (0, 1, 0, -1)))
+    assert [meta.eps(d) for d in range(-1, 6)] == [-1, 0, 1, 0, -1, 0, 1]
+    assert FormMeta(12).character is None
+    assert hash(FormMeta(12)) == hash(FormMeta(12, 1, None))
 
 
 def test_ellipse_spec_repr_is_the_dataclass_form():
