@@ -19,7 +19,7 @@ def main() -> None:
     print(f"{'f/e':>6}  {'r_ref':>10}  {'c_hol':>10}  {'max|shadow|':>12}")
     for i in range(steps + 1):
         ratio = 1.0 + 0.25 * i
-        term = geometry.torus_term(1, r_a, r_d, 1.0, ratio, 256)
+        term = geometry.torus_term(r_a, r_d, 1.0, ratio, 256)
         peak = max(abs(s) for s in term.shadow_samples)
         print(
             f"{ratio:>6.2f}  {term.ellipse.r_ref:>10.6f}  "

@@ -200,8 +200,8 @@ def _table_lvalues(args) -> tuple[list[str], list[dict]]:
 def _table_shadow(args) -> tuple[list[str], list[dict]]:
     from . import geometry
 
-    # the samples depend only on r_d, e, f and the grid, so n and r_a stay fixed
-    term = geometry.torus_term(1, 1.0, args.r_d, args.e, args.f, args.grid)
+    # the samples depend only on r_d, e, f and the grid, so r_a stays fixed
+    term = geometry.torus_term(1.0, args.r_d, args.e, args.f, args.grid)
     return ["theta", "re", "im"], [
         {
             "theta": _fmt_float(2.0 * math.pi * j / args.grid),

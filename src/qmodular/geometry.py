@@ -21,7 +21,9 @@ taken along the imaginary direction, so cosine/sine turn hyperbolic:
 written stably as ((f-e)/2) e^th + ((f+e)/2) e^(-th).  When e = f this
 collapses to f e^(-th), exactly reproducing the classical decaying term
 and making the shadow vanish identically (also in floating point, since
-the e^th coefficient is an exact zero).
+the e^th coefficient is an exact zero).  The index n enters only
+through th: :func:`torus_term` builds a term without it, and
+:func:`weak_maass_series` numbers and sums its whole list of terms.
 
 Perimeters use the arithmetic-geometric-mean evaluation of the complete
 elliptic integral of the second kind, converged to ~1e-15 relative.
@@ -140,24 +142,20 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
 
 
 class TorusTerm(NamedTuple):
-    """One series term: circle radius r_a times a perimeter-matched ellipse.
+    """One series term: a perimeter-matched ellipse and what it yields.
 
-    ``c_hol`` is the coefficient of the inscribed-circle (holomorphic)
-    part; ``shadow_samples`` trace the difference curve between the
-    elliptic section and its inscribed circle on a uniform angular grid.
+    ``c_hol`` is the coefficient r_a * r_in of the inscribed-circle part;
+    ``shadow_samples`` trace the difference curve between the elliptic
+    section and its inscribed circle on a uniform angular grid.
     """
 
-    n: int
-    r_a: float
     ellipse: EllipseSpec
     c_hol: float
     shadow_samples: tuple[complex, ...]
 
 
-def torus_term(
-    n: int, r_a: float, r_d: float, e: float, f: float, grid_size: int
-) -> TorusTerm:
-    """Build the index-n term record from its four radii/axis parameters."""
+def torus_term(r_a: float, r_d: float, e: float, f: float, grid_size: int) -> TorusTerm:
+    """Build one term from its circle radius r_a and section (r_d, e, f)."""
     if grid_size < 4:
         raise ValueError(f"grid_size must be >= 4, got {grid_size}")
     if not (0 < r_a < math.inf and 0 < r_d < math.inf):  # also rejects nan
@@ -174,7 +172,7 @@ def torus_term(
         theta = 2.0 * math.pi * j / grid_size
         ct, st = math.cos(theta), math.sin(theta)
         samples[j] = complex(semi_re * ct - r_in * ct, semi_im * st - r_in * st)
-    return TorusTerm(n, r_a, spec, c_hol, tuple(samples))
+    return TorusTerm(spec, c_hol, tuple(samples))
 
 
 class WeakMaassValue(NamedTuple):
@@ -201,14 +199,12 @@ def _section_and_inscribed(spec: EllipseSpec, th: float) -> tuple[float, float]:
 
 
 def weak_maass_series(
-    terms: Sequence[tuple[float, float, float, float]],
-    z: complex,
-    truncation: int,
+    terms: Sequence[tuple[float, float, float, float]], z: complex
 ) -> WeakMaassValue:
     """Evaluate the three-part sum at z: full, holomorphic, shadow.
 
-    ``terms`` lists (r_a, r_d, e, f) for n = 1, 2, ...; at most
-    ``truncation`` of them enter.  Per term,
+    ``terms`` lists (r_a, r_d, e, f) for n = 1, 2, ..., and every one
+    enters; a caller that wants fewer terms slices the list.  Per term,
 
         full_n   = r_a e^(2 pi i n x) * section(2 pi n y)
         hol_n    = c_hol e^(2 pi i n z)
@@ -220,13 +216,11 @@ def weak_maass_series(
     """
     if not z.imag > 0:  # also rejects nan
         raise ValueError(f"need Im(z) > 0, got {z.imag}")
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
     x, y = z.real, z.imag
     full = complex(0.0)
     hol = complex(0.0)
     shadow = complex(0.0)
-    for n, (r_a, r_d, e, f) in enumerate(terms[:truncation], start=1):
+    for n, (r_a, r_d, e, f) in enumerate(terms, start=1):
         if r_a == 0.0:
             continue
         spec = circle_matching_ellipse(r_d, e, f)

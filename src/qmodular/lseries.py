@@ -5,7 +5,8 @@ can cross-check each other:
 
 * exact Dirichlet coefficients, read off a q-expansion or rebuilt from
   local Euler factors via the prime-power recursion
-  c(p^(e+1)) = c(p) c(p^e) - chi(p) p^(k-1) c(p^(e-1));
+  c(p^(e+1)) = c(p) c(p^e) - chi(p) p^(k-1) c(p^(e-1)), and their
+  partial sums, whose tail bar reads the weight off the eigenform's ``FormMeta``;
 * the completed value Lambda(s) = integral_0^inf F(iy) y^s dy/y computed
   by tanh-sinh quadrature (Takahasi and Mori, 1974) on a fixed step
   schedule, using the weight-12 inversion
@@ -68,24 +69,16 @@ class BracketingError(RuntimeError):
 class DirichletSeries(Record):
     """Coefficients c_1 .. c_N of sum c_n n^(-s), exact.
 
-    ``normalized_eigenform`` asserts the coefficient bound
-    |c_n| <= d(n) n^((weight-1)/2), which powers the rigorous tail
-    estimates in :func:`dirichlet_eval`; it needs a positive even
-    ``weight``, since the bound and its convergence region depend on it.
+    A series holds no weight: :func:`dirichlet_eval` takes the
+    ``FormMeta`` of the eigenform whose coefficients these are.
     """
 
-    __slots__ = _fields = ("coeffs", "weight", "normalized_eigenform")
+    __slots__ = _fields = ("coeffs",)
 
-    def __init__(
-        self, coeffs: Sequence[Rational], weight: int = 0, normalized_eigenform: bool = False
-    ) -> None:
+    def __init__(self, coeffs: Sequence[Rational]) -> None:
         if len(coeffs) < 1:
             raise ValueError("need at least one coefficient")
-        if normalized_eigenform and (weight <= 0 or weight % 2 != 0):
-            raise ValueError(
-                f"a normalized eigenform needs a positive even weight, got {weight}"
-            )
-        super().__init__(tuple(map(rational, coeffs)), weight, normalized_eigenform)
+        super().__init__(tuple(map(rational, coeffs)))
 
     def coeff(self, n: int) -> Rational:
         if not 1 <= n <= len(self.coeffs):
@@ -93,16 +86,12 @@ class DirichletSeries(Record):
         return self.coeffs[n - 1]
 
 
-def mellin_coeffs(
-    f: QSeries, weight: int = 0, normalized_eigenform: bool = False
-) -> DirichletSeries:
+def mellin_coeffs(f: QSeries) -> DirichletSeries:
     """Dirichlet coefficients of a cusp expansion: c_n = coefficient of q^n.
 
     ``f`` must have an integer offset >= 0 and a vanishing constant
     term (the cusp condition); coefficients run from exponent 1 to the
-    end of f's window.  ``weight`` and ``normalized_eigenform`` go to
-    :class:`DirichletSeries` as given: a series carries no weight of
-    its own.
+    end of f's window.
     """
     if f.offset.denominator != 1 or f.offset < 0:
         raise ValueError(f"mellin_coeffs requires an integer offset >= 0, got {f.offset}")
@@ -114,7 +103,7 @@ def mellin_coeffs(
     if n_max < 1:
         raise ValueError("window too short: no coefficients at exponent >= 1")
     cs = [f.coeff(n) for n in range(1, n_max + 1)]
-    return DirichletSeries(tuple(cs), weight, normalized_eigenform)
+    return DirichletSeries(tuple(cs))
 
 
 class EulerProductCoeffs(NamedTuple):
@@ -188,20 +177,23 @@ class DirichletValue(NamedTuple):
     tail_bound: float
 
 
-def dirichlet_eval(ds: DirichletSeries, s: float) -> DirichletValue:
+def dirichlet_eval(
+    ds: DirichletSeries, s: float, eigenform: Optional[forms.FormMeta] = None
+) -> DirichletValue:
     """Partial sum of sum c_n n^(-s) with a rigorous tail bound.
 
-    For a flagged normalized eigenform the bound |c_n| <= 2 n^(k/2)
-    (divisor count under 2 sqrt(n)) gives
+    ``eigenform`` is the ``FormMeta`` of the normalized eigenform whose
+    coefficients ``ds`` holds; Deligne's bound |c_n| <= d(n) n^((k-1)/2)
+    <= 2 n^(k/2) at its weight k gives
 
         |tail| <= 2 N^(k/2 + 1 - s) / (s - k/2 - 1),
 
     valid for s > k/2 + 1; arguments at or below that line are refused.
-    Unflagged series carry no coefficient bound, so their tail is
-    reported as infinite.
+    Without ``eigenform`` there is no coefficient bound: the tail is inf.
     """
-    if ds.normalized_eigenform:
-        barrier = ds.weight / 2 + 1
+    if eigenform is not None:
+        k = eigenform.weight
+        barrier = k / 2 + 1
         if not s > barrier:  # also rejects nan
             raise ValueError(
                 f"s={s} is outside the guaranteed convergence region s > {barrier}"
@@ -210,9 +202,8 @@ def dirichlet_eval(ds: DirichletSeries, s: float) -> DirichletValue:
     for n, c in enumerate(ds.coeffs, start=1):
         if c:
             total += float(c) * n ** (-s)
-    if ds.normalized_eigenform:
-        n_cut = len(ds.coeffs)
-        tail = 2.0 * n_cut ** (ds.weight / 2 + 1 - s) / (s - ds.weight / 2 - 1)
+    if eigenform is not None:
+        tail = 2.0 * len(ds.coeffs) ** (k / 2 + 1 - s) / (s - k / 2 - 1)
     else:
         tail = math.inf
     return DirichletValue(total, tail)

@@ -254,17 +254,18 @@ def verify_lfunc(tol: float = 1e-8, count: int = 10) -> list[CheckReport]:
     from . import lseries
 
     reports = []
+    meta = forms.FormMeta(12)
+    series = lseries.mellin_coeffs(forms.delta(1000))
 
     bad = []
-    mell = lseries.mellin_coeffs(forms.delta(200), 12, normalized_eigenform=True)
     ep = lseries.euler_product_coeffs(
-        {p: forms.tau(p) for p in forms.primes_up_to(13)}, forms.FormMeta(12), 200
+        {p: forms.tau(p) for p in forms.primes_up_to(13)}, meta, 200
     )
     smooth_seen = 0
     for n in range(1, 201):
         if ep.known(n):
             smooth_seen += 1
-            if ep.coeff(n) != mell.coeff(n):
+            if ep.coeff(n) != series.coeff(n):
                 bad.append(f"euler product coefficient differs at n={n}")
     if smooth_seen < 60:
         bad.append(f"only {smooth_seen} 13-smooth indices found; expected more")
@@ -282,11 +283,10 @@ def verify_lfunc(tol: float = 1e-8, count: int = 10) -> list[CheckReport]:
     reports.append(_report("lambda-functional-equation", {"tol_exp": _log10(tol)}, bad))
 
     bad = []
-    series = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
     lam[10.0] = lseries.completed_lambda_integral(10.0)
     for s in (8.0, 9.0, 10.0):
         integral = lam[s]
-        partial = lseries.dirichlet_eval(series, s)
+        partial = lseries.dirichlet_eval(series, s, meta)
         gamma_factor = (2.0 * math.pi) ** (-s) * math.gamma(s)
         direct = gamma_factor * partial.value
         allowed = gamma_factor * partial.tail_bound + integral.quadrature_error
@@ -353,7 +353,7 @@ def verify_geometry() -> list[CheckReport]:
     for r_d, e, f in params:
         # the matched radius came from the AGM, so measure the ellipse
         # with the independent trapezoid rule
-        term = geometry.torus_term(1, 1.0, r_d, e, f, 64)
+        term = geometry.torus_term(1.0, r_d, e, f, 64)
         err = abs(_arc_length_quadrature(term.ellipse) - 2.0 * math.pi * r_d)
         if err >= 1e-9 * r_d:
             bad.append(f"perimeter not preserved for (r_d,e,f)=({r_d},{e},{f})")
@@ -361,10 +361,10 @@ def verify_geometry() -> list[CheckReport]:
 
     bad = []
     for c in (0.5, 1.0, 2.0):
-        term = geometry.torus_term(2, 1.5, 1.0, c, c, 48)
+        term = geometry.torus_term(1.5, 1.0, c, c, 48)
         if any(abs(s) != 0.0 for s in term.shadow_samples):
             bad.append(f"shadow not exactly zero for e=f={c}")
-        val = geometry.weak_maass_series([(1.5, 1.0, c, c)], complex(0.3, 0.7), 1)
+        val = geometry.weak_maass_series([(1.5, 1.0, c, c)], complex(0.3, 0.7))
         if val.shadow != 0 or val.full != val.hol:
             bad.append(f"series shadow not exactly zero for e=f={c}")
     reports.append(_report("shadow-vanishing", {}, bad))
@@ -383,7 +383,7 @@ def verify_geometry() -> list[CheckReport]:
             for _ in range(n_terms)
         ]
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 1.5))
-        val = geometry.weak_maass_series(terms, z, n_terms)
+        val = geometry.weak_maass_series(terms, z)
         scale = max(abs(val.full), abs(val.hol) + abs(val.shadow), 1e-30)
         if abs(val.full - (val.hol + val.shadow)) > 1e-12 * scale:
             bad.append(f"decomposition identity fails on sample {i}")

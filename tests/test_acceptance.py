@@ -124,20 +124,20 @@ def test_acceptance_5_theta_suite():
 
 def test_acceptance_6_lfunction_suite():
     with criterion(6, 30.0, "Euler product match, functional equation, two pipelines"):
-        mell = lseries.mellin_coeffs(forms.delta(200), 12, normalized_eigenform=True)
+        meta = forms.FormMeta(12)
+        series = lseries.mellin_coeffs(forms.delta(1000))
         ep = lseries.euler_product_coeffs(
-            {p: forms.tau(p) for p in forms.primes_up_to(13)}, forms.FormMeta(12), 200
+            {p: forms.tau(p) for p in forms.primes_up_to(13)}, meta, 200
         )
         for n in range(1, 201):
             if ep.known(n):
-                assert ep.coeff(n) == mell.coeff(n)
+                assert ep.coeff(n) == series.coeff(n)
         lam = {s: lseries.completed_lambda_integral(float(s)) for s in (3, 4, 5, 7, 8, 9, 10)}
         for s in (4, 5, 8, 9):
             rel = abs(lam[s].value - lam[12 - s].value) / abs(lam[s].value)
             assert rel < 1e-8
-        series = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
         for s in (8.0, 9.0, 10.0):
-            partial = lseries.dirichlet_eval(series, s)
+            partial = lseries.dirichlet_eval(series, s, meta)
             prefactor = (2 * math.pi) ** (-s) * math.gamma(s)
             combined = prefactor * partial.tail_bound + lam[int(s)].quadrature_error
             assert abs(prefactor * partial.value - lam[int(s)].value) <= combined

@@ -204,7 +204,8 @@ def test_tables_csv_format():
 # sha256 of `qmodular tables TABLE [ARGS] --format FMT` stdout, recorded
 # before coefficients were stored as ints where integral; every byte must
 # stay the same.  The `--n-max 120` rank table was recorded before
-# rank_table moved to dense rows.
+# rank_table moved to dense rows, and the `lvalues` tables before
+# DirichletSeries dropped its weight fields.
 _RANK_ARGS = ("--n-max", "40")
 _SHADOW_ARGS = ("--e", "0.5", "--grid", "8")
 TABLES_SHA256 = {
@@ -227,6 +228,9 @@ TABLES_SHA256 = {
     ("shadow", _SHADOW_ARGS, "json"): "01be4906d313ea832daefe13afb576e99513d4de53ee78d600cdc71213c5deea",
     ("shadow", _SHADOW_ARGS, "csv"): "80e5767db26a258663a510fb9fb6118e2c42f5f6146f98019d3d930fc5f3daae",
     ("rank", ("--n-max", "120"), "json"): "5969f20c143da80f0826ae0e32fe34ad4f8e22001b9ad8623532b1f25686b3c7",
+    ("lvalues", (), "tsv"): "6fc4839a006ea18a00a2be1171489cd6806e4e43f0346768ec8a4fc252b8fdd5",
+    ("lvalues", (), "json"): "85ea16172c11fe9c7d89baab3e0573e3acc41792b90271f39893a48cf7b4580e",
+    ("lvalues", (), "csv"): "966e5f73203828a1f5e6e6ffeff190a0473b73d52e40e8832e2677dc428f7c5b",
 }
 
 

@@ -71,6 +71,31 @@ def test_e12_vs_tau_691_factor():
     assert forms.sigma(11, 2) - forms.tau(2) == 3 * 691
 
 
+def _delta_from_e4_e6(sigma3: list[int], sigma5: list[int]) -> qs.QSeries:
+    """(E4^3 - E6^2)/1728 from sigma_3 and sigma_5, by mul and add only.
+
+    E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n.
+    ``pow`` is avoided: its kernel also expands the Euler product, the
+    route this identity is meant to check.
+    """
+    e4 = qs.QSeries(0, (1, *(240 * c for c in sigma3)))
+    e6 = qs.QSeries(0, (1, *(-504 * c for c in sigma5)))
+    difference = qs.add(qs.mul(qs.mul(e4, e4), e4), qs.scalar_mul(-1, qs.mul(e6, e6)))
+    return qs.scalar_mul(Fraction(1, 1728), difference)
+
+
+def test_delta_is_e4_cubed_minus_e6_squared_over_1728():
+    order = 400
+    sigma3 = [forms.sigma(3, n) for n in range(1, order + 1)]
+    sigma5 = [forms.sigma(5, n) for n in range(1, order + 1)]
+    delta = forms.delta(order)
+    built = _delta_from_e4_e6(sigma3, sigma5)
+    assert built.coeff(0) == 0
+    assert built.coeffs[1:] == delta.coeffs
+    sigma3[6] += 1  # a wrong sigma_3(7) must break the identity
+    assert _delta_from_e4_e6(sigma3, sigma5).coeffs[1:] != delta.coeffs
+
+
 # -- Hecke coset representatives ------------------------------------------------------
 
 

@@ -134,7 +134,7 @@ def test_matching_and_torus_term_reject_radii_that_are_not_positive_and_finite(r
         geometry.circle_matching_ellipse(radius, 1.0, 2.0)
     for r_a, r_d in ((radius, 1.0), (1.0, radius)):
         with pytest.raises(ValueError, match="radii must be positive"):
-            geometry.torus_term(1, r_a, r_d, 1.0, 2.0, 8)
+            geometry.torus_term(r_a, r_d, 1.0, 2.0, 8)
 
 
 def test_matching_names_the_factor_or_range_that_fails():
@@ -149,13 +149,13 @@ def test_matching_names_the_factor_or_range_that_fails():
 
 
 def test_torus_term_circular_case():
-    term = geometry.torus_term(1, 2.0, 3.0, 1.0, 1.0, 16)
+    term = geometry.torus_term(2.0, 3.0, 1.0, 1.0, 16)
     assert term.c_hol == pytest.approx(6.0, rel=1e-12)
     assert max(abs(s) for s in term.shadow_samples) == 0.0
 
 
 def test_torus_term_inscribed_radius_by_grid_minimum():
-    term = geometry.torus_term(1, 1.0, 1.0, 1.0, 2.0, 4096)
+    term = geometry.torus_term(1.0, 1.0, 1.0, 2.0, 4096)
     spec = term.ellipse
     grid_min = min(
         abs(spec.point(2 * math.pi * j / 4096)) for j in range(4096)
@@ -165,7 +165,7 @@ def test_torus_term_inscribed_radius_by_grid_minimum():
 
 
 def test_torus_term_shadow_sample_on_real_axis():
-    term = geometry.torus_term(1, 1.0, 1.0, 1.0, 2.0, 8)
+    term = geometry.torus_term(1.0, 1.0, 1.0, 2.0, 8)
     spec = term.ellipse
     s0 = term.shadow_samples[0]
     assert s0.imag == 0.0
@@ -174,16 +174,16 @@ def test_torus_term_shadow_sample_on_real_axis():
 
 def test_torus_term_perimeter_preservation():
     for (r_d, e, f) in [(1.0, 1.0, 2.0), (0.5, 0.3, 2.6), (2.0, 1.4, 0.2)]:
-        term = geometry.torus_term(3, 1.0, r_d, e, f, 32)
+        term = geometry.torus_term(1.0, r_d, e, f, 32)
         per = geometry.ellipse_perimeter(term.ellipse)
         assert abs(per - 2 * math.pi * r_d) < 1e-9 * r_d
 
 
 def test_torus_term_validation():
     with pytest.raises(ValueError):
-        geometry.torus_term(1, 1.0, 1.0, 1.0, 1.0, 3)
+        geometry.torus_term(1.0, 1.0, 1.0, 1.0, 3)
     with pytest.raises(ValueError):
-        geometry.torus_term(1, -1.0, 1.0, 1.0, 1.0, 8)
+        geometry.torus_term(-1.0, 1.0, 1.0, 1.0, 8)
 
 
 # -- series evaluation -------------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_torus_term_validation():
 def test_series_circular_terms_reduce_to_classical_sum():
     terms = [(1.0, 1.0, 1.0, 1.0), (0.5, 0.25, 1.0, 1.0)]
     z = complex(0.3, 0.8)
-    val = geometry.weak_maass_series(terms, z, 2)
+    val = geometry.weak_maass_series(terms, z)
     classical = sum(
         r_a * r_d * cmath.exp(2j * math.pi * n * z)
         for n, (r_a, r_d, _, _) in enumerate(terms, start=1)
@@ -205,7 +205,7 @@ def test_series_circular_terms_reduce_to_classical_sum():
 def test_series_single_term_hand_evaluation():
     # one term, n = 1, z = i: section factor at th = 2 pi, circle factor r_a
     r_a, r_d, e, f = 2.0, 1.0, 1.0, 2.0
-    val = geometry.weak_maass_series([(r_a, r_d, e, f)], complex(0.0, 1.0), 1)
+    val = geometry.weak_maass_series([(r_a, r_d, e, f)], complex(0.0, 1.0))
     spec = geometry.circle_matching_ellipse(r_d, e, f)
     th = 2.0 * math.pi
     section = spec.r_ref * (
@@ -222,23 +222,16 @@ def test_series_zero_radius_term_is_inert():
     base = [(1.0, 1.0, 1.3, 0.7)]
     padded = base + [(0.0, 1.0, 2.0, 0.5)]
     z = complex(0.1, 0.6)
-    assert geometry.weak_maass_series(base, z, 1) == geometry.weak_maass_series(
-        padded, z, 2
-    )
+    assert geometry.weak_maass_series(base, z) == geometry.weak_maass_series(padded, z)
 
 
 def test_series_requires_upper_half_plane():
     with pytest.raises(ValueError):
-        geometry.weak_maass_series([(1.0, 1.0, 1.0, 1.0)], complex(0.0, -1.0), 1)
+        geometry.weak_maass_series([(1.0, 1.0, 1.0, 1.0)], complex(0.0, -1.0))
 
 
-def test_series_rejects_a_negative_truncation():
-    # a slice terms[:-1] would drop the last term instead
-    terms = [(1.0, 1.0, 1.3, 0.7), (0.5, 1.2, 0.8, 1.1), (0.3, 0.9, 1.0, 2.0)]
-    z = complex(0.1, 0.6)
-    with pytest.raises(ValueError, match="truncation"):
-        geometry.weak_maass_series(terms, z, -1)
-    empty = geometry.weak_maass_series(terms, z, 0)
+def test_series_of_no_terms_is_zero():
+    empty = geometry.weak_maass_series([], complex(0.1, 0.6))
     assert (empty.full, empty.hol, empty.shadow) == (0, 0, 0)
 
 
@@ -256,6 +249,6 @@ def test_series_decomposition_identity(data):
         for _ in range(n_terms)
     ]
     z = complex(data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(0.2, 1.5)))
-    val = geometry.weak_maass_series(terms, z, n_terms)
+    val = geometry.weak_maass_series(terms, z)
     scale = max(abs(val.full), abs(val.hol) + abs(val.shadow), 1e-30)
     assert abs(val.full - (val.hol + val.shadow)) <= 1e-12 * scale

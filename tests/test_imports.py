@@ -1,6 +1,7 @@
 """Each public name lives in its module, and each command loads only what it runs."""
 
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -66,6 +67,19 @@ def test_unknown_attribute_raises_attribute_error():
         qmodular.no_such_name
     with pytest.raises(ImportError):
         exec("from qmodular import no_such_name", {})
+
+
+def test_tracer_targets_resolve_to_callables():
+    # a rename that passes every other test would otherwise fail only in a traced run
+    path = ROOT / "perfbench" / "tracer.py"
+    if not path.exists():
+        pytest.skip("perfbench/tracer.py is absent")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, module, attribute, _kind in tracer.TARGETS:
+        mod = importlib.import_module(f"qmodular.{module}")
+        assert callable(getattr(mod, attribute, None)), name
 
 
 def test_cli_suite_choices_match_verify(capsys):

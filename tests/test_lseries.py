@@ -16,11 +16,10 @@ from conftest import dense_product_one_minus_qn, poly_mul
 
 
 def test_mellin_reads_cusp_coefficients():
-    ds = lseries.mellin_coeffs(forms.delta(10), 12, normalized_eigenform=True)
+    ds = lseries.mellin_coeffs(forms.delta(10))
     assert [int(c) for c in ds.coeffs] == [
         1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920,
     ]
-    assert ds.weight == 12
 
 
 def test_mellin_zero_series():
@@ -101,37 +100,39 @@ def test_euler_product_matches_expansion_13_smooth():
 
 
 def test_dirichlet_eval_zero_series():
-    ds = lseries.DirichletSeries((Fraction(0),) * 10, weight=12, normalized_eigenform=True)
-    val = lseries.dirichlet_eval(ds, 9.0)
+    ds = lseries.DirichletSeries((Fraction(0),) * 10)
+    val = lseries.dirichlet_eval(ds, 9.0, META12)
     assert val.value == 0.0
     assert val.tail_bound < math.inf
 
 
 def test_dirichlet_eval_outside_convergence_region():
-    ds = lseries.mellin_coeffs(forms.delta(50), 12, normalized_eigenform=True)
+    ds = lseries.mellin_coeffs(forms.delta(50))
     with pytest.raises(ValueError):
-        lseries.dirichlet_eval(ds, 4.0)
+        lseries.dirichlet_eval(ds, 4.0, META12)
 
 
 def test_dirichlet_eval_tail_bound_shrinks():
-    short = lseries.mellin_coeffs(forms.delta(100), 12, normalized_eigenform=True)
-    long = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
-    v1 = lseries.dirichlet_eval(short, 9.0)
-    v2 = lseries.dirichlet_eval(long, 9.0)
+    short = lseries.mellin_coeffs(forms.delta(100))
+    long = lseries.mellin_coeffs(forms.delta(1000))
+    v1 = lseries.dirichlet_eval(short, 9.0, META12)
+    v2 = lseries.dirichlet_eval(long, 9.0, META12)
     assert v2.tail_bound < v1.tail_bound
     assert abs(v1.value - v2.value) <= v1.tail_bound + v2.tail_bound
 
 
 def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
-    # the weight is passed, not read off the series, so slicing keeps it
+    # the weight comes with the FormMeta, not the series, so slicing loses nothing
     cut = forms.delta(1000).truncate(500)
-    via_cut = lseries.mellin_coeffs(cut, 12, normalized_eigenform=True)
-    direct = lseries.mellin_coeffs(forms.delta(500), 12, normalized_eigenform=True)
+    via_cut = lseries.mellin_coeffs(cut)
+    direct = lseries.mellin_coeffs(forms.delta(500))
     assert via_cut == direct
-    assert lseries.dirichlet_eval(via_cut, 7.5) == lseries.dirichlet_eval(direct, 7.5)
-    assert lseries.dirichlet_eval(direct, 7.5).tail_bound > 0.1
+    assert lseries.dirichlet_eval(via_cut, 7.5, META12) == lseries.dirichlet_eval(
+        direct, 7.5, META12
+    )
+    assert lseries.dirichlet_eval(direct, 7.5, META12).tail_bound > 0.1
     with pytest.raises(ValueError):
-        lseries.dirichlet_eval(via_cut, 3.0)
+        lseries.dirichlet_eval(via_cut, 3.0, META12)
 
 
 @pytest.mark.parametrize(
@@ -139,15 +140,14 @@ def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
     [
         (
             lambda: lseries.dirichlet_eval(
-                lseries.mellin_coeffs(forms.delta(10), 12, normalized_eigenform=True),
-                math.nan,
+                lseries.mellin_coeffs(forms.delta(10)), math.nan, META12
             ),
             "outside the guaranteed convergence region",
         ),
         (lambda: lseries.rs_theta(math.nan), "asymptotic phase needs t >= 1"),
         (
             lambda: geometry.weak_maass_series(
-                [(1.0, 1.0, 1.0, 2.0)], complex(0.0, math.nan), 1
+                [(1.0, 1.0, 1.0, 2.0)], complex(0.0, math.nan)
             ),
             "need Im(z) > 0",
         ),
@@ -160,8 +160,28 @@ def test_nan_argument_is_rejected(call, message):
         call()
 
 
+def test_tail_bar_at_weight_16():
+    # f = Delta * E4 spans S_16, so it is the normalized eigenform of weight 16
+    order = 1000
+    e4 = qs.QSeries(0, (1, *(240 * forms.sigma(3, n) for n in range(1, order))))
+    f = qs.mul(forms.delta(order), e4)
+    assert f.coeffs[:4] == (1, 216, -3348, 13888)
+    meta16 = forms.FormMeta(16)
+    assert forms.is_eigenform(f, meta16, 20).ok
+    short = lseries.mellin_coeffs(f.truncate(200))
+    long = lseries.mellin_coeffs(f)
+    # the barrier k/2 + 1 is 9 at weight 16 and 7 at weight 12
+    with pytest.raises(ValueError, match="s > 9.0"):
+        lseries.dirichlet_eval(short, 8.5, meta16)
+    assert lseries.dirichlet_eval(short, 8.5, META12).tail_bound < math.inf
+    for s in (9.5, 10.0, 12.0):
+        near = lseries.dirichlet_eval(short, s, meta16)
+        far = lseries.dirichlet_eval(long, s, meta16)
+        assert abs(near.value - far.value) <= near.tail_bound, s
+
+
 def test_dirichlet_eval_unflagged_has_no_bound():
-    ds = lseries.DirichletSeries((Fraction(1), Fraction(1)), weight=0)
+    ds = lseries.DirichletSeries((Fraction(1), Fraction(1)))
     assert lseries.dirichlet_eval(ds, 2.0).tail_bound == math.inf
 
 
@@ -182,10 +202,10 @@ def test_lambda_functional_equation_pairs():
 
 
 def test_lambda_vs_dirichlet_gamma_route():
-    ds = lseries.mellin_coeffs(forms.delta(1000), 12, normalized_eigenform=True)
+    ds = lseries.mellin_coeffs(forms.delta(1000))
     for s in (8.0, 9.0, 10.0):
         integral = lseries.completed_lambda_integral(s)
-        partial = lseries.dirichlet_eval(ds, s)
+        partial = lseries.dirichlet_eval(ds, s, META12)
         prefactor = (2 * math.pi) ** (-s) * math.gamma(s)
         direct = prefactor * partial.value
         combined = prefactor * partial.tail_bound + integral.quadrature_error

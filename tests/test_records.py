@@ -32,14 +32,6 @@ from qmodular.theta_partitions import rank_table
         (lambda: CosetRep(1, 2, 2), "invalid coset representative (1, 2, 2)"),
         (lambda: CosetRep(1, -1, 2), "invalid coset representative (1, -1, 2)"),
         (lambda: DirichletSeries(()), "need at least one coefficient"),
-        (
-            lambda: DirichletSeries((1, -24), 0, normalized_eigenform=True),
-            "a normalized eigenform needs a positive even weight, got 0",
-        ),
-        (
-            lambda: DirichletSeries((1, -24), 11, normalized_eigenform=True),
-            "a normalized eigenform needs a positive even weight, got 11",
-        ),
         (lambda: QSeries("1/5", (1,)), "offset denominator must divide 24, got 5"),
         (lambda: ZeroList((1.0, 1.0), (0.0, 0.0)), "ordinates must be strictly increasing"),
         (lambda: ZeroList((-1.0,), (0.0,)), "ordinates must be positive"),
@@ -96,7 +88,7 @@ def test_equality_is_same_class_on_the_fields():
     assert hash(CosetRep(1, 0, 2)) == hash(CosetRep(1, 0, 2))
     assert CosetRep(1, 0, 2) != CosetRep(1, 1, 2)
     assert EllipseSpec(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
-    assert DirichletSeries((1, 2)) != DirichletSeries((1, 2), weight=12)
+    assert DirichletSeries((1, 2)) != DirichletSeries((1, 3))
     assert rank_table(6) == rank_table(6)
 
 
