@@ -19,10 +19,12 @@ each reciprocal factor in as an in-place recurrence, O(N^1.5) big-int
 shift-adds for order N.  Both kernels keep each dense DP row as one
 non-negative Python int packed in fixed-width slots, so a row update
 is one C-level shift and add.  The slot width comes from a proven
-bound on the coefficients of 1/(q;q)_oo^r (Apostol, Thm 14.5), and
-each kernel unpacks its finished rows into :class:`OmegaPoly` values
-on return, by its own conversion.  The w = -1 specialization of
-R(w, q) reproduces the q-hypergeometric series
+bound on the coefficients of 1/(q;q)_oo^r (Apostol, Thm 14.5).  The
+DPs stay independent; they share only the step that turns a finished
+packed row into an :class:`OmegaPoly`: :func:`_unpack_slots` reads
+every slot of a row at C level (strided byte copies and one
+``struct.unpack``), and :func:`_row_poly` trims its zero ends.  The
+w = -1 specialization of R(w, q) reproduces the q-hypergeometric series
 
     f(q) = sum_{n>=0} q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^2
 
@@ -37,8 +39,10 @@ additions.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
-from operator import add
+from itertools import compress, repeat
+from operator import add, lshift
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .qseries import QSeries, Record, euler_product, make_series, pow as qpow
@@ -188,8 +192,12 @@ class RankTable(Record):
 
     def rows(self) -> list[tuple[int, int, int]]:
         """Every nonzero (n, m, N(n, m)), in ascending (n, m)."""
-        numbered = enumerate(self.polys, 1)
-        return [(n, m, c) for n, poly in numbered for m, c in poly.terms().items()]
+        return [
+            (n, lo + j, c)
+            for n, (lo, coeffs) in enumerate(self.polys, 1)
+            for j, c in enumerate(coeffs)
+            if c
+        ]
 
 
 def rank_table(n_max: int) -> RankTable:
@@ -215,7 +223,9 @@ def rank_table(n_max: int) -> RankTable:
     the generating function; Apostol, Introduction to Analytic Number
     Theory, Thm 14.5).  The slot width is that bound in bits plus 2,
     rounded up to whole bytes.  Each finished row is unpacked once, over
-    its slots |m| <= n, into its :class:`OmegaPoly`.
+    its slots |m| <= n, by :func:`_unpack_slots`, the step it shares
+    with :func:`rank_generating`; its slots are reversed, so that slot i
+    holds rank i - n, and passed to :func:`_row_poly`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -231,10 +241,8 @@ def rank_table(n_max: int) -> RankTable:
             rank[n] += D[n - part] << (n - part + 1) * bits
     polys = []
     for n in range(1, n_max + 1):
-        raw = rank[n].to_bytes((2 * n + 1) * size, "little")
-        slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-        # slot j holds the count of rank n - j
-        polys.append(OmegaPoly.from_terms(dict(zip(range(n, -n - 1, -1), slots))))
+        # packed slot j holds the count of rank n - j, so reversed slot i holds rank i - n
+        polys.append(_row_poly(_unpack_slots(rank[n], 2 * n + 1, size)[::-1], n))
     return RankTable(n_max, polys)
 
 
@@ -295,7 +303,8 @@ def rank_generating(order: int) -> list[OmegaPoly]:
     square of the generating function; Apostol, Thm 14.5).  The slot
     width is that bound at p = order - 1 in bits plus 2, rounded up to
     whole bytes.  Each finished row is unpacked once, over its slots
-    |m| <= p, into an :class:`OmegaPoly`.
+    |m| <= p, by :func:`_unpack_slots` and :func:`_row_poly`, the steps
+    it shares with :func:`rank_table`; nothing else is shared.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -313,20 +322,47 @@ def rank_generating(order: int) -> list[OmegaPoly]:
         for j in range(order - n * n):
             result[n * n + j] += inv_den[j] << shift
         n += 1
-    rows = []
-    for p, packed in enumerate(result):
-        raw = packed.to_bytes((2 * p + 1) * size, "little")
-        row = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-        rows.append(_row_poly(row, p))
-    return rows
+    return [
+        _row_poly(_unpack_slots(packed, 2 * p + 1, size), p)
+        for p, packed in enumerate(result)
+    ]
 
 
-def _row_poly(row: list[int], c: int) -> OmegaPoly:
-    """The dense row (slot c + m holds the w^m coefficient) as an OmegaPoly."""
-    live = [i for i, x in enumerate(row) if x]
-    if not live:
+def _unpack_slots(packed: int, count: int, size: int) -> tuple[int, ...]:
+    """The ``count`` little-endian unsigned slots of ``size`` bytes in ``packed``.
+
+    ``to_bytes`` at the exact length raises ``OverflowError`` for a bit
+    above the top slot.  Each slot is padded to k = ceil(size / 8)
+    64-bit words by ``size`` strided byte copies, one ``struct.unpack``
+    reads every word, and for k > 1 the higher words are shifted and
+    added in, so no step loops over the slots in Python.
+    """
+    raw = packed.to_bytes(count * size, "little")
+    k = -(-size // 8)
+    stride = 8 * k
+    padded = bytearray(stride * count)
+    for b in range(size):
+        padded[b::stride] = raw[b::size]
+    words = struct.unpack(f"<{k * count}Q", padded)
+    if k == 1:
+        return words
+    vals = words[::k]
+    for j in range(1, k):
+        vals = map(add, vals, map(lshift, words[j::k], repeat(64 * j)))
+    return tuple(vals)
+
+
+def _row_poly(row: Sequence[int], c: int) -> OmegaPoly:
+    """The dense row (slot c + m holds the w^m coefficient) as an OmegaPoly.
+
+    The first and last nonzero slots are found by C-level scans in from
+    each end, so only the zero slots at the ends are stepped over.
+    """
+    lo = next(compress(range(len(row)), row), None)
+    if lo is None:
         return OmegaPoly.zero()
-    return OmegaPoly(live[0] - c, tuple(row[live[0] : live[-1] + 1]))
+    hi = next(compress(range(len(row), 0, -1), reversed(row)))
+    return OmegaPoly(lo - c, tuple(row[lo:hi]))
 
 
 def mock_theta_f(order: int) -> QSeries:

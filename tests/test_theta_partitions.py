@@ -369,6 +369,45 @@ def test_rank_table_300_past_64_bit_slots(rank_table_300):
     assert tp.rank_generating(301)[1:] == list(rank_table_300.polys)
 
 
+# -- packed rows: unpacking ---------------------------------------------------------------
+
+
+def unpack_slot_by_slot(packed: int, count: int, size: int) -> list[int]:
+    raw = packed.to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
+@st.composite
+def packed_slots(draw):
+    """A slot width of 1-24 bytes (1-3 64-bit words) and 1-300 slots of that width."""
+    size = draw(st.integers(1, 24))
+    full = (1 << 8 * size) - 1
+    slot = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    return size, draw(st.lists(slot, min_size=1, max_size=300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_slots())
+@example((1, [255] * 300))
+@example((8, [0] * 299 + [2**64 - 1]))
+@example((9, [2**72 - 1, 0] * 150))
+@example((24, [2**192 - 1] * 300))
+def test_unpack_slots_matches_per_slot_from_bytes(case):
+    size, slots = case
+    packed = sum(x << 8 * size * i for i, x in enumerate(slots))
+    unpacked = tp._unpack_slots(packed, len(slots), size)
+    assert list(unpacked) == unpack_slot_by_slot(packed, len(slots), size) == slots
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 24])
+def test_unpack_slots_rejects_a_bit_above_the_top_slot(size):
+    full = (1 << 8 * size) - 1
+    packed = sum(full << 8 * size * i for i in range(5))
+    assert list(tp._unpack_slots(packed, 5, size)) == [full] * 5
+    with pytest.raises(OverflowError):
+        tp._unpack_slots(packed + 1, 5, size)
+
+
 # -- mock theta series -----------------------------------------------------------------------
 
 
