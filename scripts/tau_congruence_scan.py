@@ -15,7 +15,6 @@ from qmodular import forms
 
 def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
-    forms.tau(n_max)  # one cache fill up front
 
     mismatches_691 = [
         n for n in range(1, n_max + 1)

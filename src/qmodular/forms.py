@@ -18,8 +18,9 @@ the composition check and the eigenform check share one kernel on the
 stored coefficients as a plain list; only :func:`hecke_apply` wraps its
 result into a :class:`QSeries`.
 
-tau values come from a module-level table, refilled from the product
-expansion of the discriminant form whenever a read goes past its end.
+tau(n) reads the eta-power table of :mod:`qmodular.qseries` (row 24);
+:func:`delta` stays a fresh expansion of the same product, the independent
+route that the Hecke and L-function checks compare the table against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .qseries import QSeries, Record, WindowError, euler_product
+from .qseries import QSeries, Record, WindowError, euler_coefficient, euler_product
 
 __all__ = [
     "FormMeta",
@@ -131,45 +132,30 @@ def delta(order: int) -> QSeries:
     return euler_product(24, order).shift(1)
 
 
-_TAU: list[int] = [0]  # _TAU[n] = tau(n); index 0 unused
-_TAU_FAULT: Optional[tuple[int, int]] = None  # (n, offset) of the test fault
+_TAU_FAULT = 0  # added to tau(2) on read by the test fault
 
 
 def tau(n: int) -> int:
-    """Coefficient of q^n in the discriminant form (extends the table on demand).
-
-    A read past the table refills it to the smallest 64 * 2^k >= n and
-    re-applies the test fault, so the fault survives every refill.
-    """
-    global _TAU
+    """Coefficient of q^n in the discriminant form: q^(n-1) of the table row e = 24."""
     if n < 1:
         raise ValueError(f"tau(n) requires n >= 1, got {n}")
-    if n >= len(_TAU):
-        order = 64
-        while order < n:
-            order *= 2
-        _TAU = [0, *delta(order).coeffs]
-        if _TAU_FAULT is not None and _TAU_FAULT[0] <= order:
-            _TAU[_TAU_FAULT[0]] += _TAU_FAULT[1]
-    return _TAU[n]
+    return euler_coefficient(24, n - 1) + (_TAU_FAULT if n == 2 else 0)
 
 
-def corrupt_tau_cache_for_testing(n: int = 2, offset: int = 1) -> None:
-    """Fault-injection hook: poison one tau value, stickily.
+def corrupt_tau_cache_for_testing() -> None:
+    """Fault-injection hook behind ``verify --inject-tau-fault``: tau(2) reads +1.
 
-    The hook behind ``verify --inject-tau-fault`` and the negative-control
-    tests, which prove the verification pipeline notices wrong data; the
-    poison survives table refills and lasts for the rest of the process.
+    Negative-control tests use it to prove the checks notice wrong data.
+    The fault lasts until :func:`reset_tau_cache`; a second call changes nothing.
     """
     global _TAU_FAULT
-    tau(n)
-    _TAU_FAULT = (n, offset)
-    _TAU[n] += offset
+    _TAU_FAULT = 1
 
 
 def reset_tau_cache() -> None:
-    global _TAU, _TAU_FAULT
-    _TAU, _TAU_FAULT = [0], None
+    """Clear the test fault; the coefficient table holds only true values."""
+    global _TAU_FAULT
+    _TAU_FAULT = 0
 
 
 # -- divisor sums and the weight-12 Eisenstein series ---------------------------
@@ -302,7 +288,9 @@ def hecke_compose_check(
     """
     if m < 1 or n < 1:
         raise ValueError(f"operator indices must be >= 1, got ({m}, {n})")
-    if f.order < m * n * max(order, 1):
+    if order < 1:
+        raise ValueError(f"comparison order must be >= 1, got {order}")
+    if f.order < m * n * order:
         raise WindowError(
             f"need f to order >= {m * n * order} for ({m},{n}) at order {order}, "
             f"got {f.order}"
@@ -345,7 +333,10 @@ def is_eigenform(f: QSeries, meta: FormMeta, n_max: int) -> EigenformReport:
     ``f`` must be normalized (coefficient of q^1 equal to 1).  Each T_n
     is compared with a(n) * f on the whole shrunken window, as integer
     coefficient lists; the first violated coefficient stops the scan.
+    If no index has two comparable coefficients, :class:`WindowError` is raised.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     a1 = f.coeff(1)
     if a1 != 1:
         raise ValueError(f"eigenform check requires a(1) = 1, got {a1}")
@@ -364,6 +355,8 @@ def is_eigenform(f: QSeries, meta: FormMeta, n_max: int) -> EigenformReport:
                     tuple(eigenvalues), tuple(insufficient), (n, j)
                 )
         eigenvalues.append((n, Fraction(lam)))
+    if not eigenvalues:
+        raise WindowError(f"no T_n with n <= {n_max} has two comparable coefficients")
     return EigenformReport(tuple(eigenvalues), tuple(insufficient), None)
 
 
@@ -395,7 +388,6 @@ def tau_properties_check(n_max: int) -> CheckReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    tau(n_max)  # one cache fill
     violations = []
     for n in range(2, n_max + 1):
         for m in range(2, n_max // n + 1):
@@ -411,9 +403,10 @@ def tau_properties_check(n_max: int) -> CheckReport:
         if tau(p) ** 2 > 4 * p**11:
             violations.append(f"coefficient bound failed at p={p}")
     for n in range(1, n_max + 1):
-        if (tau(n) - sigma(11, n)) % 691 != 0:
+        diff = tau(n) - sigma(11, n)
+        if diff % 691 != 0:
             violations.append(f"mod-691 congruence failed at n={n}")
-        if n % 8 == 1 and (tau(n) - sigma(11, n)) % 2048 != 0:
+        if n % 8 == 1 and diff % 2048 != 0:
             violations.append(f"mod-2048 congruence failed at n={n}")
     return CheckReport(
         "tau-properties", (("n_max", n_max),), tuple(violations)

@@ -177,9 +177,7 @@ class DirichletValue(NamedTuple):
     tail_bound: float
 
 
-def dirichlet_eval(
-    ds: DirichletSeries, s: float, eigenform: Optional[forms.FormMeta] = None
-) -> DirichletValue:
+def dirichlet_eval(ds: DirichletSeries, s: float, eigenform: forms.FormMeta) -> DirichletValue:
     """Partial sum of sum c_n n^(-s) with a rigorous tail bound.
 
     ``eigenform`` is the ``FormMeta`` of the normalized eigenform whose
@@ -189,23 +187,18 @@ def dirichlet_eval(
         |tail| <= 2 N^(k/2 + 1 - s) / (s - k/2 - 1),
 
     valid for s > k/2 + 1; arguments at or below that line are refused.
-    Without ``eigenform`` there is no coefficient bound: the tail is inf.
     """
-    if eigenform is not None:
-        k = eigenform.weight
-        barrier = k / 2 + 1
-        if not s > barrier:  # also rejects nan
-            raise ValueError(
-                f"s={s} is outside the guaranteed convergence region s > {barrier}"
-            )
+    k = eigenform.weight
+    barrier = k / 2 + 1
+    if not s > barrier:  # also rejects nan
+        raise ValueError(
+            f"s={s} is outside the guaranteed convergence region s > {barrier}"
+        )
     total = 0.0
     for n, c in enumerate(ds.coeffs, start=1):
         if c:
             total += float(c) * n ** (-s)
-    if eigenform is not None:
-        tail = 2.0 * len(ds.coeffs) ** (k / 2 + 1 - s) / (s - k / 2 - 1)
-    else:
-        tail = math.inf
+    tail = 2.0 * len(ds.coeffs) ** (k / 2 + 1 - s) / (s - k / 2 - 1)
     return DirichletValue(total, tail)
 
 

@@ -33,7 +33,9 @@ series stay cheap).  Every power goes through one exact power kernel,
 J.C.P. Miller's recurrence: :func:`pow`, :func:`invert` (the power -1)
 and :func:`euler_product` (a power of Euler's pentagonal series).  It
 costs O(order * nnz(base)) for any exponent and stays on ints whenever
-the result is integral.
+the result is integral.  :func:`euler_coefficient` reads the eta powers
+from one table, each exponent's row extended by the kernel from its known
+head; tau(n) (e = 24) and the partition counts p(n) (e = -1) read it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "pow",
     "invert",
     "euler_product",
+    "euler_coefficient",
     "one",
     "to_json_obj",
     "from_json_obj",
@@ -258,7 +261,7 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(f.offset + g.offset, tuple(_conv(f.coeffs, g.coeffs, n)))
 
 
-def _power(a: Sequence[Rational], e: int, n: int) -> list[Rational]:
+def _power(a: Sequence[Rational], e: int, n: int, head: Sequence = ()) -> list[Rational]:
     """First ``n`` coefficients of ``a^e`` for a coefficient list with a[0] != 0.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7):
@@ -266,19 +269,21 @@ def _power(a: Sequence[Rational], e: int, n: int) -> list[Rational]:
         m a_0 g_m = sum_{k=1..m} ((e + 1) k - m) a_k g_{m-k},  g_0 = a_0^e.
 
     Each g_m reads only earlier terms and the sum runs over the nonzero
-    a_k, so the cost is O(n * nnz(a)) whatever the size of e.  When every
-    a_k is stored as an int and the power is integral too (a_0 = +-1, or
-    e >= 0), the kernel stays on ints and every division must be exact: a
-    remainder raises ``ArithmeticError`` instead of being truncated.
-    Otherwise each step divides into a Fraction.
+    a_k, so the cost is O(n * nnz(a)) whatever the size of e; a known
+    head g_0 .. g_(h-1) is continued from m = h.  When every a_k is stored
+    as an int and the power is integral too (a_0 = +-1, or e >= 0), the
+    kernel stays on ints and every division must be exact: a remainder
+    raises ``ArithmeticError`` instead of being truncated.  Otherwise each
+    step divides into a Fraction.
     """
     a = a[:n]
     exact = all(type(c) is int for c in a) and (e >= 0 or a[0] in (1, -1))
     a0 = a[0]
     # on ints with e < 0, a0 = +-1 and a0^e = a0^|e| stays an int
-    g = [a0 ** abs(e) if exact else Fraction(a0) ** e] + [0] * (n - 1)
+    g = list(head) or [a0 ** abs(e) if exact else Fraction(a0) ** e]
+    g += [0] * (n - len(g))
     terms = [(k, (e + 1) * k * c, c) for k, c in enumerate(a[1:], 1) if c]
-    for m in range(1, n):
+    for m in range(max(len(head), 1), n):
         s = 0
         for k, w, c in terms:
             if k > m:
@@ -324,15 +329,8 @@ def pow(f: QSeries, e: int) -> QSeries:  # noqa: A001 - mirrors the series API
     return QSeries(e * f.offset, tuple([0] * shift + tail))
 
 
-def euler_product(e: int, order: int) -> QSeries:
-    """Expansion of ``prod_{n>=1} (1 - q^n)^e`` to ``order`` coefficients.
-
-    Euler's pentagonal series sum_{k in Z} (-1)^k q^(k(3k-1)/2) is the case
-    e = 1; every other exponent is its e-th power by the power kernel,
-    in O(order^(3/2)) integer steps for any e.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+def _pentagonal(order: int) -> list[int]:
+    """Euler's pentagonal series sum_{k in Z} (-1)^k q^(k(3k-1)/2), ``order`` terms."""
     pent = [0] * order
     pent[0] = 1
     k = 1
@@ -342,7 +340,39 @@ def euler_product(e: int, order: int) -> QSeries:
             if j < order:
                 pent[j] = sign
         k += 1
-    return QSeries(0, tuple(_power(pent, e, order)))
+    return pent
+
+
+def euler_product(e: int, order: int) -> QSeries:
+    """Expansion of ``prod_{n>=1} (1 - q^n)^e`` to ``order`` coefficients, afresh.
+
+    The pentagonal series is the case e = 1; every other exponent is its
+    e-th power by the power kernel, in O(order^(3/2)) integer steps for any e.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return QSeries(0, tuple(_power(_pentagonal(order), e, order)))
+
+
+_ROWS: dict[int, list[int]] = {}  # _ROWS[e][n] = coefficient of q^n in (q;q)_oo^e
+
+
+def euler_coefficient(e: int, n: int) -> int:
+    """Coefficient of ``q^n`` in ``prod_{k>=1} (1 - q^k)^e``, from one row per e.
+
+    A read past the end of the row grows it to the smallest 64 * 2^k above
+    n by continuing the power kernel from the known head, so reads in any
+    order cost one expansion of the row's final size.
+    """
+    row = _ROWS.get(e, ())
+    if n >= len(row):
+        order = 64
+        while order <= n:
+            order *= 2
+        row = _ROWS[e] = _power(_pentagonal(order), e, order, row)
+    elif n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return row[n]
 
 
 # -- serialization -------------------------------------------------------------

@@ -3,8 +3,8 @@
 The pieces fit together as follows.  Diagonal theta series count lattice
 points of a given squared norm.  Unary theta series weight each lattice
 point n by eps(n) * n for an odd periodic eps, with a rational exponent
-scale.  Partition counts p(n) are read from 1 / prod (1 - q^k), which
-the power kernel of :mod:`qmodular.qseries` expands; the rank of a
+scale.  Partition counts p(n), the coefficients of 1 / prod (1 - q^k),
+are read from the eta-power table of :mod:`qmodular.qseries`; the rank of a
 partition is its largest part minus its number of parts, and N(n, m)
 counts partitions of n with rank m.  :func:`rank_table` counts N(n, m)
 directly by (largest part, number of parts), O(n_max^2) big-int
@@ -45,7 +45,7 @@ from itertools import compress, repeat
 from operator import add, lshift
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .qseries import QSeries, Record, euler_product, make_series, pow as qpow
+from .qseries import QSeries, Record, euler_coefficient, make_series, pow as qpow
 
 __all__ = [
     "OmegaPoly",
@@ -139,25 +139,9 @@ def unary_theta(
 # -- partitions and ranks -----------------------------------------------------------
 
 
-_PARTITIONS: list[int] = [1]  # _PARTITIONS[n] = p(n)
-
-
 def partition_count(n: int) -> int:
-    """p(n), the coefficient of q^n in 1 / prod_{k>=1} (1 - q^k).
-
-    A read past the table refills it from ``euler_product(-1, order)``
-    for the smallest order = 64 * 2^k above n, so the pentagonal
-    recurrence runs only in the power kernel of :mod:`qmodular.qseries`.
-    """
-    global _PARTITIONS
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n >= len(_PARTITIONS):
-        order = 64
-        while order <= n:
-            order *= 2
-        _PARTITIONS = list(euler_product(-1, order).coeffs)
-    return _PARTITIONS[n]
+    """p(n), the coefficient of q^n in 1 / prod_{k>=1} (1 - q^k): the table row e = -1."""
+    return euler_coefficient(-1, n)
 
 
 class RankTable(Record):

@@ -43,12 +43,10 @@ def test_delta_equals_eta_power():
     assert forms.delta(order) == by_mul == qs.pow(eta, 24)
 
 
-def test_tau_extends_cache_without_error():
-    forms.reset_tau_cache()
-    try:
-        assert forms.tau(70) == forms.delta(70).coeff(70)
-    finally:
-        forms.reset_tau_cache()
+def test_tau_extends_cache_without_error(monkeypatch):
+    monkeypatch.setattr(qs, "_ROWS", {})
+    assert forms.tau(70) == forms.delta(70).coeff(70)  # past the first row of 64
+    assert len(qs._ROWS[24]) == 128
 
 
 # -- sigma and the Eisenstein series -------------------------------------------------
@@ -221,19 +219,26 @@ def test_hecke_apply_matches_defining_formula(coeffs, offset, k, char, n):
     char=st.sampled_from(CHARACTERS),
     m=st.integers(1, 6),
     n=st.integers(1, 6),
-    order=st.integers(0, 6),
+    order=st.integers(1, 6),
 )
 def test_hecke_composition_law_holds_for_every_series(data, offset, k, char, m, n, order):
     # T_m T_n = sum eps(d) d^(k-1) T_{mn/d^2} is an operator identity, so
     # it must hold on arbitrary integer series, not only on eigenforms
     level, table = char
     meta = forms.FormMeta(weight=k, level=level, character=table)
-    size = m * n * max(order, 1) + data.draw(st.integers(0, 5))
+    size = m * n * order + data.draw(st.integers(0, 5))
     coeffs = data.draw(st.lists(_int_coeffs, min_size=size, max_size=size))
     f = qs.make_series(offset, coeffs, size)
     rep = forms.hecke_compose_check(meta, m, n, f, order)
     assert rep.ok, rep.first_mismatch
     assert (rep.m, rep.n, rep.order) == (m, n, order)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_hecke_compose_check_rejects_an_empty_comparison(order):
+    # order < 1 compares no coefficient, so "no mismatch" would claim nothing
+    with pytest.raises(ValueError, match="comparison order must be >= 1"):
+        forms.hecke_compose_check(META12, 2, 3, forms.delta(10), order)
 
 
 def test_hecke_compose_check_reports_first_mismatch(monkeypatch):
@@ -279,6 +284,19 @@ def test_eigenform_requires_normalization():
         forms.is_eigenform(f, META12, 4)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_eigenform_check_rejects_n_max_below_one(n_max):
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        forms.is_eigenform(forms.delta(30), META12, n_max)
+
+
+@pytest.mark.parametrize("n_max", [1, 20])
+def test_eigenform_check_with_no_comparable_index_raises(n_max):
+    # delta(1) knows only q^1: every T_n has fewer than two coefficients to compare
+    with pytest.raises(qs.WindowError, match="two comparable coefficients"):
+        forms.is_eigenform(forms.delta(1), META12, n_max)
+
+
 def test_eigenform_short_window_flagged_insufficient():
     f = qs.make_series(0, [0, 1], 2)
     rep = forms.is_eigenform(f, META12, 3)
@@ -309,24 +327,63 @@ def test_tau_property_battery_clean():
 def test_tau_property_battery_catches_corruption():
     forms.reset_tau_cache()
     try:
-        forms.corrupt_tau_cache_for_testing(2, 1)
+        forms.corrupt_tau_cache_for_testing()
         report = forms.tau_properties_check(50)
         assert not report.ok
     finally:
         forms.reset_tau_cache()
 
 
-def test_tau_fault_survives_lock_free_refill():
+def test_tau_fault_survives_lock_free_refill(monkeypatch):
+    monkeypatch.setattr(qs, "_ROWS", {})
     forms.reset_tau_cache()
     try:
         clean = forms.tau(2)
-        forms.corrupt_tau_cache_for_testing(2, 1)
+        forms.corrupt_tau_cache_for_testing()
         assert forms.tau(2) == clean + 1
-        forms.tau(200)  # beyond the first fill: publishes a new table
+        forms.tau(200)  # past the end of the first row: the row grows
         assert forms.tau(2) == clean + 1
         assert forms.tau(3) == 252
     finally:
         forms.reset_tau_cache()
+
+
+def test_a_second_tau_fault_changes_nothing(monkeypatch):
+    monkeypatch.setattr(qs, "_ROWS", {})
+    forms.reset_tau_cache()
+    try:
+        clean = forms.tau(2)
+        forms.corrupt_tau_cache_for_testing()
+        forms.corrupt_tau_cache_for_testing()
+        assert forms.tau(2) == clean + 1
+        forms.tau(200)  # past the end of the first row: the row grows
+        assert forms.tau(2) == clean + 1
+    finally:
+        forms.reset_tau_cache()
+    assert forms.tau(2) == clean == -24
+
+
+def test_ascending_tau_reads_run_the_recurrence_once_per_coefficient(monkeypatch):
+    want = list(forms.delta(1000).coeffs)
+    real = qs._power
+    steps = []
+
+    def counting(a, e, n, head=()):
+        steps.append(n - len(head))
+        return real(a, e, n, head)
+
+    monkeypatch.setattr(qs, "_power", counting)
+    monkeypatch.setattr(qs, "_ROWS", {})
+    assert [forms.tau(n) for n in range(1, 1001)] == want
+    # the row grew 64 -> 128 -> ... -> 1024, each step from the known head
+    assert len(steps) == 5
+    assert sum(steps) == len(qs._ROWS[24]) == 1024
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_tau_rejects_an_index_below_one(n):
+    with pytest.raises(ValueError, match="tau\\(n\\) requires n >= 1"):
+        forms.tau(n)
 
 
 

@@ -180,11 +180,6 @@ def test_tail_bar_at_weight_16():
         assert abs(near.value - far.value) <= near.tail_bound, s
 
 
-def test_dirichlet_eval_unflagged_has_no_bound():
-    ds = lseries.DirichletSeries((Fraction(1), Fraction(1)))
-    assert lseries.dirichlet_eval(ds, 2.0).tail_bound == math.inf
-
-
 # -- completed values -----------------------------------------------------------------
 
 

@@ -300,6 +300,41 @@ def test_euler_product_exponents_add(a, b):
     assert lhs == qs.euler_product(a + b, n)
 
 
+# -- the eta-power table -----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    e=st.one_of(st.sampled_from([-1, 24]), st.integers(-3, 24)),
+    n_max=st.integers(0, 300),
+)
+def test_euler_coefficient_reads_in_any_order_match_euler_product(data, e, n_max):
+    # reads grow the row 64 -> 128 -> 256 -> 512 in whatever order they come
+    qs._ROWS.clear()
+    reads = data.draw(st.permutations(range(n_max + 1)))
+    want = qs.euler_product(e, n_max + 1).coeffs
+    assert [qs.euler_coefficient(e, n) for n in reads] == [want[n] for n in reads]
+
+
+@pytest.mark.parametrize("e", [-1, 24])
+@pytest.mark.parametrize("n", [-1, -64])
+def test_euler_coefficient_rejects_a_negative_index(e, n):
+    # a bare index would read from the end of the row
+    qs.euler_coefficient(e, 100)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        qs.euler_coefficient(e, n)
+
+
+def test_power_continued_from_a_wrong_head_fails_exact_division():
+    # tau(2) is -24; the head (1, -23) leaves 2 g_2 = 481 at q^2
+    assert qs._power(qs._pentagonal(8), 24, 8, [1, -24]) == list(
+        qs.euler_product(24, 8).coeffs
+    )
+    with pytest.raises(ArithmeticError, match="inexact division at q\\^2"):
+        qs._power(qs._pentagonal(8), 24, 8, [1, -23])
+
+
 @st.composite
 def power_bases(draw, zero_lead=True):
     """Int or Fraction series with a unit, non-unit or zero lead."""

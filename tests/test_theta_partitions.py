@@ -112,6 +112,8 @@ def test_partition_count_base_cases():
     assert tp.partition_count(0) == 1
     assert tp.partition_count(1) == 1
     assert tp.partition_count(4) == 5
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        tp.partition_count(-1)  # a bare index would read p(n) from the end
 
 
 def test_partition_count_matches_enumeration():
