@@ -385,25 +385,29 @@ def tau_properties_check(n_max: int) -> CheckReport:
     3. the coefficient bound tau(p)^2 <= 4 p^11 at every prime p <= n_max;
     4. tau(n) == sigma_11(n) mod 691 for n <= n_max;
     5. tau(n) == sigma_11(n) mod 2^11 for n == 1 mod 8, n <= n_max.
+
+    tau(1) .. tau(n_max) are read once through :func:`tau` (so the test
+    fault reaches every check) into a list the five checks index.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    t = [0] + [tau(n) for n in range(1, n_max + 1)]
     violations = []
     for n in range(2, n_max + 1):
         for m in range(2, n_max // n + 1):
-            if gcd(n, m) == 1 and tau(n * m) != tau(n) * tau(m):
+            if gcd(n, m) == 1 and t[n * m] != t[n] * t[m]:
                 violations.append(f"multiplicativity failed at ({n},{m})")
     primes = primes_up_to(n_max)
     for p in primes:
         e = 1
         while p ** (e + 1) <= n_max:
-            if tau(p ** (e + 1)) != tau(p) * tau(p**e) - p**11 * tau(p ** (e - 1)):
+            if t[p ** (e + 1)] != t[p] * t[p**e] - p**11 * t[p ** (e - 1)]:
                 violations.append(f"recursion failed at p={p}, e={e}")
             e += 1
-        if tau(p) ** 2 > 4 * p**11:
+        if t[p] ** 2 > 4 * p**11:
             violations.append(f"coefficient bound failed at p={p}")
     for n in range(1, n_max + 1):
-        diff = tau(n) - sigma(11, n)
+        diff = t[n] - sigma(11, n)
         if diff % 691 != 0:
             violations.append(f"mod-691 congruence failed at n={n}")
         if n % 8 == 1 and diff % 2048 != 0:

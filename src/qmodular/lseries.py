@@ -8,8 +8,8 @@ can cross-check each other:
   c(p^(e+1)) = c(p) c(p^e) - chi(p) p^(k-1) c(p^(e-1)), and their
   partial sums, whose tail bar reads the weight off the eigenform's ``FormMeta``;
 * the completed value Lambda(s) = integral_0^inf F(iy) y^s dy/y computed
-  by tanh-sinh quadrature (Takahasi and Mori, 1974) on a fixed step
-  schedule, using the weight-12 inversion
+  by tanh-sinh quadrature (Takahasi and Mori, 1974) on one fixed rule of
+  225 nodes, built once at import, using the weight-12 inversion
   F(i/y) = y^12 F(iy) to evaluate the integrand accurately near 0 (the
   integrand then dies double-exponentially at both ends), and Horner's
   rule in x = exp(-2 pi y) for the exponential sum, so each integrand
@@ -19,7 +19,8 @@ can cross-check each other:
   built-in symmetry;
 * critical-line zero ordinates of the zeta function, located by sign
   changes of the rotated real combination Z(t) = exp(i theta(t))
-  zeta(1/2 + it) with zeta evaluated by Euler-Maclaurin summation,
+  zeta(1/2 + it) with zeta evaluated by Euler-Maclaurin summation
+  (whose log n come from one table grown on demand, for |Im s| <= 10^4),
   then refined by bisection.
 
 Everything is 64-bit floating point with explicit error estimates; the
@@ -99,11 +100,11 @@ def mellin_coeffs(f: QSeries) -> DirichletSeries:
         raise ValueError(
             f"nonzero constant term {f.coeffs[0]}: not a cusp expansion"
         )
-    n_max = int(f.end) - 1
-    if n_max < 1:
+    if f.end < 2:
         raise ValueError("window too short: no coefficients at exponent >= 1")
-    cs = [f.coeff(n) for n in range(1, n_max + 1)]
-    return DirichletSeries(tuple(cs))
+    # exponents 1 .. offset-1 lie below the window and read as zeros
+    offset = int(f.offset)
+    return DirichletSeries((0,) * max(offset - 1, 0) + f.coeffs[max(1 - offset, 0):])
 
 
 class EulerProductCoeffs(NamedTuple):
@@ -234,6 +235,26 @@ _TS_H = 1.0 / 32.0
 _TS_K = 112
 
 
+def _tanh_sinh_rule() -> tuple[tuple[float, float, bool], ...]:
+    """(x fraction, weight, on the 2h grid?) for each node t = k h, |k| <= _TS_K.
+
+    x = a + (b - a) * fraction, u = (pi/2) sinh t, fraction =
+    1 / (1 + exp(-2u)) (exact near a), weight = (pi/4) cosh t / cosh(u)^2.
+    No entry depends on the interval or the integrand.
+    """
+    rule = []
+    for k in range(-_TS_K, _TS_K + 1):
+        t = k * _TS_H
+        u = 0.5 * math.pi * math.sinh(t)
+        frac = 1.0 / (1.0 + math.exp(-2.0 * u))
+        weight = 0.25 * math.pi * math.cosh(t) / math.cosh(u) ** 2
+        rule.append((frac, weight, k % 2 == 0))
+    return tuple(rule)
+
+
+_TS_RULE = _tanh_sinh_rule()
+
+
 def _tanh_sinh(fn, a: float, b: float) -> tuple[float, float]:
     """Tanh-sinh quadrature of ``fn`` over [a, b]; returns (value, error).
 
@@ -243,22 +264,20 @@ def _tanh_sinh(fn, a: float, b: float) -> tuple[float, float]:
     converges geometrically in 1/h.  The fixed nodes of step h = 1/32
     contain those of step 2h, so one pass gives both sums I_h and I_2h.
     The error is |I_h - I_2h| plus a rounding floor of eight ulps of
-    h * sum |w f|.  Nodes are computed per call, none at import.
+    h * sum |w f|.  The 225 nodes and weights are ``_TS_RULE``, built once
+    at import; a pass costs one ``fn`` call per node.
     """
     total = even = mass = 0.0  # sums of w f, of w f at step 2h, of |w f|
-    for k in range(-_TS_K, _TS_K + 1):
-        t = k * _TS_H
-        u = 0.5 * math.pi * math.sinh(t)
-        frac = 1.0 / (1.0 + math.exp(-2.0 * u))  # (x - a)/(b - a), exact near a
-        weight = 0.25 * math.pi * math.cosh(t) / math.cosh(u) ** 2
-        wf = weight * fn(a + (b - a) * frac)
+    width = b - a
+    for frac, weight, on_coarse_grid in _TS_RULE:
+        wf = weight * fn(a + width * frac)
         total += wf
         mass += abs(wf)
-        if k % 2 == 0:
+        if on_coarse_grid:
             even += wf
-    value = (b - a) * _TS_H * total
-    coarse = (b - a) * 2.0 * _TS_H * even
-    floor = 8.0 * 2.0**-52 * (b - a) * _TS_H * mass
+    value = width * _TS_H * total
+    coarse = width * 2.0 * _TS_H * even
+    floor = 8.0 * 2.0**-52 * width * _TS_H * mass
     return value, abs(value - coarse) + floor
 
 
@@ -324,20 +343,40 @@ def completed_lambda_integral(s: float) -> CompletedLValue:
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
+# zeta_em refuses |Im s| above this: the direct sum grows as 2 |Im s| terms
+_ZETA_IM_MAX = 1.0e4
+# _LOGS[n] = log n, grown on demand by zeta_em (index 0 unused); its reads
+# cap it at n = 2 * _ZETA_IM_MAX + 8
+_LOGS = [-math.inf]
+
+
 def zeta_em(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin summation.
 
     Sums N = max(24, 2|Im s| + 8) terms directly and adds one correction
     per entry of ``_BERNOULLI_2K``; accurate to ~1e-12 for |Im s| up to
-    a few hundred.  Not valid at s = 1.
+    a few hundred.  log n is read from ``_LOGS``, one module-level table
+    that grows to the largest N asked for and is never recomputed.
+    Raises ValueError at the pole s = 1, for a non-finite s and for
+    |Im s| > 10^4 (N past 20,008 terms), before any work.
     """
+    global _LOGS
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"zeta_em needs a finite s, got {s}")
+    if abs(s.imag) > _ZETA_IM_MAX:
+        raise ValueError(f"zeta_em needs |Im s| <= {_ZETA_IM_MAX:g}, got {s}")
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
     n_terms = max(24, int(2.0 * abs(s.imag)) + 8)
-    total = complex(0.0)
-    for n in range(1, n_terms):
-        total += cmath.exp(-s * math.log(n))
-    n_s = cmath.exp(-s * math.log(n_terms))
+    logs = _LOGS
+    if len(logs) <= n_terms:
+        # grown into a new list, never in place: any list a caller holds is whole
+        logs = _LOGS = logs + list(map(math.log, range(len(logs), n_terms + 1)))
+    # terms n^(-s) = exp(-s log n) for n < N, added in increasing n
+    total = sum(map(cmath.exp, map((-s).__mul__, logs[1:n_terms])), complex(0.0))
+    log_n = logs[n_terms]
+    n_s = cmath.exp(-s * log_n)
     total += n_terms * n_s / (s - 1.0)
     total += 0.5 * n_s
     # correction terms B_2k/(2k)! * (s)(s+1)...(s+2k-2) * N^(1-s-2k)
@@ -345,7 +384,7 @@ def zeta_em(s: complex) -> complex:
     fact = 1.0
     for k, b2k in enumerate(_BERNOULLI_2K, start=1):
         fact *= (2 * k - 1) * (2 * k)
-        total += b2k / fact * poch * cmath.exp((1.0 - s - 2.0 * k) * math.log(n_terms))
+        total += b2k / fact * poch * cmath.exp((1.0 - s - 2.0 * k) * log_n)
         poch *= (s + 2 * k - 1) * (s + 2 * k)
     return total
 

@@ -50,8 +50,9 @@ def verify_tau(n_max: int = 1000) -> list[CheckReport]:
     reports.append(_report("e12-constant-term", {}, bad))
 
     bad = []
+    sigma_11 = e12.coeffs  # offset 0: sigma_11(n) sits at index n
     for n in range(1, n_max + 1):
-        if (forms.tau(n) - e12.coeff(n)) % 691 != 0:
+        if (forms.tau(n) - sigma_11[n]) % 691 != 0:
             bad.append(f"tau vs sigma11 mod 691 differ at n={n}")
     reports.append(_report("e12-delta-mod-691", {"n_max": n_max}, bad))
 
@@ -222,14 +223,10 @@ def verify_theta(order: int = 100) -> list[CheckReport]:
     reports.append(_report("theta-lattice-counts", {"k_max": 4, "m_max": 100}, bad))
 
     bad = []
+    theta = {k: theta_partitions.theta_diagonal(k, order) for k in range(1, 5)}
     for k in range(1, 4):
         for j in range(1, 4 - k + 1):
-            lhs = theta_partitions.theta_diagonal(k + j, order)
-            rhs = mul(
-                theta_partitions.theta_diagonal(k, order),
-                theta_partitions.theta_diagonal(j, order),
-            )
-            if lhs != rhs:
+            if theta[k + j] != mul(theta[k], theta[j]):
                 bad.append(f"theta({k})*theta({j}) != theta({k + j})")
     reports.append(_report("theta-multiplicativity", {"order": order}, bad))
     return reports

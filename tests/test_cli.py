@@ -231,6 +231,9 @@ TABLES_SHA256 = {
     ("lvalues", (), "tsv"): "6fc4839a006ea18a00a2be1171489cd6806e4e43f0346768ec8a4fc252b8fdd5",
     ("lvalues", (), "json"): "85ea16172c11fe9c7d89baab3e0573e3acc41792b90271f39893a48cf7b4580e",
     ("lvalues", (), "csv"): "966e5f73203828a1f5e6e6ffeff190a0473b73d52e40e8832e2677dc428f7c5b",
+    # count 50 reads zeta up to t ~ 143, past every ordinate count 10 reaches
+    ("zeros", ("--count", "50"), "tsv"): "07d05444cbb58554ec565d41b3eecd7412c63efc63cb53fbe28e40b9d8abba66",
+    ("spacings", ("--count", "50"), "tsv"): "2de81e6fadc5cec058e51a3045dbeec202745dbca66467c2473aae3fba2ba99a",
 }
 
 

@@ -324,6 +324,19 @@ def test_tau_property_battery_clean():
     assert report.ok, report.violations[:5]
 
 
+def test_tau_property_battery_reads_each_tau_once(monkeypatch):
+    real = forms.tau
+    reads = []
+
+    def counting(n):
+        reads.append(n)
+        return real(n)
+
+    monkeypatch.setattr(forms, "tau", counting)
+    assert forms.tau_properties_check(300).ok
+    assert reads == list(range(1, 301))
+
+
 def test_tau_property_battery_catches_corruption():
     forms.reset_tau_cache()
     try:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -26,6 +27,12 @@ def test_mellin_zero_series():
     f = qs.make_series(0, [0] * 6, 6)
     ds = lseries.mellin_coeffs(f)
     assert all(c == 0 for c in ds.coeffs)
+
+
+def test_mellin_keeps_the_zeros_below_an_offset_above_one():
+    ds = lseries.mellin_coeffs(qs.QSeries(2, (1, 2, 3)))
+    assert ds.coeffs == (0, 1, 2, 3)
+    assert lseries.mellin_coeffs(qs.QSeries(4, ())).coeffs == (0, 0, 0)
 
 
 def test_mellin_rejects_constant_term():
@@ -209,6 +216,13 @@ def test_lambda_vs_dirichlet_gamma_route():
         assert abs(direct - integral.value) < 1e-8 * abs(integral.value)
 
 
+def test_lambda_is_bit_equal_after_calls_at_other_s():
+    first = lseries.completed_lambda_integral(5.0)
+    for s in (0.5, 3.0, 7.0, 11.5):
+        lseries.completed_lambda_integral(s)
+    assert lseries.completed_lambda_integral(5.0) == first
+
+
 def test_lambda_rejects_out_of_strip():
     with pytest.raises(ValueError):
         lseries.completed_lambda_integral(0.0)
@@ -231,6 +245,82 @@ def test_zeta_em_against_mpmath_critical_line():
         ours = lseries.zeta_em(complex(0.5, t))
         ref = complex(mpmath.zeta(mpmath.mpc(0.5, t)))
         assert ours == pytest.approx(ref, rel=1e-10)
+
+
+def _zeta_em_term_by_term(s: complex) -> complex:
+    """Reference Euler-Maclaurin sum: one math.log and one += per term."""
+    n_terms = max(24, int(2.0 * abs(s.imag)) + 8)
+    total = complex(0.0)
+    for n in range(1, n_terms):
+        total += cmath.exp(-s * math.log(n))
+    n_s = cmath.exp(-s * math.log(n_terms))
+    total += n_terms * n_s / (s - 1.0)
+    total += 0.5 * n_s
+    poch = s
+    fact = 1.0
+    for k, b2k in enumerate(lseries._BERNOULLI_2K, start=1):
+        fact *= (2 * k - 1) * (2 * k)
+        total += b2k / fact * poch * cmath.exp((1.0 - s - 2.0 * k) * math.log(n_terms))
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+    return total
+
+
+_ZETA_TS = (0.0, 3.7, 14.134725, 30.0, 49.9, 143.1, 399.9)
+
+
+def test_zeta_em_is_bit_identical_whatever_order_grew_the_log_table(monkeypatch):
+    fresh = {}
+    for t in _ZETA_TS:
+        monkeypatch.setattr(lseries, "_LOGS", [-math.inf])
+        fresh[t] = lseries.zeta_em(complex(0.5, t))
+    # grown step by step, then grown once by the largest t and only read
+    for order in (sorted(_ZETA_TS), [max(_ZETA_TS)] + sorted(_ZETA_TS)):
+        monkeypatch.setattr(lseries, "_LOGS", [-math.inf])
+        for t in order:
+            assert lseries.zeta_em(complex(0.5, t)) == fresh[t], (order, t)
+        assert len(lseries._LOGS) == int(2.0 * max(_ZETA_TS)) + 8 + 1
+
+
+def test_zeta_em_matches_a_term_by_term_loop():
+    for t in _ZETA_TS:
+        for sigma in (0.5, 2.0, -1.5):
+            s = complex(sigma, t)
+            ours, ref = lseries.zeta_em(s), _zeta_em_term_by_term(s)
+            if sys.version_info[:2] == (3, 11):
+                # same operands in the same order, and sum() adds them plainly
+                assert ours == ref, s
+            else:
+                # ulps of the largest partial sum, which bounds every rounding
+                n_terms = max(24, int(2.0 * abs(t)) + 8)
+                scale = sum(n ** -sigma for n in range(1, n_terms))
+                assert abs(ours - ref) <= 4 * math.ulp(scale), s
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        complex(0.5, 1e12),
+        complex(0.5, -10000.5),
+        complex(math.nan, 14.0),
+        complex(0.5, math.nan),
+        complex(math.inf, 0.0),
+        complex(0.5, -math.inf),
+    ],
+)
+def test_zeta_em_refuses_a_nonfinite_or_far_s_before_any_work(monkeypatch, s):
+    monkeypatch.setattr(lseries, "_LOGS", [-math.inf])
+    with pytest.raises(ValueError, match="zeta_em needs"):
+        lseries.zeta_em(s)
+    assert lseries._LOGS == [-math.inf]
+
+
+def test_zeta_em_at_the_height_bound_caps_the_log_table(monkeypatch):
+    monkeypatch.setattr(lseries, "_LOGS", [-math.inf])
+    s = complex(0.5, 1e4)
+    assert lseries.zeta_em(s) == pytest.approx(
+        complex(mpmath.zeta(mpmath.mpc(0.5, 1e4))), abs=1e-9
+    )
+    assert len(lseries._LOGS) == 20009  # log n for n <= 2 * 10^4 + 8
 
 
 def test_rs_theta_against_mpmath():
