@@ -8,8 +8,8 @@ action on q-expansions
     coefficient of q^m in T_n f  =  sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2),
 
 the composition law T_m T_n = sum_{d | gcd(m,n)} eps(d) d^(k-1) T_{mn/d^2}
-(the factor is :meth:`FormMeta.hecke_weight`), eigenform verification,
-and the tau congruence battery.
+(the factor is :meth:`FormMeta.hecke_weight`) for every m n up to a bound,
+eigenform verification, and the tau congruence battery.
 
 A :class:`QSeries` stores integral coefficients as ints, so nothing here
 converts between int and Fraction (only the report fields
@@ -278,36 +278,32 @@ class HeckeComposeReport(NamedTuple):
 
 
 def hecke_compose_check(
-    meta: FormMeta, m: int, n: int, f: QSeries, order: int
-) -> HeckeComposeReport:
-    """Verify T_m(T_n f) = sum_{d | gcd(m,n)} eps(d) d^(k-1) T_{mn/d^2} f.
+    meta: FormMeta, f: QSeries, mn_bound: int
+) -> list[HeckeComposeReport]:
+    """Verify T_m T_n f = sum_{d|(m,n)} eps(d) d^(k-1) T_{mn/d^2} f for all m n <= mn_bound.
 
-    Both sides are expanded independently on integer coefficient lists
-    (the same kernel as :func:`hecke_apply`) and compared on the first
-    ``order`` coefficients; only a mismatch is turned into Fractions.
+    One report per pair, in ascending (m, n), on the first floor(f.order / (m n))
+    coefficients.  Each T_j f is expanded once; the left side applies T_m to
+    the T_n f row, the right side sums the weighted T_{mn/d^2} f rows.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"operator indices must be >= 1, got ({m}, {n})")
-    if order < 1:
-        raise ValueError(f"comparison order must be >= 1, got {order}")
-    if f.order < m * n * order:
-        raise WindowError(
-            f"need f to order >= {m * n * order} for ({m},{n}) at order {order}, "
-            f"got {f.order}"
-        )
+    if mn_bound < 1:
+        raise ValueError(f"mn_bound must be >= 1, got {mn_bound}")
+    if mn_bound > f.order:
+        raise WindowError(f"mn_bound {mn_bound} exceeds the order {f.order} of f")
     a = _exact_coeffs(f)
-    lhs = _hecke_coeffs(_hecke_coeffs(a, meta, n, order * m), meta, m, order)
-    g = gcd(m, n)
-    terms = [
-        (meta.hecke_weight(d), _hecke_coeffs(a, meta, m * n // (d * d), order))
-        for d in range(1, g + 1)
-        if g % d == 0
-    ]
-    rhs = [sum(w * t[j] for w, t in terms) for j in range(order)]
-    for j, (x, y) in enumerate(zip(lhs, rhs)):
-        if x != y:
-            return HeckeComposeReport(m, n, order, (j, Fraction(x), Fraction(y)))
-    return HeckeComposeReport(m, n, order, None)
+    rows = {j: _hecke_coeffs(a, meta, j, f.order // j) for j in range(1, mn_bound + 1)}
+    reports = []
+    for m in range(1, mn_bound + 1):
+        for n in range(1, mn_bound // m + 1):
+            order = f.order // (m * n)
+            lhs = _hecke_coeffs(rows[n], meta, m, order)
+            ds = [d for d in range(1, gcd(m, n) + 1) if m % d == n % d == 0]
+            terms = [(meta.hecke_weight(d), rows[m * n // (d * d)]) for d in ds]
+            rhs = [sum(w * t[j] for w, t in terms) for j in range(order)]
+            j = next((j for j in range(order) if lhs[j] != rhs[j]), None)
+            mismatch = None if j is None else (j, Fraction(lhs[j]), Fraction(rhs[j]))
+            reports.append(HeckeComposeReport(m, n, order, mismatch))
+    return reports
 
 
 class EigenformReport(NamedTuple):

@@ -153,10 +153,14 @@ class RankTable(Record):
     rather than assumes.  Each row query rejects n outside 1..n_max.
     """
 
-    __slots__ = _fields = ("n_max", "polys")
+    __slots__ = _fields = ("polys",)
 
-    def __init__(self, n_max: int, polys: Sequence["OmegaPoly"]) -> None:
-        super().__init__(n_max, tuple(polys))
+    def __init__(self, polys: Sequence["OmegaPoly"]) -> None:
+        super().__init__(tuple(polys))
+
+    @property
+    def n_max(self) -> int:
+        return len(self.polys)
 
     def polynomial(self, n: int) -> "OmegaPoly":
         """The Laurent polynomial sum_m N(n, m) w^m."""
@@ -227,7 +231,7 @@ def rank_table(n_max: int) -> RankTable:
     for n in range(1, n_max + 1):
         # packed slot j holds the count of rank n - j, so reversed slot i holds rank i - n
         polys.append(_row_poly(_unpack_slots(rank[n], 2 * n + 1, size)[::-1], n))
-    return RankTable(n_max, polys)
+    return RankTable(polys)
 
 
 # -- exact Laurent polynomials in the phase variable --------------------------------

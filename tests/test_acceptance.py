@@ -57,11 +57,8 @@ def test_acceptance_2_eigenform_suite():
         assert {n for n, _ in rep.eigenvalues} | set(rep.insufficient) == set(
             range(1, 21)
         )
-        for m in range(1, 49):
-            for n in range(1, 48 // m + 1):
-                assert forms.hecke_compose_check(
-                    meta, m, n, disc, 200 // (m * n)
-                ).ok
+        compose = forms.hecke_compose_check(meta, disc, 48)
+        assert len(compose) == 198 and all(r.ok for r in compose)
         battery = forms.tau_properties_check(1000)
         assert battery.ok, battery.violations[:5]
 

@@ -592,6 +592,24 @@ def test_verify_hecke_clamps_eigenform_bound_to_half_the_order():
     assert eigen["n_max"] == 5 and eigen["order"] == 10
 
 
+# sha256 of `qmodular verify hecke --order K` stdout, recorded before the
+# composition check read its windows from the series; at small K the
+# composition pairs and their windows are few and short.
+VERIFY_HECKE_SHA256 = {
+    4: "2ebb7b21c2e782f72103243305a2e15d4012edf62d5f3c795713c0fbb324ef13",
+    5: "833ee3481ccc3031649503e27c5a014f6ee086fff88848de49da1073d1f76654",
+    60: "d9f3055d5fd1c3cde27af324cae36a9f86b8bf8a35cc8bb739d2b07e60876198",
+    500: "bdcbcc28cd3bb225d0db612e118f0b6c5e6d5e9193eef68844a13871f1c66e58",
+}
+
+
+@pytest.mark.parametrize("order", list(VERIFY_HECKE_SHA256))
+def test_verify_hecke_output_digest_is_stable(order):
+    code, out = _run_main(["verify", "hecke", "--order", str(order)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_HECKE_SHA256[order]
+
+
 def test_verify_lfunc_sees_injected_tau_fault():
     proc = subprocess.run(
         [sys.executable, "-m", "qmodular.cli", "verify", "lfunc", "--inject-tau-fault"],

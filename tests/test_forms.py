@@ -158,21 +158,33 @@ def test_hecke_compose_t2_t2():
     t4 = forms.hecke_apply(d, META12, 4)
     t1 = forms.hecke_apply(d, META12, 1)
     rhs = qs.add(t4, qs.scalar_mul(2**11, t1))
-    for j in range(20):
+    for j in range(25):
         assert lhs.coeff(j) == rhs.coeff(j)
-    assert forms.hecke_compose_check(META12, 2, 2, d, 20).ok
+    reports = {(r.m, r.n): r for r in forms.hecke_compose_check(META12, d, 4)}
+    assert reports[2, 2].ok and reports[2, 2].order == 25
+
+
+def _pairs(mn_bound):
+    return [(m, n) for m in range(1, mn_bound + 1) for n in range(1, mn_bound // m + 1)]
 
 
 def test_hecke_compose_coprime_and_mixed():
     d = forms.delta(200)
-    assert forms.hecke_compose_check(META12, 2, 3, d, 30).ok
-    assert forms.hecke_compose_check(META12, 6, 4, d, 8).ok
+    reports = forms.hecke_compose_check(META12, d, 24)
+    assert [(r.m, r.n) for r in reports] == _pairs(24)
+    assert all(r.ok for r in reports)
+    by_pair = {(r.m, r.n): r for r in reports}
+    assert by_pair[2, 3].order == 33 and by_pair[6, 4].order == 8
 
 
 def test_hecke_compose_insufficient_order():
+    # a bound above f.order leaves the pair (mn_bound, 1) no coefficient
     d = forms.delta(20)
-    with pytest.raises(qs.WindowError):
-        forms.hecke_compose_check(META12, 6, 4, d, 8)
+    with pytest.raises(qs.WindowError, match="mn_bound 21 exceeds the order 20"):
+        forms.hecke_compose_check(META12, d, 21)
+    reports = forms.hecke_compose_check(META12, d, 20)
+    last = reports[-1]
+    assert all(r.ok for r in reports) and (last.m, last.n, last.order) == (20, 1, 1)
 
 
 # Dirichlet characters as (level, table of chi(d mod level)); integer-valued
@@ -217,28 +229,44 @@ def test_hecke_apply_matches_defining_formula(coeffs, offset, k, char, n):
     offset=st.sampled_from([0, 1]),
     k=st.sampled_from(range(2, 25, 2)),
     char=st.sampled_from(CHARACTERS),
-    m=st.integers(1, 6),
-    n=st.integers(1, 6),
-    order=st.integers(1, 6),
+    mn_bound=st.integers(1, 36),
 )
-def test_hecke_composition_law_holds_for_every_series(data, offset, k, char, m, n, order):
+def test_hecke_composition_law_holds_for_every_series(data, offset, k, char, mn_bound):
     # T_m T_n = sum eps(d) d^(k-1) T_{mn/d^2} is an operator identity, so
     # it must hold on arbitrary integer series, not only on eigenforms
     level, table = char
     meta = forms.FormMeta(weight=k, level=level, character=table)
-    size = m * n * order + data.draw(st.integers(0, 5))
+    size = data.draw(st.integers(mn_bound, 6 * mn_bound + 5))
     coeffs = data.draw(st.lists(_int_coeffs, min_size=size, max_size=size))
     f = qs.make_series(offset, coeffs, size)
-    rep = forms.hecke_compose_check(meta, m, n, f, order)
-    assert rep.ok, rep.first_mismatch
-    assert (rep.m, rep.n, rep.order) == (m, n, order)
+    reports = forms.hecke_compose_check(meta, f, mn_bound)
+    assert [(r.m, r.n) for r in reports] == _pairs(mn_bound)
+    for r in reports:
+        assert r.ok, (r.m, r.n, r.first_mismatch)
+        assert r.order == size // (r.m * r.n)
 
 
-@pytest.mark.parametrize("order", [0, -1])
-def test_hecke_compose_check_rejects_an_empty_comparison(order):
-    # order < 1 compares no coefficient, so "no mismatch" would claim nothing
-    with pytest.raises(ValueError, match="comparison order must be >= 1"):
-        forms.hecke_compose_check(META12, 2, 3, forms.delta(10), order)
+@pytest.mark.parametrize("mn_bound", [0, -1])
+def test_hecke_compose_check_rejects_an_empty_comparison(mn_bound):
+    # a bound below 1 names no pair, so "no mismatch" would claim nothing
+    with pytest.raises(ValueError, match="mn_bound must be >= 1"):
+        forms.hecke_compose_check(META12, forms.delta(10), mn_bound)
+
+
+def test_hecke_compose_check_expands_each_t_j_once(monkeypatch):
+    # one T_j f row per j <= 48, then one T_m per pair on the T_n f row
+    real = forms._hecke_coeffs
+    calls = []
+
+    def counted(a, meta, n, out_order):
+        calls.append((n, out_order))
+        return real(a, meta, n, out_order)
+
+    monkeypatch.setattr(forms, "_hecke_coeffs", counted)
+    reports = forms.hecke_compose_check(forms.FormMeta(12), forms.delta(200), 48)
+    assert len(reports) == 198
+    assert len(calls) == 48 + 198
+    assert calls[:48] == [(j, 200 // j) for j in range(1, 49)]
 
 
 def test_hecke_compose_check_reports_first_mismatch(monkeypatch):
@@ -252,8 +280,10 @@ def test_hecke_compose_check_reports_first_mismatch(monkeypatch):
         return out
 
     monkeypatch.setattr(forms, "_hecke_coeffs", skewed)
-    rep = forms.hecke_compose_check(META12, 2, 2, forms.delta(100), 20)
-    assert not rep.ok
+    # T_4 itself is skewed alike on both sides of (1, 4) and (4, 1)
+    reports = forms.hecke_compose_check(META12, forms.delta(100), 4)
+    (rep,) = [r for r in reports if not r.ok]
+    assert (rep.m, rep.n, rep.order) == (2, 2, 25)
     j, lhs, rhs = rep.first_mismatch
     assert j == 3 and rhs - lhs == 1
     assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)

@@ -200,7 +200,18 @@ def hand_built_rank_tables(draw):
     n_max = draw(st.integers(1, 8))
     row = st.dictionaries(st.integers(-n_max, n_max), st.integers(-2, 3), max_size=8)
     rows = draw(st.lists(row, min_size=n_max, max_size=n_max))
-    return tp.RankTable(n_max, [tp.OmegaPoly.from_terms(r) for r in rows]), rows
+    return tp.RankTable([tp.OmegaPoly.from_terms(r) for r in rows]), rows
+
+
+def test_rank_table_n_max_is_its_row_count():
+    # n_max is the row count, so no table can claim rows it lacks
+    polys = tp.rank_table(3).polys
+    with pytest.raises(TypeError):
+        tp.RankTable(5, polys)
+    table = tp.RankTable(polys)
+    assert table.n_max == 3
+    with pytest.raises(ValueError, match=r"n must be in 1\.\.3, got 4"):
+        table.polynomial(4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -144,7 +144,7 @@ def test_rank_suite_sees_a_moved_and_an_extra_rank_count(monkeypatch):
         row12[0] += 1  # and 12 gains one
         polys[8] = theta_partitions.OmegaPoly.from_terms(row9)
         polys[11] = theta_partitions.OmegaPoly.from_terms(row12)
-        return theta_partitions.RankTable(table.n_max, polys)
+        return theta_partitions.RankTable(polys)
 
     monkeypatch.setattr(theta_partitions, "rank_table", corrupted)
     reports = {r.check: r.violations for r in verify.verify_rank()}
