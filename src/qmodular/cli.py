@@ -109,7 +109,7 @@ def _cmd_verify(args) -> int:
     from . import forms, verify
 
     if args.inject_tau_fault:
-        forms.corrupt_tau_cache_for_testing()
+        forms.inject_tau_fault()
     checks = []
     ok = True
     for suite_name in verify.SUITES if args.suite == "all" else [args.suite]:

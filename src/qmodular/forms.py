@@ -142,17 +142,17 @@ def tau(n: int) -> int:
     return euler_coefficient(24, n - 1) + (_TAU_FAULT if n == 2 else 0)
 
 
-def corrupt_tau_cache_for_testing() -> None:
+def inject_tau_fault() -> None:
     """Fault-injection hook behind ``verify --inject-tau-fault``: tau(2) reads +1.
 
     Negative-control tests use it to prove the checks notice wrong data.
-    The fault lasts until :func:`reset_tau_cache`; a second call changes nothing.
+    The fault lasts until :func:`clear_tau_fault`; a second call changes nothing.
     """
     global _TAU_FAULT
     _TAU_FAULT = 1
 
 
-def reset_tau_cache() -> None:
+def clear_tau_fault() -> None:
     """Clear the test fault; the coefficient table holds only true values."""
     global _TAU_FAULT
     _TAU_FAULT = 0

@@ -3,10 +3,12 @@
 Three numeric pipelines live here, deliberately kept independent so they
 can cross-check each other:
 
-* exact Dirichlet coefficients, read off a q-expansion or rebuilt from
-  local Euler factors via the prime-power recursion
-  c(p^(e+1)) = c(p) c(p^e) - chi(p) p^(k-1) c(p^(e-1)), and their
-  partial sums, whose tail bar reads the weight off the eigenform's ``FormMeta``;
+* exact Dirichlet coefficients and their partial sums, whose tail bar
+  reads the weight off the eigenform's ``FormMeta``; the coefficients are
+  read off a q-expansion, or rebuilt from local Euler factors via the
+  prime-power recursion c(p^(e+1)) = c(p) c(p^e) - chi(p) p^(k-1) c(p^(e-1))
+  as an ascending map of the smooth n built from prime powers (a c(p)
+  keyed by a number that is not prime is rejected);
 * the completed value Lambda(s) = integral_0^inf F(iy) y^s dy/y computed
   by tanh-sinh quadrature (Takahasi and Mori, 1974) on one fixed rule of
   225 nodes, built once at import, using the weight-12 inversion
@@ -39,7 +41,6 @@ from .qseries import QSeries, Rational, Record, rational
 __all__ = [
     "DirichletSeries",
     "DirichletValue",
-    "EulerProductCoeffs",
     "CompletedLValue",
     "ZeroList",
     "BracketingError",
@@ -107,70 +108,41 @@ def mellin_coeffs(f: QSeries) -> DirichletSeries:
     return DirichletSeries((0,) * max(offset - 1, 0) + f.coeffs[max(1 - offset, 0):])
 
 
-class EulerProductCoeffs(NamedTuple):
-    """Dirichlet coefficients rebuilt from local Euler factors.
-
-    ``values[n]`` is exact for every n whose prime factors all lie under
-    ``prime_bound``; other slots hold None (unknown), which a plain
-    DirichletSeries cannot represent.
-    """
-
-    prime_bound: int
-    values: tuple[Optional[int], ...]  # index 0 unused
-
-    def known(self, n: int) -> bool:
-        return self.values[n] is not None
-
-    def coeff(self, n: int) -> int:
-        v = self.values[n]
-        if v is None:
-            raise ValueError(f"coefficient at n={n} is not {self.prime_bound}-smooth")
-        return v
-
-
 def euler_product_coeffs(
     prime_values: Mapping[int, int], meta: forms.FormMeta, n_max: int
-) -> EulerProductCoeffs:
+) -> dict[int, int]:
     """Expand prod_p (1 - c(p) p^(-s) + chi(p) p^(k-1) p^(-2s))^(-1) coefficientwise.
 
-    Each local factor contributes c(p^e) through the recursion
-    c(p^(e+1)) = c(p) c(p^e) - meta.hecke_weight(p) c(p^(e-1)); multiplicativity
-    assembles c(n) for every n <= n_max with no prime factor above max(prime_values).
+    Returns c(n) for each n <= n_max with no prime factor above
+    max(prime_values), keyed by n in ascending order; other n are absent,
+    not zero.  Each local factor contributes c(p^e) through the recursion
+    c(p^(e+1)) = c(p) c(p^e) - meta.hecke_weight(p) c(p^(e-1)), and the map
+    is built one prime at a time, c(m p^e) = c(m) c(p^e) for each m already
+    in it, so no n that is not smooth is ever visited.  Every key of
+    ``prime_values`` must be prime, and every prime below the largest key
+    must be present; an empty mapping gives {1: 1}.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    prime_bound = max(prime_values, default=1)
-    primes = forms.primes_up_to(prime_bound)
+    primes = forms.primes_up_to(max(prime_values, default=1))
+    not_prime = sorted(set(prime_values).difference(primes))
+    if not_prime:
+        raise ValueError(f"keys {not_prime} are not prime")
     missing = [p for p in primes if p not in prime_values]
     if missing:
         raise ValueError(f"prime values missing for {missing}")
-    local: dict[int, list[int]] = {}
+    coeffs = {1: 1}
     for p in primes:
-        powers = [1, prime_values[p]]
-        while p ** len(powers) <= n_max:
-            powers.append(prime_values[p] * powers[-1] - meta.hecke_weight(p) * powers[-2])
-        local[p] = powers
-    values: list[Optional[int]] = [None] * (n_max + 1)
-    values[1] = 1
-    for n in range(2, n_max + 1):
-        rem = n
-        acc = 1
-        for p in primes:
-            if p * p > rem:
-                break
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            if e:
-                acc *= local[p][e]
-        if rem > 1:
-            if rem <= prime_bound:
-                acc *= local[rem][1]
-            else:
-                continue  # not smooth
-        values[n] = acc
-    return EulerProductCoeffs(prime_bound, tuple(values))
+        c_p, weight = prime_values[p], meta.hecke_weight(p)
+        local = [1, c_p]  # c(p^e) at index e
+        while p ** len(local) <= n_max:
+            local.append(c_p * local[-1] - weight * local[-2])
+        for m, c_m in list(coeffs.items()):
+            n, e = m * p, 1
+            while n <= n_max:
+                coeffs[n] = c_m * local[e]
+                n, e = n * p, e + 1
+    return dict(sorted(coeffs.items()))
 
 
 class DirichletValue(NamedTuple):
@@ -317,7 +289,7 @@ def completed_lambda_integral(s: float) -> CompletedLValue:
     if not 0.0 < s < 12.0:
         raise ValueError(f"s must lie in (0, 12), got {s}")
 
-    # read through forms.tau, so an injected cache fault reaches Lambda too
+    # read through forms.tau, so forms.inject_tau_fault reaches Lambda too
     row = tuple(float(forms.tau(n)) for n in range(_TAU_TERMS, 0, -1))
 
     def upper(y: float) -> float:

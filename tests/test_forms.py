@@ -368,41 +368,41 @@ def test_tau_property_battery_reads_each_tau_once(monkeypatch):
 
 
 def test_tau_property_battery_catches_corruption():
-    forms.reset_tau_cache()
+    forms.clear_tau_fault()
     try:
-        forms.corrupt_tau_cache_for_testing()
+        forms.inject_tau_fault()
         report = forms.tau_properties_check(50)
         assert not report.ok
     finally:
-        forms.reset_tau_cache()
+        forms.clear_tau_fault()
 
 
 def test_tau_fault_survives_lock_free_refill(monkeypatch):
     monkeypatch.setattr(qs, "_ROWS", {})
-    forms.reset_tau_cache()
+    forms.clear_tau_fault()
     try:
         clean = forms.tau(2)
-        forms.corrupt_tau_cache_for_testing()
+        forms.inject_tau_fault()
         assert forms.tau(2) == clean + 1
         forms.tau(200)  # past the end of the first row: the row grows
         assert forms.tau(2) == clean + 1
         assert forms.tau(3) == 252
     finally:
-        forms.reset_tau_cache()
+        forms.clear_tau_fault()
 
 
 def test_a_second_tau_fault_changes_nothing(monkeypatch):
     monkeypatch.setattr(qs, "_ROWS", {})
-    forms.reset_tau_cache()
+    forms.clear_tau_fault()
     try:
         clean = forms.tau(2)
-        forms.corrupt_tau_cache_for_testing()
-        forms.corrupt_tau_cache_for_testing()
+        forms.inject_tau_fault()
+        forms.inject_tau_fault()
         assert forms.tau(2) == clean + 1
         forms.tau(200)  # past the end of the first row: the row grows
         assert forms.tau(2) == clean + 1
     finally:
-        forms.reset_tau_cache()
+        forms.clear_tau_fault()
     assert forms.tau(2) == clean == -24
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmodular import forms, geometry, lseries
 from qmodular import qseries as qs
@@ -59,31 +61,39 @@ def _tau_primes(bound):
 
 def test_euler_product_unit():
     ep = lseries.euler_product_coeffs(_tau_primes(3), META12, 10)
-    assert ep.coeff(1) == 1
+    assert ep[1] == 1
+    assert lseries.euler_product_coeffs({}, META12, 10) == {1: 1}
 
 
 def test_euler_product_prime_square_recursion():
     ep = lseries.euler_product_coeffs(_tau_primes(2), META12, 8)
-    assert ep.coeff(4) == forms.tau(2) ** 2 - 2**11 == -1472
+    assert ep[4] == forms.tau(2) ** 2 - 2**11 == -1472
 
 
 def test_euler_product_multiplicativity():
     ep = lseries.euler_product_coeffs(_tau_primes(3), META12, 10)
-    assert ep.coeff(6) == forms.tau(2) * forms.tau(3) == -6048
+    assert ep[6] == forms.tau(2) * forms.tau(3) == -6048
 
 
 def test_euler_product_smoothness_flags():
     ep = lseries.euler_product_coeffs(_tau_primes(3), META12, 10)
-    assert ep.known(8) and ep.known(9) and ep.known(6)
-    assert not ep.known(5) and not ep.known(7) and not ep.known(10)
-    with pytest.raises(ValueError):
-        ep.coeff(7)
+    assert list(ep) == [1, 2, 3, 4, 6, 8, 9]  # 5, 7 and 10 are not 3-smooth
 
 
 def test_euler_product_missing_prime_rejected():
     # prime_bound is max(prime_values) = 5, so the gap at 3 is named
     with pytest.raises(ValueError, match=r"missing for \[3\]"):
         lseries.euler_product_coeffs({2: -24, 5: 4830}, META12, 10)
+
+
+@pytest.mark.parametrize(
+    "prime_values, named",
+    [({2: -24, 3: 252, 4: 7}, "[4]"), ({1: 5}, "[1]"), ({2: -24, 6: 1, 0: 3}, "[0, 6]")],
+    ids=["composite", "one", "zero-and-composite"],
+)
+def test_euler_product_rejects_keys_that_are_not_prime(prime_values, named):
+    with pytest.raises(ValueError, match=re.escape(f"keys {named} are not prime")):
+        lseries.euler_product_coeffs(prime_values, META12, 10)
 
 
 @pytest.mark.parametrize("n_max", [0, -3])
@@ -95,12 +105,51 @@ def test_euler_product_rejects_n_max_below_1(n_max):
 def test_euler_product_matches_expansion_13_smooth():
     mell = lseries.mellin_coeffs(forms.delta(200))
     ep = lseries.euler_product_coeffs(_tau_primes(13), META12, 200)
-    checked = 0
-    for n in range(1, 201):
-        if ep.known(n):
-            assert ep.coeff(n) == mell.coeff(n)
-            checked += 1
-    assert checked > 60
+    for n, c in ep.items():
+        assert c == mell.coeff(n)
+    assert len(ep) > 60
+
+
+def _euler_coeff_by_factoring(prime_values, meta, n):
+    """c(n) from the trial-division factorization of n; None if n is not smooth."""
+    acc, p = 1, 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            if p not in prime_values:
+                return None
+            prev, cur = 1, prime_values[p]  # c(p^0), c(p^1)
+            for _ in range(e - 1):
+                prev, cur = cur, prime_values[p] * cur - meta.hecke_weight(p) * prev
+            acc *= cur
+        p += 1
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    bound=st.integers(1, 23),
+    k=st.sampled_from(range(2, 25, 2)),
+    level=st.sampled_from([1, 4, 5, 11]),
+    n_max=st.integers(1, 600),
+)
+def test_euler_product_is_the_factored_product_on_the_smooth_n(data, bound, k, level, n_max):
+    prime_values = {
+        p: data.draw(st.integers(-(10**6), 10**6), label=f"c({p})")
+        for p in forms.primes_up_to(bound)
+    }
+    meta = forms.FormMeta(k, level)
+    ep = lseries.euler_product_coeffs(prime_values, meta, n_max)
+    by_factoring = {
+        n: c
+        for n in range(1, n_max + 1)
+        if (c := _euler_coeff_by_factoring(prime_values, meta, n)) is not None
+    }
+    assert list(ep) == list(by_factoring)  # the bound-smooth n, ascending
+    assert ep == by_factoring
 
 
 # -- dirichlet evaluation ------------------------------------------------------------

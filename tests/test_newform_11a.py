@@ -68,10 +68,10 @@ def test_newform_is_a_hecke_eigenform_at_level_11():
 def test_euler_product_at_level_11_matches_the_expansion():
     f = newform_11a(400)
     ep = lseries.euler_product_coeffs({p: f.coeff(p) for p in _primes_below(14)}, META, 400)
-    smooth = [n for n in range(1, 400) if ep.known(n)]
+    smooth = [n for n in ep if n < 400]
     assert len(smooth) == 147
     for n in smooth:
-        assert ep.coeff(n) == f.coeff(n), n
+        assert ep[n] == f.coeff(n), n
 
 
 def test_composition_law_at_level_11():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from qmodular import qseries as qs
-from qmodular import cli, geometry, theta_partitions, verify
+from qmodular import cli, forms, geometry, lseries, theta_partitions, verify
 
 from conftest import lattice_vectors_with_norm
 
@@ -162,3 +162,134 @@ def test_rank_suite_sees_a_moved_and_an_extra_rank_count(monkeypatch):
     assert reports["rank-equidistribution-mod5"] == (
         "rank classes mod 5 not equal at n=9: [6, 5, 7, 6, 6]",
     )
+
+
+# -- negative controls for the remaining violation branches -------------------------
+
+
+def _violations(reports):
+    return {r.check: r.violations for r in reports}
+
+
+def test_lfunc_suite_sees_too_few_smooth_indices(monkeypatch):
+    real = lseries.euler_product_coeffs
+
+    def truncated(prime_values, meta, n_max):
+        return {n: c for n, c in real(prime_values, meta, n_max).items() if n <= 50}
+
+    monkeypatch.setattr(lseries, "euler_product_coeffs", truncated)
+    reports = _violations(verify.verify_lfunc())
+    # 50 minus the 9 primes in 17..47 and 34, 38, 46
+    assert reports.pop("euler-product-vs-expansion") == (
+        "only 38 13-smooth indices found; expected more",
+    )
+    assert all(v == () for v in reports.values())
+
+
+def _moved_first_ordinate(zeros):
+    return lseries.ZeroList((14.2,) + zeros.gammas[1:], zeros.residuals)
+
+
+def _large_fourth_residual(zeros):
+    residuals = list(zeros.residuals)
+    residuals[3] = 2e-4
+    return lseries.ZeroList(zeros.gammas, tuple(residuals))
+
+
+@pytest.mark.parametrize(
+    "count_asked, corrupt, violation",
+    [
+        (9, lambda zeros: zeros, "found 9 ordinates, want 10"),
+        (10, _moved_first_ordinate, "first ordinate 14.200000 off the reference value"),
+        (10, _large_fourth_residual, "refinement residual above tolerance"),
+    ],
+    ids=["one-short", "first-moved", "residual-too-large"],
+)
+def test_lfunc_suite_sees_a_wrong_zero_list(count_asked, corrupt, violation, monkeypatch):
+    real = lseries.zeta_zero_spacings
+    monkeypatch.setattr(
+        lseries, "zeta_zero_spacings", lambda count: corrupt(real(count_asked))
+    )
+    reports = _violations(verify.verify_lfunc(count=10))
+    assert reports.pop("zeta-zero-spacings") == (violation,)
+    assert all(v == () for v in reports.values())
+
+
+def test_hecke_suite_sees_a_missing_coset(monkeypatch):
+    real = forms.hecke_coset_reps
+    monkeypatch.setattr(
+        forms, "hecke_coset_reps", lambda n: real(n)[:-1] if n == 6 else real(n)
+    )
+    reports = _violations(verify.verify_hecke())
+    assert reports.pop("hecke-coset-count") == ("coset count != sigma_1 at n=6",)
+    assert all(v == () for v in reports.values())
+
+
+def test_hecke_suite_sees_a_discriminant_that_is_not_an_eigenform(monkeypatch):
+    real = forms.delta
+
+    def bumped(order):
+        series = real(order)
+        coeffs = list(series.coeffs)
+        coeffs[6] += 1  # tau(7)
+        return qs.make_series(series.offset, coeffs, series.order)
+
+    monkeypatch.setattr(forms, "delta", bumped)
+    reports = _violations(verify.verify_hecke())
+    assert reports.pop("hecke-eigenform") == ("eigenform property fails at (2, 7)",)
+    # the composition law holds for every series, eigenform or not
+    assert all(v == () for v in reports.values())
+
+
+def test_rank_suite_sees_ranks_outside_the_support(monkeypatch):
+    real = theta_partitions.rank_table
+
+    def widened(n_max):
+        table = real(n_max)
+        polys = list(table.polys)
+        row9 = table.counts(9)
+        for m in (1, -1):  # one partition moves from rank m to rank 9m
+            row9[m] -= 1
+            row9[9 * m] = 1
+        polys[8] = theta_partitions.OmegaPoly.from_terms(row9)
+        return theta_partitions.RankTable(polys)
+
+    monkeypatch.setattr(theta_partitions, "rank_table", widened)
+    reports = _violations(verify.verify_rank())
+    assert reports.pop("rank-table-invariants") == (
+        "support violation at (n,m)=(9,-9)",
+        "support violation at (n,m)=(9,9)",
+    )
+    assert reports.pop("rank-generating-vs-table") == (
+        "generating coefficient differs from table at n=9",
+    )
+    assert all(v == () for v in reports.values())
+
+
+def test_rank_suite_sees_a_wrong_constant_coefficient(monkeypatch):
+    real = theta_partitions.rank_generating
+
+    def doubled_constant(order):
+        polys = real(order)
+        polys[0] = theta_partitions.OmegaPoly.const(2)
+        return polys
+
+    monkeypatch.setattr(theta_partitions, "rank_generating", doubled_constant)
+    reports = _violations(verify.verify_rank())
+    assert reports.pop("rank-generating-vs-table") == ("constant coefficient is not 1",)
+    assert reports.pop("mock-theta-specialization") == (
+        "w=-1 specialization differs from direct series at n=0",
+        "w=1 specialization differs from p(n) at n=0",
+    )
+    assert all(v == () for v in reports.values())
+
+
+def test_rank_suite_sees_a_partition_count_off_the_ramanujan_congruence(monkeypatch):
+    # 499 = 4 mod 5 but not 5 mod 7 or 6 mod 11, and past every table row
+    real = theta_partitions.partition_count
+    monkeypatch.setattr(
+        theta_partitions, "partition_count", lambda n: real(n) + (n == 499)
+    )
+    reports = _violations(verify.verify_rank())
+    assert reports.pop("partition-congruences") == ("p(499) not divisible by 5",)
+    assert all(v == () for v in reports.values())
