@@ -2,8 +2,8 @@
 
 Provides the Dedekind eta expansion, the discriminant cusp form and its
 coefficient function tau(n), the weight-12 Eisenstein series, divisor
-power sums, upper-triangular Hecke coset representatives, the Hecke
-action on q-expansions
+power sums, upper-triangular Hecke coset representatives as (a, b, d)
+triples, the Hecke action on q-expansions
 
     coefficient of q^m in T_n f  =  sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2),
 
@@ -33,7 +33,6 @@ from .qseries import QSeries, Record, WindowError, euler_coefficient, euler_prod
 
 __all__ = [
     "FormMeta",
-    "CosetRep",
     "CheckReport",
     "HeckeComposeReport",
     "EigenformReport",
@@ -87,17 +86,6 @@ class FormMeta(Record):
     def hecke_weight(self, d: int) -> int:
         """eps(d) d^(k-1), the weight of d in T_n and in the Euler factors."""
         return self.eps(d) * d ** (self.weight - 1)
-
-
-class CosetRep(Record):
-    """Upper-triangular representative ``[[a, b], [0, d]]`` with a*d = n."""
-
-    __slots__ = _fields = ("a", "b", "d")
-
-    def __init__(self, a: int, b: int, d: int) -> None:
-        if a < 1 or d < 1 or not (0 <= b < d):
-            raise ValueError(f"invalid coset representative ({a}, {b}, {d})")
-        super().__init__(a, b, d)
 
 
 class CheckReport(NamedTuple):
@@ -197,17 +185,14 @@ def eisenstein_e12(order: int) -> QSeries:
 # -- Hecke operators ------------------------------------------------------------
 
 
-def hecke_coset_reps(n: int) -> list[CosetRep]:
-    """All (a, b, d) with a*d = n, 0 <= b < d, lexicographic; sigma_1(n) many."""
+def hecke_coset_reps(n: int) -> list[tuple[int, int, int]]:
+    """Each (a, b, d) with a*d = n, 0 <= b < d, lexicographic; sigma_1(n) many.
+
+    The triple stands for the upper-triangular representative [[a, b], [0, d]].
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    reps = []
-    for a in range(1, n + 1):
-        if n % a == 0:
-            d = n // a
-            for b in range(d):
-                reps.append(CosetRep(a, b, d))
-    return reps
+    return [(a, b, n // a) for a in range(1, n + 1) if n % a == 0 for b in range(n // a)]
 
 
 def _exact_coeffs(f: QSeries) -> list:

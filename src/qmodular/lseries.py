@@ -14,16 +14,17 @@ can cross-check each other:
   225 nodes, built once at import, using the weight-12 inversion
   F(i/y) = y^12 F(iy) to evaluate the integrand accurately near 0 (the
   integrand then dies double-exponentially at both ends), and Horner's
-  rule in x = exp(-2 pi y) for the exponential sum, so each integrand
-  point costs one ``exp``; Lambda equals
+  rule in x = exp(-2 pi y) for the exponential sum, computed once per tau
+  row at the 450 nodes and shared by every s; Lambda equals
   (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must agree,
   and invariance under s -> 12 - s is a genuine test rather than a
   built-in symmetry;
 * critical-line zero ordinates of the zeta function, located by sign
   changes of the rotated real combination Z(t) = exp(i theta(t))
-  zeta(1/2 + it) with zeta evaluated by Euler-Maclaurin summation
-  (whose log n come from one table grown on demand, for |Im s| <= 10^4),
-  then refined by bisection.
+  zeta(1/2 + it) with zeta evaluated by Euler-Maclaurin summation to
+  the fewest terms whose remainder bound is at most 1e-13 (whose log n
+  come from one table grown on demand, for Re s >= -2 and
+  |Im s| <= 10^4), then refined by bisection.
 
 Everything is 64-bit floating point with explicit error estimates; the
 parameter sizes in scope sit comfortably inside double precision.
@@ -113,19 +114,25 @@ def euler_product_coeffs(
 ) -> dict[int, int]:
     """Expand prod_p (1 - c(p) p^(-s) + chi(p) p^(k-1) p^(-2s))^(-1) coefficientwise.
 
-    Returns c(n) for each n <= n_max with no prime factor above
-    max(prime_values), keyed by n in ascending order; other n are absent,
-    not zero.  Each local factor contributes c(p^e) through the recursion
+    Returns c(n) for each n <= n_max with no prime factor above P, the
+    largest key of ``prime_values`` not above n_max, keyed by n in
+    ascending order; other n are absent, not zero.  Each local factor
+    contributes c(p^e) through the recursion
     c(p^(e+1)) = c(p) c(p^e) - meta.hecke_weight(p) c(p^(e-1)), and the map
     is built one prime at a time, c(m p^e) = c(m) c(p^e) for each m already
-    in it, so no n that is not smooth is ever visited.  Every key of
-    ``prime_values`` must be prime, and every prime below the largest key
-    must be present; an empty mapping gives {1: 1}.
+    in it, so no n that is not smooth is ever visited.  Every key must be
+    prime, and every prime up to P must be a key.  A key above n_max
+    divides no n in range: it is tested for primality on its own, by trial
+    division, and plays no other part.  An empty mapping gives {1: 1}.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    primes = forms.primes_up_to(max(prime_values, default=1))
-    not_prime = sorted(set(prime_values).difference(primes))
+    primes = forms.primes_up_to(max((k for k in prime_values if k <= n_max), default=1))
+    not_prime = sorted(
+        k
+        for k in set(prime_values).difference(primes)
+        if k <= n_max or any(k % p == 0 for p in forms.primes_up_to(math.isqrt(k)))
+    )
     if not_prime:
         raise ValueError(f"keys {not_prime} are not prime")
     missing = [p for p in primes if p not in prime_values]
@@ -227,22 +234,22 @@ def _tanh_sinh_rule() -> tuple[tuple[float, float, bool], ...]:
 _TS_RULE = _tanh_sinh_rule()
 
 
-def _tanh_sinh(fn, a: float, b: float) -> tuple[float, float]:
-    """Tanh-sinh quadrature of ``fn`` over [a, b]; returns (value, error).
+def _tanh_sinh(values: Sequence[float], width: float) -> tuple[float, float]:
+    """Tanh-sinh quadrature over an interval of length ``width``; returns (value, error).
 
-    Takahasi and Mori's substitution x = a + (b - a) / (1 + exp(-2u)),
-    u = (pi/2) sinh t, gives an integrand in t that dies
-    double-exponentially at both ends, and the trapezoid rule in t
-    converges geometrically in 1/h.  The fixed nodes of step h = 1/32
-    contain those of step 2h, so one pass gives both sums I_h and I_2h.
-    The error is |I_h - I_2h| plus a rounding floor of eight ulps of
-    h * sum |w f|.  The 225 nodes and weights are ``_TS_RULE``, built once
-    at import; a pass costs one ``fn`` call per node.
+    ``values`` holds the integrand at the nodes a + width * fraction of
+    ``_TS_RULE``, in its order.  Takahasi and Mori's substitution
+    x = a + (b - a) / (1 + exp(-2u)), u = (pi/2) sinh t, gives an
+    integrand in t that dies double-exponentially at both ends, and the
+    trapezoid rule in t converges geometrically in 1/h.  The fixed nodes
+    of step h = 1/32 contain those of step 2h, so one pass gives both sums
+    I_h and I_2h.  The error is |I_h - I_2h| plus a rounding floor of eight
+    ulps of h * sum |w f|.  The 225 nodes and weights are ``_TS_RULE``,
+    built once at import.
     """
     total = even = mass = 0.0  # sums of w f, of w f at step 2h, of |w f|
-    width = b - a
-    for frac, weight, on_coarse_grid in _TS_RULE:
-        wf = weight * fn(a + width * frac)
+    for (_, weight, on_coarse_grid), f in zip(_TS_RULE, values):
+        wf = weight * f
         total += wf
         mass += abs(wf)
         if on_coarse_grid:
@@ -256,6 +263,30 @@ def _tanh_sinh(fn, a: float, b: float) -> tuple[float, float]:
 # Lambda's upper integration limit, and the tau terms each integrand point sums
 _Y_CUT = 12.0
 _TAU_TERMS = 48
+
+# the tau row Lambda read last, and the (y, cusp sum) pair at each node of
+# [1, _Y_CUT] and of (0, 1]; no sum depends on s, so they are rebuilt only
+# when a call reads a different row
+_NODE_SUMS: tuple = ((), (), ())
+
+
+def _node_sums(row: tuple[float, ...]) -> tuple[tuple, tuple]:
+    """(y, F) at the nodes of [1, _Y_CUT] and of (0, 1] for this tau row.
+
+    F is the cusp sum at y on the upper piece and at 1/y on the lower one
+    (the inversion), each by :func:`_cusp_exp_sum`: 450 Horner sums per
+    row, shared by every s.
+    """
+    global _NODE_SUMS
+    if row != _NODE_SUMS[0]:
+        upper = [1.0 + (_Y_CUT - 1.0) * frac for frac, _, _ in _TS_RULE]
+        lower = [frac for frac, _, _ in _TS_RULE]  # y = 0 + 1 * fraction
+        _NODE_SUMS = (
+            row,
+            tuple((y, _cusp_exp_sum(y, row)) for y in upper),
+            tuple((y, _cusp_exp_sum(1.0 / y, row)) for y in lower),
+        )
+    return _NODE_SUMS[1], _NODE_SUMS[2]
 
 
 def _cut_tail_bound(s: float, y_cut: float) -> float:
@@ -280,26 +311,22 @@ def completed_lambda_integral(s: float) -> CompletedLValue:
     The integral is split at y = 1.  On [1, 12] the integrand uses
     the exponential sum directly; on (0, 1] it uses the inversion
     relation, under which the integrand vanishes double-exponentially
-    at 0.  Each piece is one tanh-sinh pass of 225 nodes, and each node
-    sums tau(1..48), read once per call, by Horner's rule in
-    x = exp(-2 pi y) at the cost of one ``exp``.  The reported error adds
-    the quadrature estimates to bounds for the discarded y > 12 tail
-    and for the truncation of the exponential sum.
+    at 0.  Each piece is one tanh-sinh pass of 225 nodes.  Each call reads
+    tau(1..48); the cusp sums at the nodes depend on that row alone, so
+    they come from :func:`_node_sums`, and a call forms only F y^(s-1)
+    (or F y^(s-13) on the inverted piece) at each node.  The reported
+    error adds the quadrature estimates to bounds for the discarded
+    y > 12 tail and for the truncation of the exponential sum.
     """
     if not 0.0 < s < 12.0:
         raise ValueError(f"s must lie in (0, 12), got {s}")
 
     # read through forms.tau, so forms.inject_tau_fault reaches Lambda too
     row = tuple(float(forms.tau(n)) for n in range(_TAU_TERMS, 0, -1))
-
-    def upper(y: float) -> float:
-        return _cusp_exp_sum(y, row) * y ** (s - 1.0)
-
-    def lower(y: float) -> float:  # nodes keep y > 1e-23, so y^(s-13) is finite
-        return _cusp_exp_sum(1.0 / y, row) * y ** (s - 13.0)
-
-    v_up, e_up = _tanh_sinh(upper, 1.0, _Y_CUT)
-    v_lo, e_lo = _tanh_sinh(lower, 0.0, 1.0)
+    upper, lower = _node_sums(row)
+    v_up, e_up = _tanh_sinh([f * y ** (s - 1.0) for y, f in upper], _Y_CUT - 1.0)
+    # nodes keep y > 1e-23, so y^(s-13) is finite
+    v_lo, e_lo = _tanh_sinh([f * y ** (s - 13.0) for y, f in lower], 1.0)
     tail_cut = _cut_tail_bound(s, _Y_CUT)
     # exponential-sum truncation, evaluated at the slowest-decaying point y = 1
     n1 = _TAU_TERMS + 1
@@ -315,22 +342,54 @@ def completed_lambda_integral(s: float) -> CompletedLValue:
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-# zeta_em refuses |Im s| above this: the direct sum grows as 2 |Im s| terms
+# zeta_em refuses |Im s| above _ZETA_IM_MAX and Re s below _ZETA_RE_MIN: far
+# up the sum grows long, and left of Re s = -2 the terms n^(-s) grow so fast
+# that their sum cancels to garbage
 _ZETA_IM_MAX = 1.0e4
-# _LOGS[n] = log n, grown on demand by zeta_em (index 0 unused); its reads
-# cap it at n = 2 * _ZETA_IM_MAX + 8
+_ZETA_RE_MIN = -2.0
+# zeta_em sums the fewest terms whose remainder bound is at most _ZETA_EPS
+_ZETA_EPS = 1e-13
+# |B_18| / 18! / _ZETA_EPS: the first Bernoulli factor zeta_em leaves out, over the target
+_B18_SCALE = 43867 / 798 / math.factorial(18) / _ZETA_EPS
+# _LOGS[n] = log n, grown on demand by zeta_em (index 0 unused); its reads cap
+# it at n = 2 * _ZETA_IM_MAX + 8, which only Re s < 0 near |Im s| = 10^4 reach
 _LOGS = [-math.inf]
+
+
+def _zeta_em_terms(s: complex) -> int:
+    """The term count N that :func:`zeta_em` sums at s.
+
+    After the B_16 correction the Euler-Maclaurin remainder is at most
+    |s + 17| / (sigma + 17) times the first term left out,
+    |B_18| / 18! |s (s+1) ... (s+16)| N^(-sigma-17) (Edwards, *Riemann's
+    Zeta Function*, 1974, sec. 6.4; it holds for sigma > -17).  N is the
+    smallest count that puts this bound at or below ``_ZETA_EPS``, in
+    closed form, but never more than max(24, 2 |Im s| + 8), and at least 1
+    (at s = 0, -1, -2 the remainder vanishes).
+    """
+    cap = max(24, int(2.0 * abs(s.imag)) + 8)
+    rate = s.real + 17.0
+    # |s (s+1) ... (s+17)| in pairs (s + j)(s + 17 - j) = z + j (17 - j), with
+    # z = s (s + 17); far right it overflows to inf or nan, and min keeps the cap
+    z = s * (s + 17.0)
+    head = abs(
+        z * (z + 16) * (z + 30) * (z + 42) * (z + 52) * (z + 60) * (z + 66) * (z + 70) * (z + 72)
+    )
+    return max(1, math.ceil(min(cap, (head * _B18_SCALE / rate) ** (1.0 / rate))))
 
 
 def zeta_em(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin summation.
 
-    Sums N = max(24, 2|Im s| + 8) terms directly and adds one correction
-    per entry of ``_BERNOULLI_2K``; accurate to ~1e-12 for |Im s| up to
-    a few hundred.  log n is read from ``_LOGS``, one module-level table
-    that grows to the largest N asked for and is never recomputed.
-    Raises ValueError at the pole s = 1, for a non-finite s and for
-    |Im s| > 10^4 (N past 20,008 terms), before any work.
+    Sums the N = :func:`_zeta_em_terms` (s) terms that the remainder bound
+    asks for (11 at t = 10, 43 at t = 50, 9,602 at t = 10^4 on the
+    critical line) and adds one correction per entry of ``_BERNOULLI_2K``;
+    the remainder is then at most 1e-13 wherever the cap of
+    max(24, 2|Im s| + 8) terms does not bind, and rounding in each
+    exponent -s log n adds about |s| log n ulps to its term.  log n is
+    read from ``_LOGS``, one module-level table that grows to the largest
+    N asked for and is never recomputed.  Raises ValueError at the pole s = 1, for a non-finite s,
+    for Re s < -2 and for |Im s| > 10^4, before any work.
     """
     global _LOGS
     s = complex(s)
@@ -338,9 +397,11 @@ def zeta_em(s: complex) -> complex:
         raise ValueError(f"zeta_em needs a finite s, got {s}")
     if abs(s.imag) > _ZETA_IM_MAX:
         raise ValueError(f"zeta_em needs |Im s| <= {_ZETA_IM_MAX:g}, got {s}")
+    if s.real < _ZETA_RE_MIN:
+        raise ValueError(f"zeta_em needs Re s >= {_ZETA_RE_MIN:g}, got {s}")
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
-    n_terms = max(24, int(2.0 * abs(s.imag)) + 8)
+    n_terms = _zeta_em_terms(s)
     logs = _LOGS
     if len(logs) <= n_terms:
         # grown into a new list, never in place: any list a caller holds is whole

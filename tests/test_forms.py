@@ -98,7 +98,7 @@ def test_delta_is_e4_cubed_minus_e6_squared_over_1728():
 
 
 def test_coset_reps_identity_index():
-    assert forms.hecke_coset_reps(1) == [forms.CosetRep(1, 0, 1)]
+    assert forms.hecke_coset_reps(1) == [(1, 0, 1)]
 
 
 def test_coset_reps_counts():
@@ -109,11 +109,11 @@ def test_coset_reps_counts():
 
 
 def test_coset_reps_structure():
-    for rep in forms.hecke_coset_reps(12):
-        assert rep.a * rep.d == 12
-        assert 0 <= rep.b < rep.d
     reps = forms.hecke_coset_reps(12)
-    assert reps == sorted(reps, key=lambda r: (r.a, r.b, r.d))
+    for a, b, d in reps:
+        assert a * d == 12
+        assert 0 <= b < d
+    assert reps == sorted(reps) == sorted(set(reps))
 
 
 # -- Hecke action -----------------------------------------------------------------------

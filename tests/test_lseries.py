@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmodular import forms, geometry, lseries
@@ -81,15 +81,36 @@ def test_euler_product_smoothness_flags():
 
 
 def test_euler_product_missing_prime_rejected():
-    # prime_bound is max(prime_values) = 5, so the gap at 3 is named
+    # the largest key up to n_max is 5, so the gap at 3 is named
     with pytest.raises(ValueError, match=r"missing for \[3\]"):
         lseries.euler_product_coeffs({2: -24, 5: 4830}, META12, 10)
 
 
+def test_euler_product_tests_a_key_above_n_max_without_sieving_to_it(monkeypatch):
+    sieved = []
+    real = forms.primes_up_to
+    monkeypatch.setattr(forms, "primes_up_to", lambda n: sieved.append(n) or real(n))
+    # 10^7 + 19 is prime, and it divides no n <= 10
+    assert lseries.euler_product_coeffs({10**7 + 19: 1}, META12, 10) == {1: 1}
+    assert max(sieved) <= math.isqrt(10**7 + 19)
+
+
+def test_euler_product_names_only_missing_primes_up_to_n_max():
+    prime_values = {2: -24, 7: -16744, 101: 1, 10**7 + 19: 1}
+    with pytest.raises(ValueError, match=re.escape("prime values missing for [3, 5]") + "$"):
+        lseries.euler_product_coeffs(prime_values, META12, 50)
+
+
 @pytest.mark.parametrize(
     "prime_values, named",
-    [({2: -24, 3: 252, 4: 7}, "[4]"), ({1: 5}, "[1]"), ({2: -24, 6: 1, 0: 3}, "[0, 6]")],
-    ids=["composite", "one", "zero-and-composite"],
+    [
+        ({2: -24, 3: 252, 4: 7}, "[4]"),
+        ({1: 5}, "[1]"),
+        ({2: -24, 6: 1, 0: 3}, "[0, 6]"),
+        ({10**7 + 20: 1}, "[10000020]"),
+        ({2: -24, 3: 252, 25: 1, 10**7 + 19: 1}, "[25]"),
+    ],
+    ids=["composite", "one", "zero-and-composite", "composite-above-n_max", "square-above-n_max"],
 )
 def test_euler_product_rejects_keys_that_are_not_prime(prime_values, named):
     with pytest.raises(ValueError, match=re.escape(f"keys {named} are not prime")):
@@ -272,6 +293,30 @@ def test_lambda_is_bit_equal_after_calls_at_other_s():
     assert lseries.completed_lambda_integral(5.0) == first
 
 
+def test_lambda_follows_a_tau_fault_and_returns_to_the_clean_value():
+    clean = lseries.completed_lambda_integral(5.0)
+    forms.inject_tau_fault()
+    try:
+        faulty = lseries.completed_lambda_integral(5.0)
+    finally:
+        forms.clear_tau_fault()
+    assert faulty.value != clean.value
+    assert lseries.completed_lambda_integral(5.0) == clean
+
+
+def test_lambda_sums_the_cusp_series_once_per_node_for_every_s(monkeypatch):
+    calls = []
+    real = lseries._cusp_exp_sum
+    monkeypatch.setattr(lseries, "_cusp_exp_sum", lambda y, row: calls.append(y) or real(y, row))
+    monkeypatch.setattr(lseries, "_NODE_SUMS", ((), (), ()))
+    values = [lseries.completed_lambda_integral(s) for s in (3.0, 4.0, 5.0, 7.0, 8.0, 9.0, 10.0)]
+    assert len(calls) == 2 * len(lseries._TS_RULE) == 450
+    # the same values as a cold start at each s
+    for lam in values:
+        monkeypatch.setattr(lseries, "_NODE_SUMS", ((), (), ()))
+        assert lseries.completed_lambda_integral(lam.s) == lam
+
+
 def test_lambda_rejects_out_of_strip():
     with pytest.raises(ValueError):
         lseries.completed_lambda_integral(0.0)
@@ -296,9 +341,27 @@ def test_zeta_em_against_mpmath_critical_line():
         assert ours == pytest.approx(ref, rel=1e-10)
 
 
+# the remainder zeta_em promises wherever its term cap does not bind
+_EM_EPS = 1e-13
+
+
+def _em_remainder_bound(s: complex, n_terms: int) -> float:
+    """Edwards (1974, sec. 6.4): the remainder after the B_16 correction is at
+    most |s + 17| / (sigma + 17) times |B_18| / 18! |s (s+1) ... (s+16)| N^(-sigma-17)."""
+    b18 = Fraction(43867, 798) / math.factorial(18)
+    pochhammer = math.prod(abs(s + j) for j in range(17))
+    head = abs(s + 17) / (s.real + 17) * float(b18) * pochhammer
+    return head * n_terms ** -(s.real + 17)
+
+
+def _em_cap(s: complex) -> int:
+    """The term count zeta_em used before its remainder bound chose N."""
+    return max(24, int(2.0 * abs(s.imag)) + 8)
+
+
 def _zeta_em_term_by_term(s: complex) -> complex:
     """Reference Euler-Maclaurin sum: one math.log and one += per term."""
-    n_terms = max(24, int(2.0 * abs(s.imag)) + 8)
+    n_terms = lseries._zeta_em_terms(s)
     total = complex(0.0)
     for n in range(1, n_terms):
         total += cmath.exp(-s * math.log(n))
@@ -317,6 +380,25 @@ def _zeta_em_term_by_term(s: complex) -> complex:
 _ZETA_TS = (0.0, 3.7, 14.134725, 30.0, 49.9, 143.1, 399.9)
 
 
+@pytest.mark.parametrize("t, n_terms", [(10.0, 11), (50.0, 43), (143.0, 122), (1e4, 9602)])
+def test_zeta_em_term_count_on_the_critical_line(t, n_terms):
+    assert lseries._zeta_em_terms(complex(0.5, t)) == n_terms
+
+
+@pytest.mark.parametrize(
+    "s",
+    [complex(0.5, t) for t in _ZETA_TS]
+    + [complex(2.0, 0.0), complex(5.5, 7.0), complex(-1.5, 30.0), complex(-2.0, 1e3), 0.5 + 1e4j],
+)
+def test_zeta_em_term_count_is_the_smallest_under_the_remainder_bound(s):
+    n_terms, cap = lseries._zeta_em_terms(s), _em_cap(s)
+    assert 1 <= n_terms <= cap
+    if n_terms < cap:
+        assert _em_remainder_bound(s, n_terms) <= _EM_EPS * (1 + 1e-9)
+    if n_terms > 1:
+        assert _em_remainder_bound(s, n_terms - 1) > _EM_EPS * (1 - 1e-9)
+
+
 def test_zeta_em_is_bit_identical_whatever_order_grew_the_log_table(monkeypatch):
     fresh = {}
     for t in _ZETA_TS:
@@ -327,7 +409,7 @@ def test_zeta_em_is_bit_identical_whatever_order_grew_the_log_table(monkeypatch)
         monkeypatch.setattr(lseries, "_LOGS", [-math.inf])
         for t in order:
             assert lseries.zeta_em(complex(0.5, t)) == fresh[t], (order, t)
-        assert len(lseries._LOGS) == int(2.0 * max(_ZETA_TS)) + 8 + 1
+        assert len(lseries._LOGS) == lseries._zeta_em_terms(complex(0.5, max(_ZETA_TS))) + 1
 
 
 def test_zeta_em_matches_a_term_by_term_loop():
@@ -340,9 +422,29 @@ def test_zeta_em_matches_a_term_by_term_loop():
                 assert ours == ref, s
             else:
                 # ulps of the largest partial sum, which bounds every rounding
-                n_terms = max(24, int(2.0 * abs(t)) + 8)
+                n_terms = lseries._zeta_em_terms(s)
                 scale = sum(n ** -sigma for n in range(1, n_terms))
                 assert abs(ours - ref) <= 4 * math.ulp(scale), s
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma=st.floats(-2.0, 6.0), t=st.floats(-1000.0, 1000.0))
+def test_zeta_em_is_within_its_remainder_bound_of_mpmath(sigma, t):
+    s = complex(sigma, t)
+    # near the pole the value is too large to compare, and within ~1e-20 of
+    # s = 0 mpmath's zeta is wrong (-0.5 - 0.5j at s = 1e-300 (i - 1))
+    assume(abs(s - 1) > 1e-3 and abs(s) > 1e-6)
+    n_terms = lseries._zeta_em_terms(s)
+    assert n_terms <= _em_cap(s)
+    ref = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+    # Each term exp(-s log n) is off by a few units of its rounded exponent,
+    # whose size is about |s| log n; the remainder bound is at most eps
+    # wherever the cap leaves N free.
+    rounding = 4 * 2.0**-52 * math.fsum(
+        n ** -sigma * (1.0 + abs(s) * math.log(n)) for n in range(1, n_terms + 1)
+    )
+    remainder = max(_EM_EPS, _em_remainder_bound(s, n_terms))
+    assert abs(lseries.zeta_em(s) - ref) <= remainder + rounding
 
 
 @pytest.mark.parametrize(
@@ -354,6 +456,10 @@ def test_zeta_em_matches_a_term_by_term_loop():
         complex(0.5, math.nan),
         complex(math.inf, 0.0),
         complex(0.5, -math.inf),
+        complex(-10.0, 3.0),
+        complex(-15.5, 0.0),
+        complex(-40.0, 0.0),
+        complex(-2.0 - 1e-12, 0.0),
     ],
 )
 def test_zeta_em_refuses_a_nonfinite_or_far_s_before_any_work(monkeypatch, s):
@@ -363,13 +469,26 @@ def test_zeta_em_refuses_a_nonfinite_or_far_s_before_any_work(monkeypatch, s):
     assert lseries._LOGS == [-math.inf]
 
 
+def test_zeta_em_sums_one_term_where_the_remainder_vanishes():
+    # at s = 0, -1, -2 the Euler-Maclaurin formula is exact for any N
+    for s, value in ((0.0, -0.5), (-1.0, -1 / 12), (-2.0, 0.0)):
+        assert lseries._zeta_em_terms(complex(s)) == 1
+        assert lseries.zeta_em(s) == pytest.approx(value, rel=1e-15, abs=1e-16)
+
+
 def test_zeta_em_at_the_height_bound_caps_the_log_table(monkeypatch):
     monkeypatch.setattr(lseries, "_LOGS", [-math.inf])
     s = complex(0.5, 1e4)
     assert lseries.zeta_em(s) == pytest.approx(
         complex(mpmath.zeta(mpmath.mpc(0.5, 1e4))), abs=1e-9
     )
-    assert len(lseries._LOGS) == 20009  # log n for n <= 2 * 10^4 + 8
+    assert len(lseries._LOGS) == 9603  # log n for n <= 9602, from the remainder bound
+    # at the left edge the bound asks for more than the cap of 2 * 10^4 + 8
+    far = complex(-2.0, 1e4)
+    assert lseries.zeta_em(far) == pytest.approx(
+        complex(mpmath.zeta(mpmath.mpc(-2.0, 1e4))), rel=1e-8
+    )
+    assert len(lseries._LOGS) == 20009
 
 
 def test_rs_theta_against_mpmath():

@@ -10,7 +10,7 @@ import re
 import pytest
 
 from qmodular import cli, verify
-from qmodular.forms import CosetRep, FormMeta
+from qmodular.forms import FormMeta
 from qmodular.geometry import EllipseSpec
 from qmodular.lseries import DirichletSeries, ZeroList
 from qmodular.qseries import QSeries
@@ -28,9 +28,6 @@ from qmodular.theta_partitions import rank_table
             "character table misses residues [3, 4] mod 5",
         ),
         (lambda: FormMeta(12, 3, (0, 1)), "character table misses residues [2] mod 3"),
-        (lambda: CosetRep(0, 0, 1), "invalid coset representative (0, 0, 1)"),
-        (lambda: CosetRep(1, 2, 2), "invalid coset representative (1, 2, 2)"),
-        (lambda: CosetRep(1, -1, 2), "invalid coset representative (1, -1, 2)"),
         (lambda: DirichletSeries(()), "need at least one coefficient"),
         (lambda: QSeries("1/5", (1,)), "offset denominator must divide 24, got 5"),
         (lambda: ZeroList((1.0, 1.0), (0.0, 0.0)), "ordinates must be strictly increasing"),
@@ -46,7 +43,7 @@ def test_validation_error_messages(build, message):
 VALIDATED = [
     (QSeries(0, (1, 2)), "offset"),
     (FormMeta(12), "weight"),
-    (CosetRep(1, 0, 2), "b"),
+    (ZeroList((14.1, 21.0), (1e-9, 2e-9)), "residuals"),
     (DirichletSeries((1, -24)), "coeffs"),
     (ZeroList((14.1, 21.0), (0.0, 0.0)), "gammas"),
     (EllipseSpec(1.0, 2.0, 3.0), "e"),
@@ -85,8 +82,6 @@ def test_qseries_equality_and_hash_are_on_offset_and_coeffs():
 
 def test_equality_is_same_class_on_the_fields():
     assert FormMeta(12) == FormMeta(12, 1, None)
-    assert hash(CosetRep(1, 0, 2)) == hash(CosetRep(1, 0, 2))
-    assert CosetRep(1, 0, 2) != CosetRep(1, 1, 2)
     assert EllipseSpec(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
     assert DirichletSeries((1, 2)) != DirichletSeries((1, 3))
     assert rank_table(6) == rank_table(6)
