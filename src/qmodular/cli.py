@@ -82,10 +82,11 @@ def _expand_object(name: str, order: int) -> QSeries:
     family, _, index = name.partition("-")
     if family not in ("theta", "euler"):
         raise ValueError(f"unknown object {name!r}")
-    try:
-        k = int(index)
-    except ValueError:
-        raise ValueError(f"malformed object {name!r}: {index!r} is not an integer") from None
+    digits = index.removeprefix("-")
+    # int() would also take "1_0", "+3", " 2" and non-ASCII digits
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed object {name!r}: {index!r} is not an integer")
+    k = int(index)
     if family == "euler":
         return euler_product(k, order)
     from . import theta_partitions

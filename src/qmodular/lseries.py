@@ -33,6 +33,7 @@ parameter sizes in scope sit comfortably inside double precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -264,29 +265,21 @@ def _tanh_sinh(values: Sequence[float], width: float) -> tuple[float, float]:
 _Y_CUT = 12.0
 _TAU_TERMS = 48
 
-# the tau row Lambda read last, and the (y, cusp sum) pair at each node of
-# [1, _Y_CUT] and of (0, 1]; no sum depends on s, so they are rebuilt only
-# when a call reads a different row
-_NODE_SUMS: tuple = ((), (), ())
-
-
+@functools.lru_cache(maxsize=1)
 def _node_sums(row: tuple[float, ...]) -> tuple[tuple, tuple]:
     """(y, F) at the nodes of [1, _Y_CUT] and of (0, 1] for this tau row.
 
     F is the cusp sum at y on the upper piece and at 1/y on the lower one
     (the inversion), each by :func:`_cusp_exp_sum`: 450 Horner sums per
-    row, shared by every s.
+    row.  No sum depends on s, so the latest row's sums are kept and
+    rebuilt only when a call reads a different row.
     """
-    global _NODE_SUMS
-    if row != _NODE_SUMS[0]:
-        upper = [1.0 + (_Y_CUT - 1.0) * frac for frac, _, _ in _TS_RULE]
-        lower = [frac for frac, _, _ in _TS_RULE]  # y = 0 + 1 * fraction
-        _NODE_SUMS = (
-            row,
-            tuple((y, _cusp_exp_sum(y, row)) for y in upper),
-            tuple((y, _cusp_exp_sum(1.0 / y, row)) for y in lower),
-        )
-    return _NODE_SUMS[1], _NODE_SUMS[2]
+    upper = [1.0 + (_Y_CUT - 1.0) * frac for frac, _, _ in _TS_RULE]
+    lower = [frac for frac, _, _ in _TS_RULE]  # y = 0 + 1 * fraction
+    return (
+        tuple((y, _cusp_exp_sum(y, row)) for y in upper),
+        tuple((y, _cusp_exp_sum(1.0 / y, row)) for y in lower),
+    )
 
 
 def _cut_tail_bound(s: float, y_cut: float) -> float:
@@ -386,12 +379,14 @@ def zeta_em(s: complex) -> complex:
     critical line) and adds one correction per entry of ``_BERNOULLI_2K``;
     the remainder is then at most 1e-13 wherever the cap of
     max(24, 2|Im s| + 8) terms does not bind, and rounding in each
-    exponent -s log n adds about |s| log n ulps to its term.  log n is
-    read from ``_LOGS``, one module-level table that grows to the largest
-    N asked for and is never recomputed.  Raises ValueError at the pole s = 1, for a non-finite s,
-    for Re s < -2 and for |Im s| > 10^4, before any work.
+    exponent -s log n adds about |s| log n ulps to its term.  Where N^(-s)
+    underflows to 0 (far right, as at s = 2000), the sum of the first
+    N - 1 terms is returned, since every later term is smaller.  log n is
+    read from ``_LOGS``, one module-level table that grows in place to the
+    largest N asked for and is never recomputed.  Raises ValueError at the
+    pole s = 1, for a non-finite s, for Re s < -2 and for |Im s| > 10^4,
+    before any work.
     """
-    global _LOGS
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"zeta_em needs a finite s, got {s}")
@@ -403,13 +398,14 @@ def zeta_em(s: complex) -> complex:
         raise ValueError("zeta has a pole at s = 1")
     n_terms = _zeta_em_terms(s)
     logs = _LOGS
-    if len(logs) <= n_terms:
-        # grown into a new list, never in place: any list a caller holds is whole
-        logs = _LOGS = logs + list(map(math.log, range(len(logs), n_terms + 1)))
+    logs.extend(map(math.log, range(len(logs), n_terms + 1)))
     # terms n^(-s) = exp(-s log n) for n < N, added in increasing n
     total = sum(map(cmath.exp, map((-s).__mul__, logs[1:n_terms])), complex(0.0))
     log_n = logs[n_terms]
     n_s = cmath.exp(-s * log_n)
+    if n_s == 0:
+        # far right the Pochhammer factor below overflows, and inf * 0 is nan
+        return total
     total += n_terms * n_s / (s - 1.0)
     total += 0.5 * n_s
     # correction terms B_2k/(2k)! * (s)(s+1)...(s+2k-2) * N^(1-s-2k)

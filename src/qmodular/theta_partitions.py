@@ -18,13 +18,14 @@ is expanded with exact Laurent-polynomial coefficients in w, folding
 each reciprocal factor in as an in-place recurrence, O(N^1.5) big-int
 shift-adds for order N.  Both kernels keep each dense DP row as one
 non-negative Python int packed in fixed-width slots, so a row update
-is one C-level shift and add.  The slot width comes from a proven
-bound on the coefficients of 1/(q;q)_oo^r (Apostol, Thm 14.5).  The
-DPs stay independent; they share only the step that turns a finished
-packed row into an :class:`OmegaPoly`: :func:`_unpack_slots` reads
+is one C-level shift and add, and both keep the w^m coefficient of
+row p in slot p + m.  The DPs stay independent; they share three
+pieces: :func:`_slot_bytes`, the slot width, from a proven bound on
+the coefficients of 1/(q;q)_oo^r; :func:`_unpack_slots`, which reads
 every slot of a row at C level (strided byte copies and one
-``struct.unpack``), and :func:`_row_poly` trims its zero ends.  The
-w = -1 specialization of R(w, q) reproduces the q-hypergeometric series
+``struct.unpack``); and :func:`_row_poly`, which decodes a finished
+row into an :class:`OmegaPoly`.  The w = -1 specialization of R(w, q)
+reproduces the q-hypergeometric series
 
     f(q) = sum_{n>=0} q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^2
 
@@ -196,42 +197,30 @@ def rank_table(n_max: int) -> RankTable:
     D_l(n, k) = D_(l-1)(n, k) + D_l(n - l, k - 1), and the partitions
     with largest part exactly l and k parts are D_l(n - l, k - 1),
     contributing rank m = l - k.  Each row is one non-negative int packed
-    in fixed-width slots: slot k of D[n] holds D_l(n, k), updated in
-    place as l grows, and slot n - m of rank[n] holds N(n, m).  For each
-    (l, n) the source row D[n - l], which holds k - 1 = 0 .. n - l, is
-    added once, shifted by one slot, into D[n] and once, shifted by
-    n - l + 1 slots, into rank[n], so slot k - 1 lands on slot n - m.
+    in slots of ``_slot_bytes(1, n_max)`` bytes: slot n - k of D[n] holds
+    D_l(n, k), updated in place as l grows, and slot n + m of rank[n]
+    holds N(n, m), the layout of :func:`rank_generating`.  Part l
+    adds the source row D[n - l] into D[n] shifted by l - 1 slots and
+    into rank[n] shifted by 2l - 1 slots; both shifts depend on l alone.
     D[n] is no longer updated once n > n_max - l, since no later part
     reads it.  That is O(n_max^2) big-int shift-adds in place of
-    O(n_max^3) per-element steps.
-
-    No slot carries into the next: every slot counts partitions of some
-    n <= n_max, so it is at most p(n_max) < exp(pi sqrt(2 n_max / 3))
-    (from p(n) <= F(e^-t) e^(nt) and log F(e^-t) <= pi^2 / (6t), with F
-    the generating function; Apostol, Introduction to Analytic Number
-    Theory, Thm 14.5).  The slot width is that bound in bits plus 2,
-    rounded up to whole bytes.  Each finished row is unpacked once, over
-    its slots |m| <= n, by :func:`_unpack_slots`, the step it shares
-    with :func:`rank_generating`; its slots are reversed, so that slot i
-    holds rank i - n, and passed to :func:`_row_poly`.
+    O(n_max^3) per-element steps.  Each finished row is read once by
+    :func:`_row_poly`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    size = math.ceil((math.pi * math.sqrt(2 * n_max / 3) / math.log(2) + 2) / 8)
+    size = _slot_bytes(1, n_max)
     bits = 8 * size
     D = [0] * (n_max + 1)
     D[0] = 1
     rank = [0] * (n_max + 1)
     for part in range(1, n_max + 1):
+        d_shift, rank_shift = (part - 1) * bits, (2 * part - 1) * bits
         for n in range(part, n_max - part + 1):
-            D[n] += D[n - part] << bits
+            D[n] += D[n - part] << d_shift
         for n in range(part, n_max + 1):
-            rank[n] += D[n - part] << (n - part + 1) * bits
-    polys = []
-    for n in range(1, n_max + 1):
-        # packed slot j holds the count of rank n - j, so reversed slot i holds rank i - n
-        polys.append(_row_poly(_unpack_slots(rank[n], 2 * n + 1, size)[::-1], n))
-    return RankTable(polys)
+            rank[n] += D[n - part] << rank_shift
+    return RankTable([_row_poly(rank[n], n, size) for n in range(1, n_max + 1)])
 
 
 # -- exact Laurent polynomials in the phase variable --------------------------------
@@ -277,26 +266,18 @@ def rank_generating(order: int) -> list[OmegaPoly]:
     Expanded straight from the sum-over-n form: the n-th summand is
     q^(n^2) times the running inverse of
     prod_{m<=n} (1 - w q^m)(1 - w^(-1) q^m).  Both series keep one
-    non-negative int per power of q, packed in fixed-width slots: slot
-    p + m of row p holds the coefficient of w^m q^p, which fits because
-    |m| <= p.  Each reciprocal factor 1/(1 - w^(+-1) q^n) folds in as the
-    ascending in-place recurrence row[p] += row[p - n] shifted by n +- 1
-    slots, and the summand as result[n^2 + j] += row[j] shifted by n^2
-    slots, so each step is one big-int shift-add: O(order^1.5) of them.
-
-    No slot carries into the next: every coefficient is non-negative, so
-    each slot of row p is at most the value of its row at w = 1, which is
-    at most the coefficient of q^p in 1/(q;q)_oo^2, below
-    exp(pi sqrt(4 p / 3)) (the bound of :func:`rank_table` for the
-    square of the generating function; Apostol, Thm 14.5).  The slot
-    width is that bound at p = order - 1 in bits plus 2, rounded up to
-    whole bytes.  Each finished row is unpacked once, over its slots
-    |m| <= p, by :func:`_unpack_slots` and :func:`_row_poly`, the steps
-    it shares with :func:`rank_table`; nothing else is shared.
+    non-negative int per power of q, packed in slots of
+    ``_slot_bytes(2, order - 1)`` bytes: slot p + m of row p holds the
+    coefficient of w^m q^p, which fits because |m| <= p.  Each reciprocal factor
+    1/(1 - w^(+-1) q^n) folds in as the ascending in-place recurrence
+    row[p] += row[p - n] shifted by n +- 1 slots, and the summand as
+    result[n^2 + j] += row[j] shifted by n^2 slots, so each step is one
+    big-int shift-add: O(order^1.5) of them.  Each finished row is read
+    once by :func:`_row_poly`.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    size = math.ceil((math.pi * math.sqrt(4 * (order - 1) / 3) / math.log(2) + 2) / 8)
+    size = _slot_bytes(2, order - 1)
     bits = 8 * size
     inv_den = [0] * order
     result = [0] * order
@@ -310,10 +291,23 @@ def rank_generating(order: int) -> list[OmegaPoly]:
         for j in range(order - n * n):
             result[n * n + j] += inv_den[j] << shift
         n += 1
-    return [
-        _row_poly(_unpack_slots(packed, 2 * p + 1, size), p)
-        for p, packed in enumerate(result)
-    ]
+    return [_row_poly(packed, p, size) for p, packed in enumerate(result)]
+
+
+def _slot_bytes(r: int, n: int) -> int:
+    """Bytes per slot for counts up to the q^n coefficient of 1/(q;q)_oo^r.
+
+    Both rank kernels pack only non-negative counts, each at most a
+    coefficient of q^p, p <= n, in 1/(q;q)_oo^r: r = 1 for the partition
+    counts of :func:`rank_table`, r = 2 for :func:`rank_generating`,
+    whose slots are at most their row's value at w = 1.  With F the generating function, that coefficient is at most
+    F(e^-t) e^(pt) for every t > 0, and log F(e^-t) <= r pi^2 / (6t)
+    (Apostol, Introduction to Analytic Number Theory, Thm 14.5); at
+    t = pi sqrt(r / (6p)) this gives exp(pi sqrt(2 r p / 3)), which grows
+    with p.  The width is that bound at p = n in bits plus 2, rounded up
+    to whole bytes, so no slot carries into the next.
+    """
+    return math.ceil((math.pi * math.sqrt(2 * r * n / 3) / math.log(2) + 2) / 8)
 
 
 def _unpack_slots(packed: int, count: int, size: int) -> tuple[int, ...]:
@@ -340,17 +334,19 @@ def _unpack_slots(packed: int, count: int, size: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _row_poly(row: Sequence[int], c: int) -> OmegaPoly:
-    """The dense row (slot c + m holds the w^m coefficient) as an OmegaPoly.
+def _row_poly(packed: int, p: int, size: int) -> OmegaPoly:
+    """Row p, packed with slot p + m holding the w^m coefficient, as an OmegaPoly.
 
-    The first and last nonzero slots are found by C-level scans in from
+    Its 2p + 1 slots of ``size`` bytes are read by :func:`_unpack_slots`;
+    the first and last nonzero slots are found by C-level scans in from
     each end, so only the zero slots at the ends are stepped over.
     """
+    row = _unpack_slots(packed, 2 * p + 1, size)
     lo = next(compress(range(len(row)), row), None)
     if lo is None:
         return OmegaPoly.zero()
     hi = next(compress(range(len(row), 0, -1), reversed(row)))
-    return OmegaPoly(lo - c, tuple(row[lo:hi]))
+    return OmegaPoly(lo - p, row[lo:hi])
 
 
 def mock_theta_f(order: int) -> QSeries:

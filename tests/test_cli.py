@@ -114,7 +114,9 @@ def test_expand_output_digest_is_stable(name, order):
 
 
 def test_expand_unknown_object_exits_2(capsys):
-    for name in ("bogus", "theta-x", "euler-"):
+    # int() would take each of the last four: an underscore, a sign, a space
+    # and an Arabic-Indic digit
+    for name in ("bogus", "theta-x", "euler-", "theta-1_0", "euler-+3", "theta- 2", "theta-\u0663"):
         code, out = _run_main(["expand", name])
         assert code == 2
         assert out == ""

@@ -308,12 +308,12 @@ def test_lambda_sums_the_cusp_series_once_per_node_for_every_s(monkeypatch):
     calls = []
     real = lseries._cusp_exp_sum
     monkeypatch.setattr(lseries, "_cusp_exp_sum", lambda y, row: calls.append(y) or real(y, row))
-    monkeypatch.setattr(lseries, "_NODE_SUMS", ((), (), ()))
+    lseries._node_sums.cache_clear()
     values = [lseries.completed_lambda_integral(s) for s in (3.0, 4.0, 5.0, 7.0, 8.0, 9.0, 10.0)]
     assert len(calls) == 2 * len(lseries._TS_RULE) == 450
     # the same values as a cold start at each s
     for lam in values:
-        monkeypatch.setattr(lseries, "_NODE_SUMS", ((), (), ()))
+        lseries._node_sums.cache_clear()
         assert lseries.completed_lambda_integral(lam.s) == lam
 
 
@@ -474,6 +474,13 @@ def test_zeta_em_sums_one_term_where_the_remainder_vanishes():
     for s, value in ((0.0, -0.5), (-1.0, -1 / 12), (-2.0, 0.0)):
         assert lseries._zeta_em_terms(complex(s)) == 1
         assert lseries.zeta_em(s) == pytest.approx(value, rel=1e-15, abs=1e-16)
+
+
+@pytest.mark.parametrize("s", [800.0, 2000.0, 1e21, 1e300, complex(1e21, 5.0)])
+def test_zeta_em_is_one_far_right(s):
+    # n^(-s) is below the smallest double for n >= 2; far right the
+    # Bernoulli corrections' Pochhammer factor overflows
+    assert lseries.zeta_em(s) == 1
 
 
 def test_zeta_em_at_the_height_bound_caps_the_log_table(monkeypatch):

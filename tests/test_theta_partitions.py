@@ -348,6 +348,12 @@ def test_slot_width_exceeds_every_coefficient_to_600():
         assert 8 * slot_bytes(n, 2) > largest.bit_length()
 
 
+def test_slot_bytes_matches_the_tests_own_bound_to_600():
+    for n in range(601):
+        assert tp._slot_bytes(1, n) == slot_bytes(n, 1)
+        assert tp._slot_bytes(2, n) == slot_bytes(n, 2)
+
+
 @pytest.fixture(scope="module")
 def rank_entries_281():
     return rank_entries_by_triple_loop(max(width_steps(1, 300)))
@@ -419,6 +425,30 @@ def test_unpack_slots_rejects_a_bit_above_the_top_slot(size):
     assert list(tp._unpack_slots(packed, 5, size)) == [full] * 5
     with pytest.raises(OverflowError):
         tp._unpack_slots(packed + 1, 5, size)
+
+
+@st.composite
+def packed_rows(draw):
+    """A slot width of 1-24 bytes, a row index p <= 40, and row p's 2p + 1 slots."""
+    size = draw(st.integers(1, 24))
+    p = draw(st.integers(0, 40))
+    full = (1 << 8 * size) - 1
+    slot = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    return size, p, draw(st.lists(slot, min_size=2 * p + 1, max_size=2 * p + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_rows())
+@example((1, 0, [0]))
+@example((1, 0, [255]))
+@example((9, 40, [0] * 81))
+@example((8, 3, [5, 0, 0, 0, 0, 0, 2**64 - 1]))
+@example((3, 2, [0, 0, 1, 0, 0]))
+def test_row_poly_reads_slot_p_plus_m_as_the_w_m_coefficient(case):
+    size, p, slots = case
+    packed = sum(x << 8 * size * i for i, x in enumerate(slots))
+    expected = tp.OmegaPoly.from_terms({m: slots[p + m] for m in range(-p, p + 1)})
+    assert tp._row_poly(packed, p, size) == expected
 
 
 # -- mock theta series -----------------------------------------------------------------------
