@@ -621,6 +621,7 @@ def test_verify_lfunc_sees_injected_tau_fault():
     assert proc.returncode == 1
     checks = {c["check"]: c for c in json.loads(proc.stdout)["checks"]}
     assert checks["euler-product-vs-expansion"]["ok"] is False
+    assert proc.stderr == "verify lfunc: euler-product-vs-expansion: 20 of 62 violations shown\n"
 
 
 # sha256 of `qmodular verify all` stdout at default bounds; any change to a

@@ -1,7 +1,12 @@
+import functools
 import inspect
+import itertools
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmodular import qseries as qs
 from qmodular import cli, forms, geometry, lseries, theta_partitions, verify
@@ -10,10 +15,33 @@ from conftest import lattice_vectors_with_norm
 
 
 @pytest.mark.parametrize("k", range(0, 5))
-@pytest.mark.parametrize("m_max", [0, 1, 7, 60])
+@pytest.mark.parametrize("m_max", [0, 1, 7, 60, 100])
 def test_lattice_walk_matches_recursive_count(k, m_max):
     want = [lattice_vectors_with_norm(k, m) for m in range(m_max + 1)]
     assert verify._lattice_counts(k, m_max) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_norm_counts(k: int) -> Counter:
+    # every vector of the cube [-5, 5]^k, which holds the ball of squared norm 30
+    squares = [v * v for v in range(-5, 6)]
+    return Counter(map(sum, itertools.product(squares, repeat=k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 30))
+def test_lattice_counts_match_a_brute_force_count_of_the_cube(k, m_max):
+    counts = _brute_norm_counts(k)
+    assert verify._lattice_counts(k, m_max) == [counts[m] for m in range(m_max + 1)]
+
+
+def test_four_square_counts_follow_jacobi_to_the_suite_size():
+    # Jacobi: r_4(m) = 8 * (sum of the divisors d of m with 4 not dividing d)
+    want = [1] + [
+        8 * sum(d for d in range(1, m + 1) if m % d == 0 and d % 4 != 0)
+        for m in range(1, 101)
+    ]
+    assert verify._lattice_counts(4, 100) == want
 
 
 def test_theta_suite_sees_a_wrong_theta_coefficient(monkeypatch):
@@ -112,8 +140,8 @@ def test_rank_suite_sees_a_wrong_generating_coefficient_past_row_40(monkeypatch)
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8], ids=str)
 def test_lfunc_suite_rejects_a_non_finite_or_nonpositive_tolerance(tol, monkeypatch):
-    # rejected before any check runs: a delta call here would raise TypeError
-    monkeypatch.setattr(verify.forms, "delta", None)
+    # rejected before any check runs: a table read here would raise TypeError
+    monkeypatch.setattr(verify, "euler_coefficient", None)
     with pytest.raises(ValueError, match="tolerance"):
         verify.verify_lfunc(tol=tol)
 
@@ -184,6 +212,33 @@ def test_lfunc_suite_sees_too_few_smooth_indices(monkeypatch):
         "only 38 13-smooth indices found; expected more",
     )
     assert all(v == () for v in reports.values())
+
+
+def test_lfunc_suite_expands_no_discriminant(monkeypatch):
+    # its Dirichlet series reads the tau row the tau suite grew
+    calls = []
+    real = forms.delta
+
+    def spy(order):
+        calls.append(order)
+        return real(order)
+
+    monkeypatch.setattr(forms, "delta", spy)
+    assert all(r.ok for r in verify.verify_lfunc())
+    assert calls == []
+
+
+def test_lfunc_suite_sees_a_wrong_tau_in_the_table_row(monkeypatch):
+    # tau(4) sits at q^3 of the e = 24 row; the Euler product builds it
+    # from tau(2), so only the expansion side reads the bad entry
+    qs.euler_coefficient(24, 999)
+    rows = {e: list(row) for e, row in qs._ROWS.items()}
+    rows[24][3] += 1
+    monkeypatch.setattr(qs, "_ROWS", rows)
+    reports = _violations(verify.verify_lfunc())
+    assert reports["euler-product-vs-expansion"] == (
+        "euler product coefficient differs at n=4",
+    )
 
 
 def _moved_first_ordinate(zeros):
