@@ -12,8 +12,7 @@ the composition law T_m T_n = sum_{d | gcd(m,n)} eps(d) d^(k-1) T_{mn/d^2}
 eigenform verification, and the tau congruence battery.
 
 A :class:`QSeries` stores integral coefficients as ints, so nothing here
-converts between int and Fraction (only the report fields
-``first_mismatch`` and ``eigenvalues`` are Fractions).  The Hecke action,
+converts between int and Fraction.  The Hecke action,
 the composition check and the eigenform check share one kernel on the
 stored coefficients as a plain list; only :func:`hecke_apply` wraps its
 result into a :class:`QSeries`.
@@ -27,9 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .qseries import QSeries, Record, WindowError, euler_coefficient, euler_product
+from .qseries import QSeries, Record, WindowError, euler_coefficient, euler_product, rational
 
 __all__ = [
     "FormMeta",
@@ -88,12 +87,12 @@ class FormMeta(Record):
         return self.eps(d) * d ** (self.weight - 1)
 
 
-class CheckReport(NamedTuple):
-    """Outcome of a batch verification; empty ``violations`` means pass."""
+class CheckReport(Record):
+    """Outcome of a batch verification; empty ``violations`` means pass.
 
-    check: str
-    params: tuple[tuple[str, int], ...]
-    violations: tuple[str, ...]
+    ``params`` holds the (name, value) pairs the check ran with."""
+
+    __slots__ = _fields = ("check", "params", "violations")
 
     @property
     def ok(self) -> bool:
@@ -249,13 +248,13 @@ def hecke_apply(f: QSeries, meta: FormMeta, n: int) -> QSeries:
     return QSeries(0, tuple(_hecke_coeffs(a, meta, n, out_order)))
 
 
-class HeckeComposeReport(NamedTuple):
-    """Coefficientwise comparison of T_m T_n f against its divisor sum."""
+class HeckeComposeReport(Record):
+    """Coefficientwise comparison of T_m T_n f against its divisor sum.
 
-    m: int
-    n: int
-    order: int
-    first_mismatch: Optional[tuple[int, Fraction, Fraction]]
+    ``first_mismatch`` is None, or (j, lhs, rhs) at the first coefficient that differs.
+    """
+
+    __slots__ = _fields = ("m", "n", "order", "first_mismatch")
 
     @property
     def ok(self) -> bool:
@@ -286,22 +285,21 @@ def hecke_compose_check(
             terms = [(meta.hecke_weight(d), rows[m * n // (d * d)]) for d in ds]
             rhs = [sum(w * t[j] for w, t in terms) for j in range(order)]
             j = next((j for j in range(order) if lhs[j] != rhs[j]), None)
-            mismatch = None if j is None else (j, Fraction(lhs[j]), Fraction(rhs[j]))
+            mismatch = None if j is None else (j, rational(lhs[j]), rational(rhs[j]))
             reports.append(HeckeComposeReport(m, n, order, mismatch))
     return reports
 
 
-class EigenformReport(NamedTuple):
+class EigenformReport(Record):
     """Result of checking T_n f = a(n) f over a range of operator indices.
 
-    ``eigenvalues`` holds a(n) for every fully checked index;
+    ``eigenvalues`` holds the pairs (n, a(n)) for every fully checked index;
     ``insufficient`` lists indices whose shrunken window was too short
-    to falsify anything (fewer than two comparable coefficients).
+    to falsify anything (fewer than two comparable coefficients);
+    ``first_failure`` is None, or (operator index, exponent).
     """
 
-    eigenvalues: tuple[tuple[int, Fraction], ...]
-    insufficient: tuple[int, ...]
-    first_failure: Optional[tuple[int, int]]  # (operator index, exponent)
+    __slots__ = _fields = ("eigenvalues", "insufficient", "first_failure")
 
     @property
     def ok(self) -> bool:
@@ -335,7 +333,7 @@ def is_eigenform(f: QSeries, meta: FormMeta, n_max: int) -> EigenformReport:
                 return EigenformReport(
                     tuple(eigenvalues), tuple(insufficient), (n, j)
                 )
-        eigenvalues.append((n, Fraction(lam)))
+        eigenvalues.append((n, lam))
     if not eigenvalues:
         raise WindowError(f"no T_n with n <= {n_max} has two comparable coefficients")
     return EigenformReport(tuple(eigenvalues), tuple(insufficient), None)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .qseries import Record
 
@@ -141,7 +141,7 @@ def circle_matching_ellipse(r_target: float, e: float, f: float) -> EllipseSpec:
     return spec
 
 
-class TorusTerm(NamedTuple):
+class TorusTerm(Record):
     """One series term: a perimeter-matched ellipse and what it yields.
 
     ``c_hol`` is the coefficient r_a * r_in of the inscribed-circle part;
@@ -149,9 +149,7 @@ class TorusTerm(NamedTuple):
     section and its inscribed circle on a uniform angular grid.
     """
 
-    ellipse: EllipseSpec
-    c_hol: float
-    shadow_samples: tuple[complex, ...]
+    __slots__ = _fields = ("ellipse", "c_hol", "shadow_samples")
 
 
 def torus_term(r_a: float, r_d: float, e: float, f: float, grid_size: int) -> TorusTerm:
@@ -175,10 +173,10 @@ def torus_term(r_a: float, r_d: float, e: float, f: float, grid_size: int) -> To
     return TorusTerm(spec, c_hol, tuple(samples))
 
 
-class WeakMaassValue(NamedTuple):
-    full: complex
-    hol: complex
-    shadow: complex
+class WeakMaassValue(Record):
+    """The series at one z: ``full`` = ``hol`` + ``shadow`` to rounding."""
+
+    __slots__ = _fields = ("full", "hol", "shadow")
 
 
 def _section_and_inscribed(spec: EllipseSpec, th: float) -> tuple[float, float]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import forms
 from .qseries import QSeries, Rational, Record, rational
@@ -153,9 +153,10 @@ def euler_product_coeffs(
     return dict(sorted(coeffs.items()))
 
 
-class DirichletValue(NamedTuple):
-    value: float
-    tail_bound: float
+class DirichletValue(Record):
+    """A partial Dirichlet sum ``value`` and its ``tail_bound``."""
+
+    __slots__ = _fields = ("value", "tail_bound")
 
 
 def dirichlet_eval(ds: DirichletSeries, s: float, eigenform: forms.FormMeta) -> DirichletValue:
@@ -186,12 +187,10 @@ def dirichlet_eval(ds: DirichletSeries, s: float, eigenform: forms.FormMeta) -> 
 # -- completed Lambda by quadrature ------------------------------------------------
 
 
-class CompletedLValue(NamedTuple):
+class CompletedLValue(Record):
     """Numeric Lambda(s) with its quadrature + truncation error estimate."""
 
-    s: float
-    value: float
-    quadrature_error: float
+    __slots__ = _fields = ("s", "value", "quadrature_error")
 
 
 def _cusp_exp_sum(y: float, row: tuple[float, ...]) -> float:

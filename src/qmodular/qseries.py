@@ -78,18 +78,21 @@ def rational(x: RationalLike) -> Rational:
 
 
 class Record:
-    """Read-only value record, the base of the package's validated types.
+    """Read-only value record, the base of every value type the package returns.
 
     A subclass names its fields in constructor order in ``_fields`` and
-    in ``__slots__``, validates them in
-    its ``__init__`` and passes the values to ``Record.__init__``.
+    in ``__slots__``.  A validated type checks them in its ``__init__``
+    and passes the values to ``Record.__init__``; a plain result
+    inherits that ``__init__``, which takes every field positionally.
     Assignment and deletion raise :class:`AttributeError`; ``==`` and
     ``hash`` compare the tuple of every field between instances of the
     same class; ``repr`` prints ``Name(field=value, ...)``; pickling
     and copying rebuild through ``__init__`` from that same tuple.
-    Plain classes, not dataclasses: importing :mod:`dataclasses` loads
-    :mod:`inspect`, and each dataclass execs generated code,
-    milliseconds of every CLI process's start-up.
+    Plain classes, not dataclasses or named tuples: importing
+    :mod:`dataclasses` loads :mod:`inspect`, and each dataclass or
+    named tuple class is built from generated source, milliseconds of
+    every CLI process's start-up.  Records are not tuples: they neither index
+    nor unpack, and none equals a tuple.
     """
 
     __slots__ = ()

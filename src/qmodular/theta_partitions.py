@@ -44,7 +44,7 @@ import struct
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, lshift
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .qseries import QSeries, Record, euler_coefficient, make_series, pow as qpow
 
@@ -182,9 +182,9 @@ class RankTable(Record):
     def rows(self) -> list[tuple[int, int, int]]:
         """Every nonzero (n, m, N(n, m)), in ascending (n, m)."""
         return [
-            (n, lo + j, c)
-            for n, (lo, coeffs) in enumerate(self.polys, 1)
-            for j, c in enumerate(coeffs)
+            (n, poly.lo + j, c)
+            for n, poly in enumerate(self.polys, 1)
+            for j, c in enumerate(poly.coeffs)
             if c
         ]
 
@@ -226,7 +226,7 @@ def rank_table(n_max: int) -> RankTable:
 # -- exact Laurent polynomials in the phase variable --------------------------------
 
 
-class OmegaPoly(NamedTuple):
+class OmegaPoly(Record):
     """Laurent polynomial in w with exact integer coefficients.
 
     ``coeffs[j]`` is the coefficient of w^(lo + j); leading and trailing
@@ -234,8 +234,7 @@ class OmegaPoly(NamedTuple):
     ``OmegaPoly(0, ())``.
     """
 
-    lo: int
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("lo", "coeffs")
 
     @staticmethod
     def zero() -> "OmegaPoly":

@@ -354,8 +354,8 @@ def verify_geometry() -> list[CheckReport]:
     for r_d, e, f in params:
         # the matched radius came from the AGM, so measure the ellipse
         # with the independent trapezoid rule
-        term = geometry.torus_term(1.0, r_d, e, f, 64)
-        err = abs(_arc_length_quadrature(term.ellipse) - 2.0 * math.pi * r_d)
+        spec = geometry.circle_matching_ellipse(r_d, e, f)
+        err = abs(_arc_length_quadrature(spec) - 2.0 * math.pi * r_d)
         if err >= 1e-9 * r_d:
             bad.append(f"perimeter not preserved for (r_d,e,f)=({r_d},{e},{f})")
     reports.append(_report("perimeter-preservation", {"cases": len(params)}, bad))

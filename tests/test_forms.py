@@ -286,7 +286,7 @@ def test_hecke_compose_check_reports_first_mismatch(monkeypatch):
     assert (rep.m, rep.n, rep.order) == (2, 2, 25)
     j, lhs, rhs = rep.first_mismatch
     assert j == 3 and rhs - lhs == 1
-    assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+    assert type(lhs) is int and type(rhs) is int
 
 
 # -- eigenform checks ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qmodular
-from qmodular import cli, verify
+from qmodular import cli, qseries, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +33,15 @@ def test_public_name_is_the_submodule_object(module, name):
     assert not hasattr(qmodular, name)
     with pytest.raises(ImportError):
         exec(f"from qmodular import {name}", {})
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_public_value_classes_are_records_not_tuples(module):
+    # one record kind: every value type compares, copies and prints one way
+    public = [getattr(_LOADED[module], name) for name in _LOADED[module].__all__]
+    classes = [c for c in public if isinstance(c, type)]
+    assert not [c for c in classes if issubclass(c, tuple)]
+    assert all(issubclass(c, qseries.Record) for c in classes if hasattr(c, "_fields"))
 
 
 def test_submodule_attributes_are_the_loaded_modules():

@@ -10,11 +10,11 @@ import re
 import pytest
 
 from qmodular import cli, verify
-from qmodular.forms import FormMeta
-from qmodular.geometry import EllipseSpec
-from qmodular.lseries import DirichletSeries, ZeroList
+from qmodular.forms import CheckReport, EigenformReport, FormMeta, HeckeComposeReport
+from qmodular.geometry import EllipseSpec, TorusTerm, WeakMaassValue
+from qmodular.lseries import CompletedLValue, DirichletSeries, DirichletValue, ZeroList
 from qmodular.qseries import QSeries
-from qmodular.theta_partitions import rank_table
+from qmodular.theta_partitions import OmegaPoly, rank_table
 
 
 @pytest.mark.parametrize(
@@ -49,6 +49,14 @@ VALIDATED = [
     (EllipseSpec(1.0, 2.0, 3.0), "e"),
     (rank_table(4), "n_max"),
     (FormMeta(12, 4, {0: 0, 1: 1, 2: 0, 3: -1}), "character"),
+    (CheckReport("tau-properties", (("n_max", 40),), ("recursion failed at p=2, e=1",)), "params"),
+    (HeckeComposeReport(2, 2, 25, (3, -1, 0)), "first_mismatch"),
+    (EigenformReport(((1, 1), (2, -24)), (3,), None), "eigenvalues"),
+    (DirichletValue(0.5, 1e-9), "tail_bound"),
+    (CompletedLValue(6.0, 0.0011, 1e-13), "quadrature_error"),
+    (TorusTerm(EllipseSpec(1.0, 2.0, 3.0), 2.0, (0j, 1 + 0.5j)), "shadow_samples"),
+    (WeakMaassValue(1 + 2j, 1 + 1j, 1j), "shadow"),
+    (OmegaPoly(-1, (1, 0, 1)), "coeffs"),
 ]
 
 
@@ -85,6 +93,8 @@ def test_equality_is_same_class_on_the_fields():
     assert EllipseSpec(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
     assert DirichletSeries((1, 2)) != DirichletSeries((1, 3))
     assert rank_table(6) == rank_table(6)
+    assert OmegaPoly(0, (1,)) != (0, (1,))
+    assert CompletedLValue(1.0, 2.0, 3.0) != TorusTerm(1.0, 2.0, 3.0)
 
 
 def test_form_meta_stores_a_character_table_as_a_hashable_tuple():
