@@ -49,6 +49,19 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".12g")
+    return "" if v is None else str(v)
+
+
+def _dump_text(header: list[str], rows: list[dict], sep: str) -> str:
+    """The header, then one line per row of its cells in header order."""
+    lines = [sep.join(header)]
+    lines += [sep.join(_cell(row[k]) for k in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -58,13 +71,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
-
-
-def _series_tsv(f: QSeries) -> str:
-    lines = ["exponent\tcoefficient"]
-    for j, c in enumerate(f.coeffs):
-        lines.append(f"{f.offset + j}\t{c}")
-    return "\n".join(lines) + "\n"
 
 
 # -- expand ---------------------------------------------------------------------
@@ -95,11 +101,12 @@ def _expand_object(name: str, order: int) -> QSeries:
 
 
 def _cmd_expand(args) -> int:
-    series = _expand_object(args.object, args.order)
+    f = _expand_object(args.object, args.order)
     if args.format == "json":
-        _emit(_dump_json(to_json_obj(series)), args.out)
+        _emit(_dump_json(to_json_obj(f)), args.out)
     else:
-        _emit(_series_tsv(series), args.out)
+        rows = [{"exponent": f.offset + j, "coefficient": c} for j, c in enumerate(f.coeffs)]
+        _emit(_dump_text(["exponent", "coefficient"], rows, "\t"), args.out)
     return 0
 
 
@@ -112,30 +119,28 @@ def _cmd_verify(args) -> int:
     if args.inject_tau_fault:
         forms.inject_tau_fault()
     checks = []
-    ok = True
     for suite_name in verify.SUITES if args.suite == "all" else [args.suite]:
         # each suite parameter is named after the verify flag that sets it
         flags = {k: getattr(args, k) for k in _VERIFY_FLAGS[suite_name]}
         flags = {k: v for k, v in flags.items() if v is not None}
         for rep in verify.SUITES[suite_name](**flags):
-            obj = rep.to_json_obj()
-            obj["suite"] = suite_name
             if len(rep.violations) > 20:
                 shown = f"20 of {len(rep.violations)} violations shown"
                 print(f"verify {suite_name}: {rep.check}: {shown}", file=sys.stderr)
-                obj["violations"] = obj["violations"][:20]
-            ok = ok and rep.ok
+            obj = dict(rep.params, suite=suite_name, check=rep.check, ok=rep.ok)
+            obj["violations"] = list(rep.violations[:20])
             checks.append(obj)
-    payload = {"suite": args.suite, "checks": checks, "ok": ok}
+    payload = {"suite": args.suite, "checks": checks, "ok": all(c["ok"] for c in checks)}
     _emit(_dump_json(payload), args.out)
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 # -- tables ----------------------------------------------------------------------
 #
 # Each table is a header and one dict per row, keyed by the header; floats
 # are already rounded by _fmt_float.  JSON dumps the rows as they are, and
-# tsv/csv print them through _cell.
+# tsv/csv print them through _dump_text, the one text writer, which
+# `expand --format tsv` uses too.
 
 
 def _table_rank(args) -> tuple[list[str], list[dict]]:
@@ -156,12 +161,9 @@ def _table_zeros(args) -> tuple[list[str], list[dict]]:
 
 
 def _table_spacings(args) -> tuple[list[str], list[dict]]:
-    from . import lseries
-
-    zeros = lseries.zeta_zero_spacings(args.count)
-    return ["n", "spacing"], [
-        {"n": i + 1, "spacing": _fmt_float(s)} for i, s in enumerate(zeros.spacings)
-    ]
+    # the zeros rows without gamma, and without the last row, which has no spacing
+    rows = _table_zeros(args)[1][:-1]
+    return ["n", "spacing"], [{"n": row["n"], "spacing": row["spacing"]} for row in rows]
 
 
 def _s_value_list(text: str) -> list[float]:
@@ -222,12 +224,6 @@ _TABLES = {
 }
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return "" if v is None else str(v)
-
-
 def _cmd_tables(args) -> int:
     try:
         header, rows = _TABLES[args.table](args)
@@ -241,10 +237,7 @@ def _cmd_tables(args) -> int:
     if args.format == "json":
         _emit(_dump_json(rows), args.out)
     else:
-        sep = "," if args.format == "csv" else "\t"
-        lines = [sep.join(header)]
-        lines += [sep.join(_cell(row[k]) for k in header) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_dump_text(header, rows, "," if args.format == "csv" else "\t"), args.out)
     return 0
 
 

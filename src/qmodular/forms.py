@@ -98,13 +98,6 @@ class CheckReport(Record):
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json_obj(self) -> dict:
-        obj = {"check": self.check}
-        obj.update({k: v for k, v in self.params})
-        obj["violations"] = list(self.violations)
-        obj["ok"] = self.ok
-        return obj
-
 
 # -- eta, delta, tau ----------------------------------------------------------
 

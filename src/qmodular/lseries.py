@@ -110,6 +110,35 @@ def mellin_coeffs(f: QSeries) -> DirichletSeries:
     return DirichletSeries((0,) * max(offset - 1, 0) + f.coeffs[max(1 - offset, 0):])
 
 
+# Miller-Rabin over the first 13 primes decides primality exactly below the
+# bound psi_13, the least composite that passes every one of them (Sorenson
+# and Webster, Math. Comp. 86 (2017)); 2 .. 37 alone pass the composite
+# psi_12 = 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_EXACT_BELOW."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"key {n} is too large to test for primality (bound {_MR_EXACT_BELOW})")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> r, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def euler_product_coeffs(
     prime_values: Mapping[int, int], meta: forms.FormMeta, n_max: int
 ) -> dict[int, int]:
@@ -123,8 +152,10 @@ def euler_product_coeffs(
     is built one prime at a time, c(m p^e) = c(m) c(p^e) for each m already
     in it, so no n that is not smooth is ever visited.  Every key must be
     prime, and every prime up to P must be a key.  A key above n_max
-    divides no n in range: it is tested for primality on its own, by trial
-    division, and plays no other part.  An empty mapping gives {1: 1}.
+    divides no n in range: it is tested for primality on its own, by
+    deterministic Miller-Rabin, and plays no other part; a key at or above
+    that test's exact range, about 3.3e24, is refused.  An empty mapping
+    gives {1: 1}.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -132,7 +163,7 @@ def euler_product_coeffs(
     not_prime = sorted(
         k
         for k in set(prime_values).difference(primes)
-        if k <= n_max or any(k % p == 0 for p in forms.primes_up_to(math.isqrt(k)))
+        if k <= n_max or not _is_prime(k)
     )
     if not_prime:
         raise ValueError(f"keys {not_prime} are not prime")

@@ -83,7 +83,8 @@ class Record:
     A subclass names its fields in constructor order in ``_fields`` and
     in ``__slots__``.  A validated type checks them in its ``__init__``
     and passes the values to ``Record.__init__``; a plain result
-    inherits that ``__init__``, which takes every field positionally.
+    inherits that ``__init__``, which takes every field positionally and
+    raises :class:`TypeError` on a wrong number of values.
     Assignment and deletion raise :class:`AttributeError`; ``==`` and
     ``hash`` compare the tuple of every field between instances of the
     same class; ``repr`` prints ``Name(field=value, ...)``; pickling
@@ -99,7 +100,12 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init__(self, *values: object) -> None:
-        for name, value in zip(self._fields, values, strict=True):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(self._fields)} values "
+                f"({', '.join(self._fields)}), got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

@@ -113,6 +113,32 @@ def test_expand_output_digest_is_stable(name, order):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_SHA256[name, order]
 
 
+# sha256 of `qmodular expand NAME --order 50 --format tsv` stdout, recorded
+# while expand had a tsv writer of its own, before it shared the tables
+# writer; every byte must stay the same.
+EXPAND_TSV_SHA256 = {
+    "delta": "0ba32b19b46e3393f3425f2be328a7ee41db80b7b44db943fe575a8cb6366d57",
+    "eta": "4f1043eea991f0029faba9a8d5bc5da68e4ba14aeeea35ea7f58436734ff45af",
+    "euler--24": "abe2603b4bbdbe6bd3821bfd428e4feaaad1dec624432249125a22d46bdb185b",
+    "euler--1": "85343e6b90e5cdc735af463954ee3a8bc1f3a25c718f93f87af42d4fa1f1966b",
+    "euler-1": "7a9bf77170c6677f2fb9ee1e872a42ef6571b4a54c311cf02298380d45ebb659",
+    "euler-3": "40fd3b48350c7ee718ad57b6efc57797fcee79835620bcc04d02252782ffa254",
+    "euler-24": "5a24981f401c84581586cf19e57415b530d9b544549aa7c14ef9a0edf92456ff",
+    "theta-1": "bd58dbe5febd524854d4ca3d5b806e7285f8d83a768d4f963f6b7fa0c578293d",
+    "theta-2": "fb262ff13ca5d3e3e0bf2e25f823ba06de19a61ad16e442bb855b5d2121c0716",
+    "theta-3": "b4c74e249897b70c97575e797aca15138f94a2094c284e78f6ad14b9cc41eeb1",
+    "theta-4": "92d9067c3933ab2e2dbfa118c9b79c7e52846918ff0e27433bb772ee4c940030",
+    "mock-f": "d859ce0c6113c88543aa1c41c22984ea615d19fd4f54bccf4036e15f414c0f44",
+}
+
+
+@pytest.mark.parametrize("name", list(EXPAND_TSV_SHA256))
+def test_expand_tsv_output_digest_is_stable(name):
+    code, out = _run_main(["expand", name, "--order", "50", "--format", "tsv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_TSV_SHA256[name]
+
+
 def test_expand_unknown_object_exits_2(capsys):
     # int() would take each of the last four: an underscore, a sign, a space
     # and an Arabic-Indic digit
@@ -298,6 +324,16 @@ def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "table generation failed" in capsys.readouterr().err
+
+
+def test_tables_other_runtime_errors_propagate(monkeypatch):
+    # only a lost bracketing is a table failure; any other RuntimeError is a bug
+    def broken(count):
+        raise RuntimeError("not a bracketing failure")
+
+    monkeypatch.setattr(lseries, "zeta_zero_spacings", broken)
+    with pytest.raises(RuntimeError, match="not a bracketing failure"):
+        _run_main(["tables", "zeros"])
 
 
 @pytest.mark.parametrize(

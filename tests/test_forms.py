@@ -423,6 +423,27 @@ def test_ascending_tau_reads_run_the_recurrence_once_per_coefficient(monkeypatch
     assert sum(steps) == len(qs._ROWS[24]) == 1024
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: forms.sigma(11, 0), "sigma(k, n) requires n >= 1, got 0"),
+        (lambda: forms.sigma(-1, 5), "sigma requires k >= 0, got -1"),
+        (lambda: forms.eisenstein_e12(0), "order must be >= 1"),
+        (lambda: forms.hecke_coset_reps(0), "n must be >= 1, got 0"),
+        (
+            lambda: forms.hecke_apply(forms.delta(10), forms.FormMeta(12), 0),
+            "operator index must be >= 1, got 0",
+        ),
+        (lambda: forms.tau_properties_check(1), "n_max must be >= 2"),
+    ],
+    ids=["sigma-n", "sigma-k", "e12-order", "coset-index", "hecke-index", "tau-check-n_max"],
+)
+def test_forms_rejects_bad_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("n", [0, -1, -5])
 def test_tau_rejects_an_index_below_one(n):
     with pytest.raises(ValueError, match="tau\\(n\\) requires n >= 1"):

@@ -117,10 +117,58 @@ def test_euler_product_rejects_keys_that_are_not_prime(prime_values, named):
         lseries.euler_product_coeffs(prime_values, META12, 10)
 
 
+def test_euler_product_tests_an_18_digit_key_without_sieving():
+    # 10^18 + 3 is prime; a sieve to its square root would take 10^9 bytes
+    got = lseries.euler_product_coeffs({2: -24, 10**18 + 3: 1}, META12, 10)
+    assert got == {1: 1, 2: -24, 4: -1472, 8: 84480}
+
+
+def test_euler_product_rejects_an_18_digit_composite_key():
+    # 10^18 + 1 = 101 * 9901 * 999999000001
+    message = "keys [1000000000000000001] are not prime"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        lseries.euler_product_coeffs({10**18 + 1: 1}, META12, 10)
+
+
+@pytest.mark.parametrize("key", [lseries._MR_EXACT_BELOW, 10**30])
+def test_euler_product_refuses_a_key_past_the_exact_primality_range(key):
+    with pytest.raises(ValueError, match=f"key {key} is too large to test for primality"):
+        lseries.euler_product_coeffs({key: 1}, META12, 10)
+
+
+def test_primality_test_agrees_with_the_sieve():
+    sieved = set(forms.primes_up_to(200_000))
+    assert {n for n in range(2, 200_001) if lseries._is_prime(n)} == sieved
+
+
+def test_primality_test_rejects_the_strong_pseudoprime_to_bases_2_to_37():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin at every prime base up to 37
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert not lseries._is_prime(318665857834031151167461)
+
+
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_euler_product_rejects_n_max_below_1(n_max):
     with pytest.raises(ValueError, match="n_max"):
         lseries.euler_product_coeffs(_tau_primes(3), META12, n_max)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lseries.DirichletSeries((1,)).coeff(2), "n must be in 1..1, got 2"),
+        (
+            lambda: lseries.mellin_coeffs(qs.QSeries(0, (0,))),
+            "window too short: no coefficients at exponent >= 1",
+        ),
+        (lambda: lseries.zeta_em(1), "zeta has a pole at s = 1"),
+    ],
+    ids=["coeff-past-the-end", "mellin-window-too-short", "zeta-pole"],
+)
+def test_lseries_rejects_bad_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def test_euler_product_matches_expansion_13_smooth():

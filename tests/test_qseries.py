@@ -474,3 +474,26 @@ def test_euler_product_keeps_the_normal_form(e, order):
     assert all(type(c) is int for c in got.coeffs)
     pentagonal = _all_fraction(qs.euler_product(1, order))
     assert got == qs.pow(pentagonal, e)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: QSeries(0, (1, 2)).truncate(3),
+            WindowError("cannot truncate to order 3: only 2 coefficients are known"),
+        ),
+        (lambda: qs.euler_product(1, 0), ValueError("order must be >= 1")),
+        (lambda: qs.one(0), "QSeries(q^0 * [], order=0)"),
+        (lambda: QSeries("1/24", range(8)), "QSeries(q^1/24 * [0, 1, 2, 3, 4, 5, ...], order=8)"),
+    ],
+    ids=["truncate-past-window", "euler-product-order", "one-empty", "repr"],
+)
+def test_qseries_edge_cases(call, expected):
+    # an exception is pinned by type and message, a value by its repr
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as excinfo:
+            call()
+        assert str(excinfo.value) == str(expected)
+    else:
+        assert repr(call()) == expected

@@ -107,9 +107,20 @@ def test_form_meta_stores_a_character_table_as_a_hashable_tuple():
     assert hash(FormMeta(12)) == hash(FormMeta(12, 1, None))
 
 
-def test_ellipse_spec_repr_is_the_dataclass_form():
+def test_ellipse_spec_repr_names_each_field():
     # it appears in the agm-vs-quadrature violation message
     assert repr(EllipseSpec(1.0, 2.0, 3.0)) == "EllipseSpec(r_ref=1.0, e=2.0, f=3.0)"
+
+
+@pytest.mark.parametrize(
+    "values, given",
+    [((0,), 1), ((0, (1,), 3), 3)],
+    ids=["too-few", "too-many"],
+)
+def test_record_rejects_a_wrong_number_of_fields(values, given):
+    with pytest.raises(TypeError) as excinfo:
+        OmegaPoly(*values)
+    assert str(excinfo.value) == f"OmegaPoly takes 2 values (lo, coeffs), got {given}"
 
 
 def test_suite_parameters_see_through_functools_wraps(monkeypatch, capsys):

@@ -519,3 +519,37 @@ def test_specialize_vector_exponent_reduction():
     polys = [tp.OmegaPoly.from_terms({-1: 1, 4: 2})]
     (vec,) = tp.specialize_omega(polys, (1, 3))
     assert vec == (0, 2, 1)  # 4 mod 3 = 1, -1 mod 3 = 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tp.theta_diagonal(0, 5), "k must be >= 1, got 0"),
+        (lambda: tp.theta_diagonal(1, 0), "order must be >= 1, got 0"),
+        (lambda: tp.unary_theta([0, 1, -1], 1, 0), "order must be >= 1, got 0"),
+        (lambda: tp.unary_theta([], 1, 5), "eps must have at least one entry"),
+        (
+            lambda: tp.unary_theta([0, 1, -1], Fraction(1, 6), 5),
+            "exponents fall on more than one integer lattice (q^1/6 vs q^2/3); not representable",
+        ),
+        (lambda: tp.rank_table(0), "n_max must be >= 1, got 0"),
+        (lambda: tp.rank_generating(0), "order must be >= 1, got 0"),
+        (lambda: tp.mock_theta_f(0), "order must be >= 1, got 0"),
+        (lambda: tp.specialize_omega([], (1, 0)), "s must be >= 1, got 0"),
+    ],
+    ids=[
+        "theta-k",
+        "theta-order",
+        "unary-order",
+        "unary-empty-eps",
+        "unary-two-lattices",
+        "rank-table-n_max",
+        "rank-generating-order",
+        "mock-f-order",
+        "specialize-s",
+    ],
+)
+def test_theta_partitions_rejects_bad_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
