@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     verify_output = argparse.ArgumentParser(add_help=False)
-    verify_output.add_argument("--format", choices=["json"], default="json")
     verify_output.add_argument("--out", default=None)
     verify_output.add_argument("--inject-tau-fault", action="store_true", help=argparse.SUPPRESS)
     suites = p_verify.add_subparsers(dest="suite", required=True)

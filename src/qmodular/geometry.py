@@ -210,15 +210,20 @@ def weak_maass_series(
 
     summed in ascending n (the order is part of the contract).  The
     identity full = hol + shadow then holds to rounding rather than by
-    construction.
+    construction.  A term with r_a = 0 adds nothing; a negative or
+    non-finite r_a, and a z off the finite upper half-plane, are refused.
     """
     if not z.imag > 0:  # also rejects nan
         raise ValueError(f"need Im(z) > 0, got {z.imag}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"need a finite z, got {z}")
     x, y = z.real, z.imag
     full = complex(0.0)
     hol = complex(0.0)
     shadow = complex(0.0)
     for n, (r_a, r_d, e, f) in enumerate(terms, start=1):
+        if not 0 <= r_a < math.inf:  # also rejects nan
+            raise ValueError(f"r_a must be >= 0 and finite, got {r_a}")
         if r_a == 0.0:
             continue
         spec = circle_matching_ellipse(r_d, e, f)

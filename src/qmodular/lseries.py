@@ -38,10 +38,9 @@ import math
 from typing import Mapping, Optional, Sequence
 
 from . import forms
-from .qseries import QSeries, Rational, Record, rational
+from .qseries import QSeries, Rational, Record
 
 __all__ = [
-    "DirichletSeries",
     "DirichletValue",
     "CompletedLValue",
     "ZeroList",
@@ -70,32 +69,13 @@ class BracketingError(RuntimeError):
 # -- Dirichlet series ------------------------------------------------------------
 
 
-class DirichletSeries(Record):
-    """Coefficients c_1 .. c_N of sum c_n n^(-s), exact.
-
-    A series holds no weight: :func:`dirichlet_eval` takes the
-    ``FormMeta`` of the eigenform whose coefficients these are.
-    """
-
-    __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Rational]) -> None:
-        if len(coeffs) < 1:
-            raise ValueError("need at least one coefficient")
-        super().__init__(tuple(map(rational, coeffs)))
-
-    def coeff(self, n: int) -> Rational:
-        if not 1 <= n <= len(self.coeffs):
-            raise ValueError(f"n must be in 1..{len(self.coeffs)}, got {n}")
-        return self.coeffs[n - 1]
-
-
-def mellin_coeffs(f: QSeries) -> DirichletSeries:
-    """Dirichlet coefficients of a cusp expansion: c_n = coefficient of q^n.
+def mellin_coeffs(f: QSeries) -> tuple[Rational, ...]:
+    """Dirichlet coefficients c_1 .. c_N of a cusp expansion: c_n = coefficient of q^n.
 
     ``f`` must have an integer offset >= 0 and a vanishing constant
-    term (the cusp condition); coefficients run from exponent 1 to the
-    end of f's window.
+    term (the cusp condition); the tuple runs from exponent 1 to the end
+    of f's window, so c_n sits at index n - 1, and holds at least one
+    entry.
     """
     if f.offset.denominator != 1 or f.offset < 0:
         raise ValueError(f"mellin_coeffs requires an integer offset >= 0, got {f.offset}")
@@ -107,7 +87,7 @@ def mellin_coeffs(f: QSeries) -> DirichletSeries:
         raise ValueError("window too short: no coefficients at exponent >= 1")
     # exponents 1 .. offset-1 lie below the window and read as zeros
     offset = int(f.offset)
-    return DirichletSeries((0,) * max(offset - 1, 0) + f.coeffs[max(1 - offset, 0):])
+    return (0,) * max(offset - 1, 0) + f.coeffs[max(1 - offset, 0):]
 
 
 # Miller-Rabin over the first 13 primes decides primality exactly below the
@@ -190,11 +170,12 @@ class DirichletValue(Record):
     __slots__ = _fields = ("value", "tail_bound")
 
 
-def dirichlet_eval(ds: DirichletSeries, s: float, eigenform: forms.FormMeta) -> DirichletValue:
-    """Partial sum of sum c_n n^(-s) with a rigorous tail bound.
+def dirichlet_eval(f: QSeries, s: float, eigenform: forms.FormMeta) -> DirichletValue:
+    """Partial sum of L(f, s) = sum c_n n^(-s) with a rigorous tail bound.
 
-    ``eigenform`` is the ``FormMeta`` of the normalized eigenform whose
-    coefficients ``ds`` holds; Deligne's bound |c_n| <= d(n) n^((k-1)/2)
+    ``f`` is the cusp expansion sum c_n q^n of the normalized eigenform
+    that ``eigenform`` describes, and c_1 .. c_N are read off it by
+    :func:`mellin_coeffs`; Deligne's bound |c_n| <= d(n) n^((k-1)/2)
     <= 2 n^(k/2) at its weight k gives
 
         |tail| <= 2 N^(k/2 + 1 - s) / (s - k/2 - 1),
@@ -207,11 +188,12 @@ def dirichlet_eval(ds: DirichletSeries, s: float, eigenform: forms.FormMeta) -> 
         raise ValueError(
             f"s={s} is outside the guaranteed convergence region s > {barrier}"
         )
+    coeffs = mellin_coeffs(f)
     total = 0.0
-    for n, c in enumerate(ds.coeffs, start=1):
+    for n, c in enumerate(coeffs, start=1):
         if c:
             total += float(c) * n ** (-s)
-    tail = 2.0 * len(ds.coeffs) ** (k / 2 + 1 - s) / (s - k / 2 - 1)
+    tail = 2.0 * len(coeffs) ** (k / 2 + 1 - s) / (s - k / 2 - 1)
     return DirichletValue(total, tail)
 
 
@@ -455,8 +437,8 @@ def rs_theta(t: float) -> float:
     handled here.  Only sign changes matter for zero location, so the
     residual phase error cannot move a zero.
     """
-    if not t >= 1.0:  # also rejects nan
-        raise ValueError(f"asymptotic phase needs t >= 1, got {t}")
+    if not 1.0 <= t < math.inf:  # also rejects nan
+        raise ValueError(f"asymptotic phase needs t >= 1 and finite, got {t}")
     return (
         0.5 * t * math.log(t / (2.0 * math.pi))
         - 0.5 * t

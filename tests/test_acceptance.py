@@ -122,7 +122,7 @@ def test_acceptance_5_theta_suite():
 def test_acceptance_6_lfunction_suite():
     with criterion(6, 30.0, "Euler product match, functional equation, two pipelines"):
         meta = forms.FormMeta(12)
-        series = lseries.mellin_coeffs(forms.delta(1000))
+        series = forms.delta(1000)
         ep = lseries.euler_product_coeffs(
             {p: forms.tau(p) for p in forms.primes_up_to(13)}, meta, 200
         )

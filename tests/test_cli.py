@@ -404,7 +404,7 @@ def test_verify_help_lists_only_the_suites_flags(suite, flags, capsys):
         cli.main(["verify", suite, "--help"])
     assert exc.value.code == 0
     listed = re.findall(r"(?m)^  (-[\w-]+)", capsys.readouterr().out)
-    assert listed == ["-h", "--format", "--out", *flags]
+    assert listed == ["-h", "--out", *flags]
 
 
 # -- determinism -----------------------------------------------------------------

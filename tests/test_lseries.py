@@ -20,7 +20,7 @@ from conftest import dense_product_one_minus_qn, poly_mul
 
 def test_mellin_reads_cusp_coefficients():
     ds = lseries.mellin_coeffs(forms.delta(10))
-    assert [int(c) for c in ds.coeffs] == [
+    assert [int(c) for c in ds] == [
         1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920,
     ]
 
@@ -28,13 +28,13 @@ def test_mellin_reads_cusp_coefficients():
 def test_mellin_zero_series():
     f = qs.make_series(0, [0] * 6, 6)
     ds = lseries.mellin_coeffs(f)
-    assert all(c == 0 for c in ds.coeffs)
+    assert all(c == 0 for c in ds)
 
 
 def test_mellin_keeps_the_zeros_below_an_offset_above_one():
     ds = lseries.mellin_coeffs(qs.QSeries(2, (1, 2, 3)))
-    assert ds.coeffs == (0, 1, 2, 3)
-    assert lseries.mellin_coeffs(qs.QSeries(4, ())).coeffs == (0, 0, 0)
+    assert ds == (0, 1, 2, 3)
+    assert lseries.mellin_coeffs(qs.QSeries(4, ())) == (0, 0, 0)
 
 
 def test_mellin_rejects_constant_term():
@@ -156,14 +156,13 @@ def test_euler_product_rejects_n_max_below_1(n_max):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: lseries.DirichletSeries((1,)).coeff(2), "n must be in 1..1, got 2"),
         (
             lambda: lseries.mellin_coeffs(qs.QSeries(0, (0,))),
             "window too short: no coefficients at exponent >= 1",
         ),
         (lambda: lseries.zeta_em(1), "zeta has a pole at s = 1"),
     ],
-    ids=["coeff-past-the-end", "mellin-window-too-short", "zeta-pole"],
+    ids=["mellin-window-too-short", "zeta-pole"],
 )
 def test_lseries_rejects_bad_input_with_its_message(call, message):
     with pytest.raises(ValueError) as excinfo:
@@ -175,7 +174,7 @@ def test_euler_product_matches_expansion_13_smooth():
     mell = lseries.mellin_coeffs(forms.delta(200))
     ep = lseries.euler_product_coeffs(_tau_primes(13), META12, 200)
     for n, c in ep.items():
-        assert c == mell.coeff(n)
+        assert c == mell[n - 1]
     assert len(ep) > 60
 
 
@@ -225,21 +224,20 @@ def test_euler_product_is_the_factored_product_on_the_smooth_n(data, bound, k, l
 
 
 def test_dirichlet_eval_zero_series():
-    ds = lseries.DirichletSeries((Fraction(0),) * 10)
-    val = lseries.dirichlet_eval(ds, 9.0, META12)
+    f = qs.QSeries(1, (Fraction(0),) * 10)
+    val = lseries.dirichlet_eval(f, 9.0, META12)
     assert val.value == 0.0
     assert val.tail_bound < math.inf
 
 
 def test_dirichlet_eval_outside_convergence_region():
-    ds = lseries.mellin_coeffs(forms.delta(50))
     with pytest.raises(ValueError):
-        lseries.dirichlet_eval(ds, 4.0, META12)
+        lseries.dirichlet_eval(forms.delta(50), 4.0, META12)
 
 
 def test_dirichlet_eval_tail_bound_shrinks():
-    short = lseries.mellin_coeffs(forms.delta(100))
-    long = lseries.mellin_coeffs(forms.delta(1000))
+    short = forms.delta(100)
+    long = forms.delta(1000)
     v1 = lseries.dirichlet_eval(short, 9.0, META12)
     v2 = lseries.dirichlet_eval(long, 9.0, META12)
     assert v2.tail_bound < v1.tail_bound
@@ -248,10 +246,9 @@ def test_dirichlet_eval_tail_bound_shrinks():
 
 def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
     # the weight comes with the FormMeta, not the series, so slicing loses nothing
-    cut = forms.delta(1000).truncate(500)
-    via_cut = lseries.mellin_coeffs(cut)
-    direct = lseries.mellin_coeffs(forms.delta(500))
-    assert via_cut == direct
+    via_cut = forms.delta(1000).truncate(500)
+    direct = forms.delta(500)
+    assert lseries.mellin_coeffs(via_cut) == lseries.mellin_coeffs(direct)
     assert lseries.dirichlet_eval(via_cut, 7.5, META12) == lseries.dirichlet_eval(
         direct, 7.5, META12
     )
@@ -264,23 +261,64 @@ def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
     "call, message",
     [
         (
-            lambda: lseries.dirichlet_eval(
-                lseries.mellin_coeffs(forms.delta(10)), math.nan, META12
-            ),
+            lambda: lseries.dirichlet_eval(forms.delta(10), math.nan, META12),
             "outside the guaranteed convergence region",
         ),
         (lambda: lseries.rs_theta(math.nan), "asymptotic phase needs t >= 1"),
+        (lambda: lseries.rs_theta(math.inf), "asymptotic phase needs t >= 1"),
         (
             lambda: geometry.weak_maass_series(
                 [(1.0, 1.0, 1.0, 2.0)], complex(0.0, math.nan)
             ),
             "need Im(z) > 0",
         ),
+        (
+            lambda: geometry.weak_maass_series([(math.nan, 1.0, 1.0, 2.0)], 0.6j),
+            "r_a must be >= 0 and finite, got nan",
+        ),
+        (
+            lambda: geometry.weak_maass_series([(-math.inf, 1.0, 1.0, 2.0)], 0.6j),
+            "r_a must be >= 0 and finite, got -inf",
+        ),
+        (
+            lambda: geometry.weak_maass_series([(-1.0, 1.0, 1.0, 2.0)], 0.6j),
+            "r_a must be >= 0 and finite, got -1.0",
+        ),
+        (
+            lambda: geometry.weak_maass_series(
+                [(1.0, 1.0, 1.0, 2.0)], complex(math.inf, 0.6)
+            ),
+            "need a finite z",
+        ),
+        (
+            lambda: geometry.weak_maass_series(
+                [(1.0, 1.0, 1.0, 1.0)], complex(0.0, math.inf)
+            ),
+            "need a finite z",
+        ),
+        (
+            lambda: geometry.weak_maass_series(
+                [(1.0, 1.0, 1.0, 2.0)], complex(0.0, math.inf)
+            ),
+            "need a finite z",
+        ),
     ],
-    ids=["dirichlet_eval", "rs_theta", "weak_maass_series"],
+    ids=[
+        "dirichlet_eval",
+        "rs_theta",
+        "rs_theta-inf",
+        "weak_maass_series",
+        "weak_maass_series-r_a-nan",
+        "weak_maass_series-r_a-minus-inf",
+        "weak_maass_series-r_a-negative",
+        "weak_maass_series-re-z-inf",
+        "weak_maass_series-im-z-inf-circle",
+        "weak_maass_series-im-z-inf-ellipse",
+    ],
 )
 def test_nan_argument_is_rejected(call, message):
-    # a guard written as `x <= bound` lets nan through; each is `not x > bound`
+    # a guard written as `x <= bound` lets nan through, and one with no upper
+    # end lets inf through; each is `not lo <= x < hi` or an explicit finiteness test
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
@@ -293,8 +331,8 @@ def test_tail_bar_at_weight_16():
     assert f.coeffs[:4] == (1, 216, -3348, 13888)
     meta16 = forms.FormMeta(16)
     assert forms.is_eigenform(f, meta16, 20).ok
-    short = lseries.mellin_coeffs(f.truncate(200))
-    long = lseries.mellin_coeffs(f)
+    short = f.truncate(200)
+    long = f
     # the barrier k/2 + 1 is 9 at weight 16 and 7 at weight 12
     with pytest.raises(ValueError, match="s > 9.0"):
         lseries.dirichlet_eval(short, 8.5, meta16)
@@ -303,6 +341,34 @@ def test_tail_bar_at_weight_16():
         near = lseries.dirichlet_eval(short, s, meta16)
         far = lseries.dirichlet_eval(long, s, meta16)
         assert abs(near.value - far.value) <= near.tail_bound, s
+
+
+# float.hex of dirichlet_eval's (value, tail_bound) to order 1000; every bit
+# must stay the same
+DELTA_DIRICHLET_HEX = {
+    7.5: ("0x1.d09395af4b797p-1", "0x1.030dc4ea03a72p-3"),
+    8.0: ("0x1.dc85a210c0c08p-1", "0x1.0624dd2f1a9fcp-9"),
+    9.0: ("0x1.ec9bd6de1642ep-1", "0x1.0c6f7a0b5ed8dp-20"),
+    10.0: ("0x1.f5a9896cb9a7cp-1", "0x1.6e80fe033c8c7p-31"),
+}
+DELTA_E4_DIRICHLET_HEX = {
+    9.5: ("0x1.39bfc3c330432p+0", "0x1.030dc4ea03a72p-3"),
+    10.0: ("0x1.2ad0174227816p+0", "0x1.0624dd2f1a9fcp-9"),
+    12.0: ("0x1.0c1b1afe89bebp+0", "0x1.6e80fe033c8c7p-31"),
+}
+
+
+def test_dirichlet_values_are_bit_stable():
+    order = 1000
+    e4 = qs.QSeries(0, (1, *(240 * forms.sigma(3, n) for n in range(1, order))))
+    delta = forms.delta(order)
+    for f, meta, pins in [
+        (delta, META12, DELTA_DIRICHLET_HEX),
+        (qs.mul(delta, e4), forms.FormMeta(16), DELTA_E4_DIRICHLET_HEX),
+    ]:
+        for s, hexes in pins.items():
+            got = lseries.dirichlet_eval(f, s, meta)
+            assert (got.value.hex(), got.tail_bound.hex()) == hexes, s
 
 
 # -- completed values -----------------------------------------------------------------
@@ -322,7 +388,7 @@ def test_lambda_functional_equation_pairs():
 
 
 def test_lambda_vs_dirichlet_gamma_route():
-    ds = lseries.mellin_coeffs(forms.delta(1000))
+    ds = forms.delta(1000)
     for s in (8.0, 9.0, 10.0):
         integral = lseries.completed_lambda_integral(s)
         partial = lseries.dirichlet_eval(ds, s, META12)

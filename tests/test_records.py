@@ -12,7 +12,7 @@ import pytest
 from qmodular import cli, verify
 from qmodular.forms import CheckReport, EigenformReport, FormMeta, HeckeComposeReport
 from qmodular.geometry import EllipseSpec, TorusTerm, WeakMaassValue
-from qmodular.lseries import CompletedLValue, DirichletSeries, DirichletValue, ZeroList
+from qmodular.lseries import CompletedLValue, DirichletValue, ZeroList
 from qmodular.qseries import QSeries
 from qmodular.theta_partitions import OmegaPoly, rank_table
 
@@ -28,7 +28,6 @@ from qmodular.theta_partitions import OmegaPoly, rank_table
             "character table misses residues [3, 4] mod 5",
         ),
         (lambda: FormMeta(12, 3, (0, 1)), "character table misses residues [2] mod 3"),
-        (lambda: DirichletSeries(()), "need at least one coefficient"),
         (lambda: QSeries("1/5", (1,)), "offset denominator must divide 24, got 5"),
         (lambda: ZeroList((1.0, 1.0), (0.0, 0.0)), "ordinates must be strictly increasing"),
         (lambda: ZeroList((-1.0,), (0.0,)), "ordinates must be positive"),
@@ -44,7 +43,7 @@ VALIDATED = [
     (QSeries(0, (1, 2)), "offset"),
     (FormMeta(12), "weight"),
     (ZeroList((14.1, 21.0), (1e-9, 2e-9)), "residuals"),
-    (DirichletSeries((1, -24)), "coeffs"),
+    (OmegaPoly(-1, (1, 0, 1)), "coeffs"),
     (ZeroList((14.1, 21.0), (0.0, 0.0)), "gammas"),
     (EllipseSpec(1.0, 2.0, 3.0), "e"),
     (rank_table(4), "n_max"),
@@ -56,7 +55,6 @@ VALIDATED = [
     (CompletedLValue(6.0, 0.0011, 1e-13), "quadrature_error"),
     (TorusTerm(EllipseSpec(1.0, 2.0, 3.0), 2.0, (0j, 1 + 0.5j)), "shadow_samples"),
     (WeakMaassValue(1 + 2j, 1 + 1j, 1j), "shadow"),
-    (OmegaPoly(-1, (1, 0, 1)), "coeffs"),
 ]
 
 
@@ -91,7 +89,6 @@ def test_qseries_equality_and_hash_are_on_offset_and_coeffs():
 def test_equality_is_same_class_on_the_fields():
     assert FormMeta(12) == FormMeta(12, 1, None)
     assert EllipseSpec(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
-    assert DirichletSeries((1, 2)) != DirichletSeries((1, 3))
     assert rank_table(6) == rank_table(6)
     assert OmegaPoly(0, (1,)) != (0, (1,))
     assert CompletedLValue(1.0, 2.0, 3.0) != TorusTerm(1.0, 2.0, 3.0)

@@ -108,6 +108,7 @@ def test_run_suite_rejects_a_flag_before_any_suite_runs(monkeypatch, capsys):
     for argv, extra in [
         (["verify", "theta", "--n-max", "5"], "--n-max 5"),
         (["verify", "all", "--order", "30", "--depth", "2"], "--depth 2"),
+        (["verify", "all", "--format", "json"], "--format json"),
     ]:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
