@@ -43,7 +43,7 @@ VALIDATED = [
     (QSeries(0, (1, 2)), "offset"),
     (FormMeta(12), "weight"),
     (ZeroList((14.1, 21.0), (1e-9, 2e-9)), "residuals"),
-    (OmegaPoly(-1, (1, 0, 1)), "coeffs"),
+    (QSeries(1, (1, -24)), "coeffs"),
     (ZeroList((14.1, 21.0), (0.0, 0.0)), "gammas"),
     (EllipseSpec(1.0, 2.0, 3.0), "e"),
     (rank_table(4), "n_max"),
@@ -55,6 +55,7 @@ VALIDATED = [
     (CompletedLValue(6.0, 0.0011, 1e-13), "quadrature_error"),
     (TorusTerm(EllipseSpec(1.0, 2.0, 3.0), 2.0, (0j, 1 + 0.5j)), "shadow_samples"),
     (WeakMaassValue(1 + 2j, 1 + 1j, 1j), "shadow"),
+    (OmegaPoly(-1, (1, 0, 1)), "coeffs"),
 ]
 
 
