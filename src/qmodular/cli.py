@@ -35,9 +35,6 @@ def _check_bounds(args) -> None:
         v = getattr(args, name, None)
         if v is not None and v < 1:
             raise ValueError(f"{name} must be positive, got {v}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0 < tol < math.inf:  # rejects nan
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _fmt_float(x: float) -> float:
@@ -250,10 +247,10 @@ _VERIFY_FLAGS = {
     "hecke": ["order"],
     "rank": ["n_max"],
     "theta": ["order"],
-    "lfunc": ["tol", "count"],
+    "lfunc": ["count"],
     "geometry": [],
 }
-_VERIFY_FLAG_TYPES = {"n_max": int, "order": int, "count": int, "tol": float}
+_VERIFY_FLAG_TYPES = {"n_max": int, "order": int, "count": int}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -211,7 +211,8 @@ def weak_maass_series(
     summed in ascending n (the order is part of the contract).  The
     identity full = hol + shadow then holds to rounding rather than by
     construction.  A term with r_a = 0 adds nothing; a negative or
-    non-finite r_a, and a z off the finite upper half-plane, are refused.
+    non-finite r_a, and a z off the finite upper half-plane, are refused,
+    as is a term that takes a sum past the float range.
     """
     if not z.imag > 0:  # also rejects nan
         raise ValueError(f"need Im(z) > 0, got {z.imag}")
@@ -221,7 +222,8 @@ def weak_maass_series(
     full = complex(0.0)
     hol = complex(0.0)
     shadow = complex(0.0)
-    for n, (r_a, r_d, e, f) in enumerate(terms, start=1):
+    for n, term in enumerate(terms, start=1):
+        r_a, r_d, e, f = term
         if not 0 <= r_a < math.inf:  # also rejects nan
             raise ValueError(f"r_a must be >= 0 and finite, got {r_a}")
         if r_a == 0.0:
@@ -229,8 +231,13 @@ def weak_maass_series(
         spec = circle_matching_ellipse(r_d, e, f)
         th = 2.0 * math.pi * n * y
         circle = r_a * cmath.exp(2j * math.pi * n * x)
-        section, inscribed = _section_and_inscribed(spec, th)
+        try:
+            section, inscribed = _section_and_inscribed(spec, th)
+        except OverflowError:  # e^th past the float range
+            section = inscribed = math.inf
         full += circle * section
         hol += circle * inscribed
         shadow += circle * (section - inscribed)
+        if not (cmath.isfinite(full) and cmath.isfinite(hol) and cmath.isfinite(shadow)):
+            raise ValueError(f"term n={n} {term} overflows the float range at z={z}")
     return WeakMaassValue(full, hol, shadow)

@@ -435,18 +435,23 @@ def rs_theta(t: float) -> float:
 
     Good to better than 1e-9 for t >= 10, which covers every ordinate
     handled here.  Only sign changes matter for zero location, so the
-    residual phase error cannot move a zero.
+    residual phase error cannot move a zero.  The negative powers
+    underflow to zero for a large t instead of overflowing; a t whose
+    phase is past the float range (t near 1.7e308) is refused.
     """
     if not 1.0 <= t < math.inf:  # also rejects nan
         raise ValueError(f"asymptotic phase needs t >= 1 and finite, got {t}")
-    return (
+    theta = (
         0.5 * t * math.log(t / (2.0 * math.pi))
         - 0.5 * t
         - math.pi / 8.0
         + 1.0 / (48.0 * t)
-        + 7.0 / (5760.0 * t**3)
-        + 31.0 / (80640.0 * t**5)
+        + 7.0 / 5760.0 * t**-3
+        + 31.0 / 80640.0 * t**-5
     )
+    if not math.isfinite(theta):
+        raise ValueError(f"asymptotic phase at t = {t} is past the float range")
+    return theta
 
 
 def z_function(t: float) -> float:

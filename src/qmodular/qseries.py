@@ -50,7 +50,6 @@ __all__ = [
     "QSeries",
     "WindowError",
     "rational",
-    "make_series",
     "add",
     "mul",
     "scalar_mul",
@@ -81,8 +80,8 @@ class Record:
     """Read-only value record, the base of every value type the package returns.
 
     A subclass names its fields in constructor order in ``_fields`` and
-    in ``__slots__``.  A validated type checks them in its ``__init__``
-    and passes the values to ``Record.__init__``; a plain result
+    in ``__slots__``.  A validated type checks (or normalizes) them in
+    its ``__init__`` and passes the values to ``Record.__init__``; a plain result
     inherits that ``__init__``, which takes every field positionally and
     raises :class:`TypeError` on a wrong number of values.
     Assignment and deletion raise :class:`AttributeError`; ``==`` and
@@ -197,17 +196,6 @@ class QSeries(Record):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if len(self.coeffs) > 6 else ""
         return f"QSeries(q^{self.offset} * [{head}{tail}], order={self.order})"
-
-
-def make_series(
-    offset: RationalLike, coeffs: Sequence[RationalLike], order: int
-) -> QSeries:
-    """Build a series from explicit data, validating the window contract."""
-    if len(coeffs) != order:
-        raise ValueError(
-            f"coefficient count {len(coeffs)} does not match order {order}"
-        )
-    return QSeries(offset, tuple(coeffs))
 
 
 def one(order: int) -> QSeries:
@@ -399,6 +387,8 @@ def to_json_obj(f: QSeries) -> dict:
 
 def from_json_obj(obj: dict) -> QSeries:
     coeffs = [Fraction(n, d) for n, d in obj["coeffs"]]
-    return make_series(
-        Fraction(obj["offset_num"], obj["offset_den"]), coeffs, obj["order"]
-    )
+    if len(coeffs) != obj["order"]:
+        raise ValueError(
+            f"coefficient count {len(coeffs)} does not match order {obj['order']}"
+        )
+    return QSeries(Fraction(obj["offset_num"], obj["offset_den"]), coeffs)

@@ -23,8 +23,9 @@ row p in slot p + m.  The DPs stay independent; they share three
 pieces: :func:`_slot_bytes`, the slot width, from a proven bound on
 the coefficients of 1/(q;q)_oo^r; :func:`_unpack_slots`, which reads
 every slot of a row at C level (strided byte copies and one
-``struct.unpack``); and :func:`_row_poly`, which decodes a finished
-row into an :class:`OmegaPoly`.  The w = -1 specialization of R(w, q)
+``struct.unpack``); and :func:`_row_poly`, which hands a finished row
+to the :class:`OmegaPoly` constructor, the one place that trims a row
+to its normal form.  The w = -1 specialization of R(w, q)
 reproduces the q-hypergeometric series
 
     f(q) = sum_{n>=0} q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^2
@@ -46,7 +47,7 @@ from itertools import compress, repeat
 from operator import add, lshift
 from typing import Mapping, Sequence, Union
 
-from .qseries import QSeries, Record, euler_coefficient, make_series, pow as qpow
+from .qseries import QSeries, Record, euler_coefficient, pow as qpow
 
 __all__ = [
     "OmegaPoly",
@@ -81,7 +82,7 @@ def theta_diagonal(k: int, order: int) -> QSeries:
     while n * n < order:
         base[n * n] = 2
         n += 1
-    theta1 = make_series(0, base, order)
+    theta1 = QSeries(0, base)
     return theta1 if k == 1 else qpow(theta1, k)
 
 
@@ -118,7 +119,7 @@ def unary_theta(
             first = n
             break
     if first is None:
-        return make_series(0, [0] * order, order)
+        return QSeries(0, [0] * order)
     offset = kappa * first * first
     end = offset + order
     coeffs = [0] * order
@@ -229,28 +230,30 @@ def rank_table(n_max: int) -> RankTable:
 class OmegaPoly(Record):
     """Laurent polynomial in w with exact integer coefficients.
 
-    ``coeffs[j]`` is the coefficient of w^(lo + j); leading and trailing
-    entries are nonzero except for the zero polynomial, which is
+    ``coeffs[j]`` is the coefficient of w^(lo + j).  The constructor
+    keeps one normal form, so equal polynomials compare and hash equal:
+    it stores ``coeffs`` as a tuple with the zero entries at both ends
+    trimmed (and ``lo`` moved past the leading ones) by C-level scans in
+    from each end, and any all-zero input becomes the zero polynomial
     ``OmegaPoly(0, ())``.
     """
 
     __slots__ = _fields = ("lo", "coeffs")
 
-    @staticmethod
-    def zero() -> "OmegaPoly":
-        return OmegaPoly(0, ())
-
-    @staticmethod
-    def const(c: int) -> "OmegaPoly":
-        return OmegaPoly(0, (c,)) if c else OmegaPoly.zero()
+    def __init__(self, lo: int, coeffs: Sequence[int]) -> None:
+        coeffs = tuple(coeffs)
+        first = next(compress(range(len(coeffs)), coeffs), None)
+        if first is None:
+            super().__init__(0, ())
+            return
+        end = next(compress(range(len(coeffs), 0, -1), reversed(coeffs)))
+        super().__init__(lo + first, coeffs[first:end])
 
     @staticmethod
     def from_terms(terms: Mapping[int, int]) -> "OmegaPoly":
-        live = {m: c for m, c in terms.items() if c}
-        if not live:
-            return OmegaPoly.zero()
-        lo, hi = min(live), max(live)
-        return OmegaPoly(lo, tuple(live.get(m, 0) for m in range(lo, hi + 1)))
+        """The polynomial sum_m terms[m] w^m."""
+        lo, hi = min(terms, default=0), max(terms, default=-1)
+        return OmegaPoly(lo, [terms.get(m, 0) for m in range(lo, hi + 1)])
 
     def terms(self) -> dict[int, int]:
         return {self.lo + j: c for j, c in enumerate(self.coeffs) if c}
@@ -336,16 +339,10 @@ def _unpack_slots(packed: int, count: int, size: int) -> tuple[int, ...]:
 def _row_poly(packed: int, p: int, size: int) -> OmegaPoly:
     """Row p, packed with slot p + m holding the w^m coefficient, as an OmegaPoly.
 
-    Its 2p + 1 slots of ``size`` bytes are read by :func:`_unpack_slots`;
-    the first and last nonzero slots are found by C-level scans in from
-    each end, so only the zero slots at the ends are stepped over.
+    Its 2p + 1 slots of ``size`` bytes are read by :func:`_unpack_slots`
+    in that layout; the constructor trims the zero slots at both ends.
     """
-    row = _unpack_slots(packed, 2 * p + 1, size)
-    lo = next(compress(range(len(row)), row), None)
-    if lo is None:
-        return OmegaPoly.zero()
-    hi = next(compress(range(len(row), 0, -1), reversed(row)))
-    return OmegaPoly(lo - p, row[lo:hi])
+    return OmegaPoly(-p, _unpack_slots(packed, 2 * p + 1, size))
 
 
 def mock_theta_f(order: int) -> QSeries:
@@ -371,7 +368,7 @@ def mock_theta_f(order: int) -> QSeries:
                 inv_den[i] -= inv_den[i - n]
         acc[n * n :] = map(add, acc[n * n :], inv_den)
         n += 1
-    return make_series(0, acc, order)
+    return QSeries(0, acc)
 
 
 def specialize_omega(

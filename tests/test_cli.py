@@ -394,9 +394,9 @@ def test_tables_help_lists_only_the_kinds_flags(kind, flags, capsys):
         ("hecke", ["--order"]),
         ("rank", ["--n-max"]),
         ("theta", ["--order"]),
-        ("lfunc", ["--tol", "--count"]),
+        ("lfunc", ["--count"]),
         ("geometry", []),
-        ("all", ["--n-max", "--order", "--count", "--tol"]),
+        ("all", ["--n-max", "--order", "--count"]),
     ],
 )
 def test_verify_help_lists_only_the_suites_flags(suite, flags, capsys):
@@ -599,26 +599,6 @@ def test_verify_all_passes_each_suite_only_its_own_flags(monkeypatch):
         ("lfunc", {"count": 5}),
         ("geometry", {}),
     ]
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
-def test_verify_non_finite_or_nonpositive_tolerance_exits_2(tol, capsys):
-    # --tol nan made lambda-functional-equation vacuous (every comparison
-    # with nan is false), so it passed with nothing checked
-    code, out = _run_main(["verify", "lfunc", f"--tol={tol}"])
-    assert code == 2
-    assert out == ""
-    assert "tolerance" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "tol,tol_exp", [("1e-3", "-3"), ("1e-8", "-8"), ("3e-5", "-4.52287874528")]
-)
-def test_verify_lfunc_reports_the_tolerance_it_used(tol, tol_exp):
-    # the functional-equation report used to print tol_exp -8 whatever --tol was
-    code, out = _run_main(["verify", "lfunc", "--tol", tol])
-    assert code == 0
-    assert f'"tol_exp":{tol_exp},' in out
 
 
 def test_verify_hecke_clamps_eigenform_bound_to_half_the_order():

@@ -213,14 +213,14 @@ _frac_coeffs = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 def test_hecke_apply_matches_defining_formula(coeffs, offset, k, char, n):
     level, table = char
     meta = forms.FormMeta(weight=k, level=level, character=table)
-    f = qs.make_series(offset, coeffs, len(coeffs))
+    f = qs.QSeries(offset, coeffs)
     if len(coeffs) < n:
         with pytest.raises(qs.WindowError):
             forms.hecke_apply(f, meta, n)
         return
     want = naive_hecke(coeffs, offset, k, meta.eps, n)
     got = forms.hecke_apply(f, meta, n)
-    assert got == qs.make_series(0, want, len(want))
+    assert got == qs.QSeries(0, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,7 +238,7 @@ def test_hecke_composition_law_holds_for_every_series(data, offset, k, char, mn_
     meta = forms.FormMeta(weight=k, level=level, character=table)
     size = data.draw(st.integers(mn_bound, 6 * mn_bound + 5))
     coeffs = data.draw(st.lists(_int_coeffs, min_size=size, max_size=size))
-    f = qs.make_series(offset, coeffs, size)
+    f = qs.QSeries(offset, coeffs)
     reports = forms.hecke_compose_check(meta, f, mn_bound)
     assert [(r.m, r.n) for r in reports] == _pairs(mn_bound)
     for r in reports:
@@ -301,7 +301,7 @@ def test_discriminant_is_eigenform_with_tau_eigenvalues():
 
 def test_artificial_non_eigenform_detected():
     d = forms.delta(60)
-    bump = qs.make_series(0, [0, 0, 1] + [0] * 57, 60)
+    bump = qs.QSeries(0, [0, 0, 1] + [0] * 57)
     fake = qs.add(d, bump)  # coefficients 1, -23, 252, ...
     rep = forms.is_eigenform(fake, META12, 6)
     assert not rep.ok
@@ -328,7 +328,7 @@ def test_eigenform_check_with_no_comparable_index_raises(n_max):
 
 
 def test_eigenform_short_window_flagged_insufficient():
-    f = qs.make_series(0, [0, 1], 2)
+    f = qs.QSeries(0, [0, 1])
     rep = forms.is_eigenform(f, META12, 3)
     assert rep.ok  # nothing falsifiable
     assert set(rep.insufficient) == {2, 3}

@@ -26,7 +26,7 @@ def test_mellin_reads_cusp_coefficients():
 
 
 def test_mellin_zero_series():
-    f = qs.make_series(0, [0] * 6, 6)
+    f = qs.QSeries(0, [0] * 6)
     ds = lseries.mellin_coeffs(f)
     assert all(c == 0 for c in ds)
 
@@ -302,6 +302,19 @@ def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
             ),
             "need a finite z",
         ),
+        (
+            lambda: lseries.rs_theta(1.7e308),
+            "asymptotic phase at t = 1.7e+308 is past the float range",
+        ),
+        (lambda: lseries.z_function(1e300), "zeta_em needs |Im s| <= 10000"),
+        (
+            lambda: geometry.weak_maass_series([(1e308, 1.0, 1.0, 2.0)], 0.6j),
+            "term n=1 (1e+308, 1.0, 1.0, 2.0) overflows the float range at z=0.6j",
+        ),
+        (
+            lambda: geometry.weak_maass_series([(1.0, 1.0, 1.0, 2.0)], 200j),
+            "term n=1 (1.0, 1.0, 1.0, 2.0) overflows the float range at z=200j",
+        ),
     ],
     ids=[
         "dirichlet_eval",
@@ -314,6 +327,10 @@ def test_tail_bound_of_a_truncated_series_is_the_bound_of_the_short_one():
         "weak_maass_series-re-z-inf",
         "weak_maass_series-im-z-inf-circle",
         "weak_maass_series-im-z-inf-ellipse",
+        "rs_theta-phase-past-float-range",
+        "z_function-large-t",
+        "weak_maass_series-r_a-overflows",
+        "weak_maass_series-growing-mode-overflows",
     ],
 )
 def test_nan_argument_is_rejected(call, message):
@@ -617,6 +634,27 @@ def test_rs_theta_against_mpmath():
         assert lseries.rs_theta(t) == pytest.approx(
             float(mpmath.siegeltheta(t)), abs=1e-8
         )
+    # the t^-3 and t^-5 corrections underflow to 0.0 here instead of overflowing
+    for t in (1e100, 1e300):
+        assert lseries.rs_theta(t) == pytest.approx(
+            float(mpmath.siegeltheta(t)), rel=1e-14
+        )
+
+
+@pytest.mark.parametrize(
+    "t, bits",
+    [
+        (4.2, "-0x1.aab2f5923b8b2p+1"),
+        (10.0, "-0x1.8895e4d14bdfcp+1"),
+        (14.134725, "-0x1.ba8a2315c2eb9p+0"),
+        (100.0, "0x1.5fe37f4853567p+6"),
+        (400.0, "0x1.3b2994a81b2eap+9"),
+    ],
+)
+def test_rs_theta_bits_are_pinned(t, bits):
+    # the zero scan's sign tests read these bits, so the form of the
+    # correction terms must not move them
+    assert lseries.rs_theta(t).hex() == bits
 
 
 def _borwein_zeta(s: complex, n: int = 80) -> complex:

@@ -13,45 +13,46 @@ from conftest import dense_product_one_minus_qn, enumerate_partitions, naive_inv
 # -- construction and the window contract -----------------------------------------
 
 
-def test_make_series_constant_one():
-    f = qs.make_series(0, [1], 1)
+def test_series_constant_one():
+    f = qs.QSeries(0, [1])
     assert f.coeff(0) == 1
     assert f.order == 1
 
 
-def test_make_series_eta_leading_terms():
+def test_series_eta_leading_terms():
     # hand expansion of q^(1/24) (1 - q - q^2 + ...) to two terms
-    f = qs.make_series(Fraction(1, 24), [1, -1], 2)
+    f = qs.QSeries(Fraction(1, 24), [1, -1])
     assert f.coeff(Fraction(1, 24)) == 1
     assert f.coeff(Fraction(25, 24)) == -1
 
 
 def test_out_of_window_read_is_an_error():
-    f = qs.make_series(Fraction(1, 2), [1], 1)
+    f = qs.QSeries(Fraction(1, 2), [1])
     with pytest.raises(WindowError):
         f.coeff(Fraction(3, 2))
 
 
 def test_below_window_and_off_lattice_reads_are_zero():
-    f = qs.make_series(1, [5, 7], 2)
+    f = qs.QSeries(1, [5, 7])
     assert f.coeff(0) == 0
     assert f.coeff(Fraction(1, 2)) == 0
     assert f.coeff(Fraction(3, 2)) == 0
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        qs.make_series(0, [1, 2], 3)
+    obj = {"offset_num": 0, "offset_den": 1, "order": 3, "coeffs": [[1, 1], [2, 1]]}
+    with pytest.raises(ValueError, match="coefficient count 2 does not match order 3"):
+        qs.from_json_obj(obj)
 
 
 def test_non_24_smooth_offset_rejected():
     with pytest.raises(ValueError):
-        qs.make_series(Fraction(1, 5), [1], 1)
+        qs.QSeries(Fraction(1, 5), [1])
 
 
 def test_mixed_lattice_add_rejected():
-    f = qs.make_series(0, [1], 1)
-    g = qs.make_series(Fraction(1, 24), [1], 1)
+    f = qs.QSeries(0, [1])
+    g = qs.QSeries(Fraction(1, 24), [1])
     with pytest.raises(ValueError):
         qs.add(f, g)
 
@@ -60,33 +61,33 @@ def test_mixed_lattice_add_rejected():
 
 
 def test_mul_identity():
-    f = qs.make_series(0, [3, -2, 5, 0, 7], 5)
+    f = qs.QSeries(0, [3, -2, 5, 0, 7])
     assert qs.mul(qs.one(5), f) == f
 
 
 def test_telescoping_product():
     # (1 - q) * (1 + q + q^2 + ...) telescopes to 1
-    f = qs.make_series(0, [1, -1] + [0] * 8, 10)
-    g = qs.make_series(0, [1] * 10, 10)
+    f = qs.QSeries(0, [1, -1] + [0] * 8)
+    g = qs.QSeries(0, [1] * 10)
     assert qs.mul(f, g) == qs.one(10)
 
 
 def test_additive_inverse():
-    f = qs.make_series(Fraction(1, 24), [1, -1, 4], 3)
+    f = qs.QSeries(Fraction(1, 24), [1, -1, 4])
     z = qs.add(f, qs.scalar_mul(-1, f))
     assert all(c == 0 for c in z.coeffs)
 
 
 def test_add_aligns_offsets():
-    f = qs.make_series(0, [1, 2, 3, 4, 5], 5)
-    g = qs.make_series(2, [10, 20], 2)
+    f = qs.QSeries(0, [1, 2, 3, 4, 5])
+    g = qs.QSeries(2, [10, 20])
     h = qs.add(f, g)
     assert h.offset == 0
     assert h.coeffs == (1, 2, 13, 24)  # window clipped at g's end
 
 
 def test_pow_zero_is_one():
-    f = qs.make_series(1, [2, 3, 4], 3)
+    f = qs.QSeries(1, [2, 3, 4])
     assert qs.pow(f, 0) == qs.one(3)
 
 
@@ -101,14 +102,14 @@ def test_zero_lead_power_window_is_determined_not_largest():
 
 
 def test_geometric_series_via_negative_power():
-    f = qs.make_series(0, [1, -1] + [0] * 6, 8)
-    assert qs.pow(f, -1) == qs.make_series(0, [1] * 8, 8)
+    f = qs.QSeries(0, [1, -1] + [0] * 6)
+    assert qs.pow(f, -1) == qs.QSeries(0, [1] * 8)
 
 
 def test_eta_like_24th_power_matches_dense_oracle():
     order = 11
     dense = dense_product_one_minus_qn(24, order)
-    base = qs.make_series(0, dense_product_one_minus_qn(1, order), order)
+    base = qs.QSeries(0, dense_product_one_minus_qn(1, order))
     p = qs.pow(base, 24)
     assert [int(c) for c in p.coeffs] == dense
     assert p.coeffs[1] == -24 and p.coeffs[2] == 252
@@ -116,7 +117,7 @@ def test_eta_like_24th_power_matches_dense_oracle():
 
 def test_invert_binomial_series():
     # 1/(1+q)^2 = 1 - 2q + 3q^2 - 4q^3 + ...
-    f = qs.pow(qs.make_series(0, [1, 1] + [0] * 6, 8), 2)
+    f = qs.pow(qs.QSeries(0, [1, 1] + [0] * 6), 2)
     inv = qs.invert(f)
     assert list(inv.coeffs) == [(-1) ** k * (k + 1) for k in range(8)]
 
@@ -127,9 +128,9 @@ def test_invert_one():
 
 def test_invert_requires_unit_lead():
     with pytest.raises(ValueError):
-        qs.invert(qs.make_series(0, [0, 1], 2))
+        qs.invert(qs.QSeries(0, [0, 1]))
     with pytest.raises(ValueError):
-        qs.pow(qs.make_series(0, [0, 1], 2), -1)
+        qs.pow(qs.QSeries(0, [0, 1]), -1)
 
 
 # -- euler products ------------------------------------------------------------------
@@ -163,7 +164,7 @@ def test_euler_product_matches_dense_oracle_small():
 
 
 def test_json_round_trip():
-    f = qs.make_series(Fraction(-5, 24), [Fraction(1, 3), 2, -7], 3)
+    f = qs.QSeries(Fraction(-5, 24), [Fraction(1, 3), 2, -7])
     obj = qs.to_json_obj(f)
     assert obj["offset_num"] == -5 and obj["offset_den"] == 24
     assert qs.from_json_obj(obj) == f
@@ -263,7 +264,7 @@ def _mul_power(f: QSeries, e: int) -> QSeries:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-4, 4), st.integers(2, 24))
 def test_euler_product_is_power_of_base_case(e, order):
-    base = qs.make_series(0, dense_product_one_minus_qn(1, order), order)
+    base = qs.QSeries(0, dense_product_one_minus_qn(1, order))
     rhs = _mul_power(base, abs(e))
     if e < 0:
         rhs = QSeries(0, tuple(naive_inverse(list(rhs.coeffs), order)))
@@ -414,24 +415,24 @@ _offset_values = st.sampled_from(
 
 @st.composite
 def raw_series(draw, min_order=0, unit_lead=False):
-    """(offset, coeffs, order) of mixed int / Fraction / str inputs."""
+    """(offset, coeffs) of mixed int / Fraction / str inputs."""
     order = draw(st.integers(min_order, 8))
     coeffs = draw(st.lists(_kinds(_coeff_values), min_size=order, max_size=order))
     if unit_lead:
         coeffs[0] = draw(_kinds(st.sampled_from([Fraction(1), Fraction(-1)])))
-    return draw(_kinds(_offset_values)), coeffs, order
+    return draw(_kinds(_offset_values)), coeffs
 
 
 @settings(max_examples=200, deadline=None)
 @given(raw_series(), raw_series(min_order=1), st.integers(0, 3), _kinds(_coeff_values))
 def test_integral_values_are_stored_as_ints(raw_f, raw_g, e, c):
-    offset, coeffs, order = raw_f
-    f = qs.make_series(offset, coeffs, order)
-    as_fractions = qs.make_series(Fraction(offset), list(map(Fraction, coeffs)), order)
+    offset, coeffs = raw_f
+    f = qs.QSeries(offset, coeffs)
+    as_fractions = qs.QSeries(Fraction(offset), list(map(Fraction, coeffs)))
     assert f == as_fractions
     _assert_normal(f)
     _assert_normal(as_fractions)
-    g0 = qs.make_series(*raw_g)
+    g0 = qs.QSeries(*raw_g)
     g = g0.shift(f.offset - g0.offset + e)  # on f's lattice, so f + g is defined
     ff, gf = _all_fraction(f), _all_fraction(g)
     results = [
@@ -453,8 +454,8 @@ def test_integral_values_are_stored_as_ints(raw_f, raw_g, e, c):
 @settings(max_examples=150, deadline=None)
 @given(raw_series(min_order=1, unit_lead=True), raw_series(min_order=1), st.integers(1, 4))
 def test_negative_powers_keep_the_normal_form(raw_unit, raw_other, e):
-    unit = qs.make_series(*raw_unit)  # lead +-1: integral powers stay ints
-    other = qs.make_series(*raw_other)
+    unit = qs.QSeries(*raw_unit)  # lead +-1: integral powers stay ints
+    other = qs.QSeries(*raw_other)
     for f in (unit, other):
         if f.coeffs[0] == 0:
             continue

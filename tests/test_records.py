@@ -112,13 +112,13 @@ def test_ellipse_spec_repr_names_each_field():
 
 @pytest.mark.parametrize(
     "values, given",
-    [((0,), 1), ((0, (1,), 3), 3)],
+    [((0.5,), 1), ((0.5, 1e-9, 3), 3)],
     ids=["too-few", "too-many"],
 )
 def test_record_rejects_a_wrong_number_of_fields(values, given):
     with pytest.raises(TypeError) as excinfo:
-        OmegaPoly(*values)
-    assert str(excinfo.value) == f"OmegaPoly takes 2 values (lo, coeffs), got {given}"
+        DirichletValue(*values)
+    assert str(excinfo.value) == f"DirichletValue takes 2 values (value, tail_bound), got {given}"
 
 
 def test_suite_parameters_see_through_functools_wraps(monkeypatch, capsys):

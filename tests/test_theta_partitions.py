@@ -258,6 +258,46 @@ def test_rank_table_counts_is_read_only():
 # -- Laurent polynomials ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "given, normal",
+    [
+        ((0, (0, 1)), (1, (1,))),
+        ((5, ()), (0, ())),
+        ((-2, [0, 0, 0]), (0, ())),
+        ((0, [1, 2]), (0, (1, 2))),
+        ((-1, (0, 3, 0, -4, 0, 0)), (0, (3, 0, -4))),
+    ],
+)
+def test_omega_poly_constructor_keeps_one_normal_form(given, normal):
+    # zeros at either end, or a list, once made equal polynomials unequal,
+    # unhashable, or mutable through .coeffs
+    p = tp.OmegaPoly(*given)
+    assert (p.lo, p.coeffs) == normal
+    assert type(p.coeffs) is tuple
+    assert p == tp.OmegaPoly(*normal)
+    assert hash(p) == hash(tp.OmegaPoly(*normal))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-20, 20),
+    st.lists(st.one_of(st.just(0), st.integers(-5, 5)), max_size=8),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_omega_poly_padding_and_terms_round_trip(lo, coeffs, left, right):
+    p = tp.OmegaPoly(lo, coeffs)
+    padded = tp.OmegaPoly(lo - left, [0] * left + coeffs + [0] * right)
+    assert padded == p
+    assert hash(padded) == hash(p)
+    assert p.terms() == {lo + j: c for j, c in enumerate(coeffs) if c}
+    assert tp.OmegaPoly.from_terms(p.terms()) == p
+    if p.coeffs:
+        assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    else:
+        assert p.lo == 0
+
+
 def test_omega_poly_root_of_unity_values():
     p = tp.OmegaPoly.from_terms({-3: 1, -1: 1, 0: 1, 1: 1, 3: 1})
     assert tp.specialize_omega([p], (0, 1)) == [5]
@@ -280,7 +320,7 @@ def test_omega_poly_vector_form():
 
 def test_rank_generating_low_coefficients():
     polys = tp.rank_generating(5)
-    assert polys[0] == tp.OmegaPoly.const(1)
+    assert polys[0] == tp.OmegaPoly(0, (1,))
     assert polys[2].terms() == {1: 1, -1: 1}
     assert polys[4].terms() == {3: 1, 1: 1, 0: 1, -1: 1, -3: 1}
 
@@ -295,7 +335,7 @@ def rank_polys_200():
 def test_rank_generating_matches_table(order):
     polys = tp.rank_generating(order)
     assert len(polys) == order
-    assert polys[0] == tp.OmegaPoly.const(1)
+    assert polys[0] == tp.OmegaPoly(0, (1,))
     if order >= 2:
         table = tp.rank_table(order - 1)
         for n in range(1, order):
@@ -373,7 +413,7 @@ def rank_table_300():
 @pytest.mark.parametrize("n_max", width_steps(2, 300))
 def test_rank_generating_at_each_slot_width_step(rank_table_300, n_max):
     polys = tp.rank_generating(n_max + 1)
-    assert polys[0] == tp.OmegaPoly.const(1)
+    assert polys[0] == tp.OmegaPoly(0, (1,))
     assert polys[1:] == list(rank_table_300.polys[:n_max])
 
 
