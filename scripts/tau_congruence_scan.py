@@ -16,14 +16,12 @@ from qmodular import forms
 def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
 
+    sigma_11 = forms.eisenstein_e12(n_max + 1).coeffs  # sigma_11(n) at index n
     mismatches_691 = [
-        n for n in range(1, n_max + 1)
-        if (forms.tau(n) - forms.sigma(11, n)) % 691
+        n for n in range(1, n_max + 1) if (forms.tau(n) - sigma_11[n]) % 691
     ]
-    class_8 = [n for n in range(1, n_max + 1) if n % 8 == 1]
-    mismatches_2048 = [
-        n for n in class_8 if (forms.tau(n) - forms.sigma(11, n)) % 2048
-    ]
+    class_8 = range(1, n_max + 1, 8)
+    mismatches_2048 = [n for n in class_8 if (forms.tau(n) - sigma_11[n]) % 2048]
     print(f"n <= {n_max}")
     print(f"  mod 691 mismatches: {len(mismatches_691)} {mismatches_691[:5]}")
     print(f"  mod 2^11 on n=1(8): {len(mismatches_2048)} of {len(class_8)} checked")

@@ -16,9 +16,9 @@ can cross-check each other:
   integrand then dies double-exponentially at both ends), and Horner's
   rule in x = exp(-2 pi y) for the exponential sum, computed once per tau
   row at the 450 nodes and shared by every s; Lambda equals
-  (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must agree,
-  and invariance under s -> 12 - s is a genuine test rather than a
-  built-in symmetry;
+  (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must agree;
+  invariance under s -> 12 - s is built in, since the inversion makes
+  Lambda(s) = integral_1^inf F(iy) (y^(s-1) + y^(11-s)) dy for any row;
 * critical-line zero ordinates of the zeta function, located by sign
   changes of the rotated real combination Z(t) = exp(i theta(t))
   zeta(1/2 + it) with zeta evaluated by Euler-Maclaurin summation to

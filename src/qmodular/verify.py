@@ -46,6 +46,11 @@ def _report(check: str, params: dict, violations: list[str]) -> CheckReport:
 
 
 def verify_tau(n_max: int = 1000) -> list[CheckReport]:
+    """Check E12's constant term, ``e12-delta-mod-691`` and the tau battery.
+
+    ``e12-delta-mod-691``, on the E12 sieve, is the one mod-691 check. The battery's
+    mod-2^11 check keeps ``forms.sigma`` (n == 1 mod 8 only): trial division is a
+    route to sigma_11 that shares nothing with the sieve."""
     reports = []
     e12 = forms.eisenstein_e12(n_max + 1)
     bad = []

@@ -524,7 +524,9 @@ def test_verify_says_how_many_violations_it_cut():
     assert proc.returncode == 1
     checks = {c["check"]: c for c in json.loads(proc.stdout)["checks"]}
     assert len(checks["tau-properties"]["violations"]) == 20
-    assert proc.stderr == "verify tau: tau-properties: 20 of 507 violations shown\n"
+    # the fault (tau(2) + 1) shows at n = 2 in the E12 check, the one mod-691 check left
+    assert checks["e12-delta-mod-691"]["violations"] == ["tau vs sigma11 mod 691 differ at n=2"]
+    assert proc.stderr == "verify tau: tau-properties: 20 of 506 violations shown\n"
 
 
 def test_verify_unknown_suite_exits_2():
@@ -637,6 +639,10 @@ def test_verify_lfunc_sees_injected_tau_fault():
     assert proc.returncode == 1
     checks = {c["check"]: c for c in json.loads(proc.stdout)["checks"]}
     assert checks["euler-product-vs-expansion"]["ok"] is False
+    assert checks["lambda-two-pipelines"]["ok"] is False
+    # the fold of (0, 1] onto [1, inf) makes Lambda(s) = Lambda(12 - s) for
+    # any tau row, so the functional-equation check cannot see the fault
+    assert checks["lambda-functional-equation"]["ok"] is True
     assert proc.stderr == "verify lfunc: euler-product-vs-expansion: 20 of 62 violations shown\n"
 
 
@@ -667,7 +673,7 @@ def test_verify_all_fault_injected_stdout_digest_is_stable():
     assert proc.returncode == 1
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_FAULT_SHA256
     assert proc.stderr == (
-        b"verify tau: tau-properties: 20 of 507 violations shown\n"
+        b"verify tau: tau-properties: 20 of 506 violations shown\n"
         b"verify lfunc: euler-product-vs-expansion: 20 of 62 violations shown\n"
     )
 

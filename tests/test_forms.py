@@ -367,6 +367,21 @@ def test_tau_property_battery_reads_each_tau_once(monkeypatch):
     assert reads == list(range(1, 301))
 
 
+def test_tau_property_battery_divides_only_on_one_mod_eight(monkeypatch):
+    # the mod-691 congruence lives in verify tau's E12 check; the battery
+    # keeps trial division for mod 2^11, on n == 1 mod 8 alone
+    real = forms.sigma
+    calls = []
+
+    def counting(k, n):
+        calls.append((k, n))
+        return real(k, n)
+
+    monkeypatch.setattr(forms, "sigma", counting)
+    assert forms.tau_properties_check(300).ok
+    assert calls == [(11, n) for n in range(1, 301, 8)]
+
+
 def test_tau_property_battery_catches_corruption():
     forms.clear_tau_fault()
     try:

@@ -78,17 +78,57 @@ def test_unknown_attribute_raises_attribute_error():
         exec("from qmodular import no_such_name", {})
 
 
-def test_tracer_targets_resolve_to_callables():
-    # a rename that passes every other test would otherwise fail only in a traced run
+def _load_tracer():
     path = ROOT / "perfbench" / "tracer.py"
     if not path.exists():
         pytest.skip("perfbench/tracer.py is absent")
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve_to_callables():
+    # a rename that passes every other test would otherwise fail only in a traced run
+    tracer = _load_tracer()
     for name, module, attribute, _kind in tracer.TARGETS:
         mod = importlib.import_module(f"qmodular.{module}")
         assert callable(getattr(mod, attribute, None)), name
+
+
+# each benchmark workload's commands, at sizes small enough for tier-1
+TRACED_COMMANDS = {
+    "verify_all": [["cli", "verify", "all"]],
+    "exact_series": [
+        ["cli", "expand", "delta", "--order", "60"],
+        ["cli", "expand", "euler--1", "--order", "60"],
+        ["cli", "expand", "mock-f", "--order", "60"],
+        ["cli", "verify", "tau", "--n-max", "60"],
+        ["cli", "tables", "rank", "--n-max", "12", "--format", "json"],
+    ],
+    "rank_series": [["rank", "20"]],
+}
+
+
+@pytest.mark.parametrize("workload", list(TRACED_COMMANDS))
+def test_traced_workload_reaches_every_predicted_wrapper(workload):
+    # a refactor that stops calling a predicted wrapper would otherwise show
+    # only as a failed traced benchmark run
+    tracer = _load_tracer()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    dumps = []
+    for args in TRACED_COMMANDS[workload]:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--trace", "--pass-id", "0", *args],
+            capture_output=True,
+            env=env,
+            cwd=ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["exit"] == 0, args
+        dumps.append(obj["trace"])
+    assert tracer.coverage_gaps(workload, [dumps]) == []
 
 
 def test_cli_suite_choices_match_verify(capsys):
