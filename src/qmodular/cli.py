@@ -222,15 +222,7 @@ _TABLES = {
 
 
 def _cmd_tables(args) -> int:
-    try:
-        header, rows = _TABLES[args.table](args)
-    except RuntimeError as exc:
-        from .lseries import BracketingError
-
-        if not isinstance(exc, BracketingError):
-            raise
-        print(f"table generation failed: {exc}", file=sys.stderr)
-        return 1
+    header, rows = _TABLES[args.table](args)
     if args.format == "json":
         _emit(_dump_json(rows), args.out)
     else:
@@ -322,6 +314,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a bound past what a list can index or memory can hold
         print("invalid arguments: a bound is too large to allocate", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .lseries import BracketingError
+
+        if not isinstance(exc, BracketingError):
+            raise
+        # the zero scan of `tables zeros` or `verify lfunc` lost its bracketing
+        what = "table generation" if args.command == "tables" else "verification"
+        print(f"{what} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,16 +9,13 @@ can cross-check each other:
   prime-power recursion c(p^(e+1)) = c(p) c(p^e) - chi(p) p^(k-1) c(p^(e-1))
   as an ascending map of the smooth n built from prime powers (a c(p)
   keyed by a number that is not prime is rejected);
-* the completed value Lambda(s) = integral_0^inf F(iy) y^s dy/y computed
-  by tanh-sinh quadrature (Takahasi and Mori, 1974) on one fixed rule of
-  225 nodes, built once at import, using the weight-12 inversion
-  F(i/y) = y^12 F(iy) to evaluate the integrand accurately near 0 (the
-  integrand then dies double-exponentially at both ends), and Horner's
-  rule in x = exp(-2 pi y) for the exponential sum, computed once per tau
-  row at the 450 nodes and shared by every s; Lambda equals
-  (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must agree;
-  invariance under s -> 12 - s is built in, since the inversion makes
-  Lambda(s) = integral_1^inf F(iy) (y^(s-1) + y^(11-s)) dy for any row;
+* the completed value Lambda(s) = integral_0^inf F(iy) y^s dy/y, folded
+  by the inversion F(i/y) = y^12 F(iy) onto [1, inf) (so it is invariant
+  under s -> 12 - s for any row) and computed by tanh-sinh quadrature
+  (Takahasi and Mori, 1974) over [1, 12] on one fixed rule of 225 nodes,
+  built once at import, with Horner's rule in x = exp(-2 pi y) for the
+  cusp sums, computed once per tau row and shared by every s; Lambda
+  equals (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must agree;
 * critical-line zero ordinates of the zeta function, located by sign
   changes of the rotated real combination Z(t) = exp(i theta(t))
   zeta(1/2 + it) with zeta evaluated by Euler-Maclaurin summation to
@@ -278,20 +275,15 @@ _Y_CUT = 12.0
 _TAU_TERMS = 48
 
 @functools.lru_cache(maxsize=1)
-def _node_sums(row: tuple[float, ...]) -> tuple[tuple, tuple]:
-    """(y, F) at the nodes of [1, _Y_CUT] and of (0, 1] for this tau row.
+def _node_sums(row: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
+    """(y, F) at the 225 nodes of [1, _Y_CUT] for this tau row.
 
-    F is the cusp sum at y on the upper piece and at 1/y on the lower one
-    (the inversion), each by :func:`_cusp_exp_sum`: 450 Horner sums per
-    row.  No sum depends on s, so the latest row's sums are kept and
-    rebuilt only when a call reads a different row.
+    F is the cusp sum at y by :func:`_cusp_exp_sum`.  No sum depends on
+    s, so the latest row's sums are kept and rebuilt only when a call
+    reads a different row.
     """
-    upper = [1.0 + (_Y_CUT - 1.0) * frac for frac, _, _ in _TS_RULE]
-    lower = [frac for frac, _, _ in _TS_RULE]  # y = 0 + 1 * fraction
-    return (
-        tuple((y, _cusp_exp_sum(y, row)) for y in upper),
-        tuple((y, _cusp_exp_sum(1.0 / y, row)) for y in lower),
-    )
+    nodes = (1.0 + (_Y_CUT - 1.0) * frac for frac, _, _ in _TS_RULE)
+    return tuple((y, _cusp_exp_sum(y, row)) for y in nodes)
 
 
 def _cut_tail_bound(s: float, y_cut: float) -> float:
@@ -313,31 +305,29 @@ def _cut_tail_bound(s: float, y_cut: float) -> float:
 def completed_lambda_integral(s: float) -> CompletedLValue:
     """Lambda(s) = integral_0^inf F(iy) y^(s-1) dy for the weight-12 form.
 
-    The integral is split at y = 1.  On [1, 12] the integrand uses
-    the exponential sum directly; on (0, 1] it uses the inversion
-    relation, under which the integrand vanishes double-exponentially
-    at 0.  Each piece is one tanh-sinh pass of 225 nodes.  Each call reads
-    tau(1..48); the cusp sums at the nodes depend on that row alone, so
-    they come from :func:`_node_sums`, and a call forms only F y^(s-1)
-    (or F y^(s-13) on the inverted piece) at each node.  The reported
-    error adds the quadrature estimates to bounds for the discarded
-    y > 12 tail and for the truncation of the exponential sum.
+    The inversion F(i/y) = y^12 F(iy) folds (0, 1] onto [1, inf), so
+    Lambda(s) = integral_1^inf F(iy) (y^(s-1) + y^(11-s)) dy: one tanh-sinh
+    pass of 225 nodes over [1, 12].  Each call reads tau(1..48); the cusp
+    sums at the nodes depend on that row alone, so they come from
+    :func:`_node_sums`, and a call forms only the two powers at each node.
+    Their sum is symmetric in s <-> 12 - s, so Lambda(12 - s) is bit-equal
+    to Lambda(s) wherever 12 - s is exact.  The reported error adds the
+    quadrature estimate to bounds for each power's discarded y > 12 tail
+    and for the truncation of the exponential sum.
     """
     if not 0.0 < s < 12.0:
         raise ValueError(f"s must lie in (0, 12), got {s}")
 
     # read through forms.tau, so forms.inject_tau_fault reaches Lambda too
     row = tuple(float(forms.tau(n)) for n in range(_TAU_TERMS, 0, -1))
-    upper, lower = _node_sums(row)
-    v_up, e_up = _tanh_sinh([f * y ** (s - 1.0) for y, f in upper], _Y_CUT - 1.0)
-    # nodes keep y > 1e-23, so y^(s-13) is finite
-    v_lo, e_lo = _tanh_sinh([f * y ** (s - 13.0) for y, f in lower], 1.0)
-    tail_cut = _cut_tail_bound(s, _Y_CUT)
-    # exponential-sum truncation, evaluated at the slowest-decaying point y = 1
+    a, b = s - 1.0, 11.0 - s
+    value, err = _tanh_sinh([f * (y**a + y**b) for y, f in _node_sums(row)], _Y_CUT - 1.0)
+    tail_cut = _cut_tail_bound(s, _Y_CUT) + _cut_tail_bound(12.0 - s, _Y_CUT)
+    # exponential-sum truncation: past tau(48) the sum is at most 4 n1^6 exp(-2 pi n1 y)
+    # for y >= 1, and y^c exp(-2 pi n1 (y - 1)) <= 1 for each power y^c (c < 11)
     n1 = _TAU_TERMS + 1
-    series_tail = 4.0 * n1**6 * math.exp(-2.0 * math.pi * n1) * _Y_CUT
-    err = e_up + e_lo + tail_cut + series_tail
-    return CompletedLValue(s, v_up + v_lo, err)
+    series_tail = 8.0 * n1**6 * math.exp(-2.0 * math.pi * n1) * (_Y_CUT - 1.0)
+    return CompletedLValue(s, value, err + tail_cut + series_tail)
 
 
 # -- zeta on the critical line -----------------------------------------------------

@@ -232,8 +232,8 @@ def test_tables_csv_format():
 # sha256 of `qmodular tables TABLE [ARGS] --format FMT` stdout, recorded
 # before coefficients were stored as ints where integral; every byte must
 # stay the same.  The `--n-max 120` rank table was recorded before
-# rank_table moved to dense rows, and the `lvalues` tables before
-# DirichletSeries dropped its weight fields.
+# rank_table moved to dense rows, and the `lvalues` tables when Lambda
+# became one tanh-sinh pass over the folded integral on [1, 12].
 _RANK_ARGS = ("--n-max", "40")
 _SHADOW_ARGS = ("--e", "0.5", "--grid", "8")
 TABLES_SHA256 = {
@@ -256,9 +256,9 @@ TABLES_SHA256 = {
     ("shadow", _SHADOW_ARGS, "json"): "01be4906d313ea832daefe13afb576e99513d4de53ee78d600cdc71213c5deea",
     ("shadow", _SHADOW_ARGS, "csv"): "80e5767db26a258663a510fb9fb6118e2c42f5f6146f98019d3d930fc5f3daae",
     ("rank", ("--n-max", "120"), "json"): "5969f20c143da80f0826ae0e32fe34ad4f8e22001b9ad8623532b1f25686b3c7",
-    ("lvalues", (), "tsv"): "6fc4839a006ea18a00a2be1171489cd6806e4e43f0346768ec8a4fc252b8fdd5",
-    ("lvalues", (), "json"): "85ea16172c11fe9c7d89baab3e0573e3acc41792b90271f39893a48cf7b4580e",
-    ("lvalues", (), "csv"): "966e5f73203828a1f5e6e6ffeff190a0473b73d52e40e8832e2677dc428f7c5b",
+    ("lvalues", (), "tsv"): "40123dbabd572281148974693b96215b4c58a05bfca338fc18b786cb04dc8771",
+    ("lvalues", (), "json"): "05ae86a54c7e02aab1707e0dccff0801ea1cbea6a83bbe998b82f99c74ebae27",
+    ("lvalues", (), "csv"): "2a7ec7c18cf29382813eae2bc71a506779e9facfe35e89706d53f067ffd31229",
     # count 50 reads zeta up to t ~ 143, past every ordinate count 10 reaches
     ("zeros", ("--count", "50"), "tsv"): "07d05444cbb58554ec565d41b3eecd7412c63efc63cb53fbe28e40b9d8abba66",
     ("spacings", ("--count", "50"), "tsv"): "2de81e6fadc5cec058e51a3045dbeec202745dbca66467c2473aae3fba2ba99a",
@@ -324,6 +324,17 @@ def test_tables_lost_bracketing_exits_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "table generation failed" in capsys.readouterr().err
+
+
+def test_verify_lost_bracketing_exits_1(monkeypatch, capsys):
+    def lost(count):
+        raise lseries.BracketingError("missed sign changes")
+
+    monkeypatch.setattr(lseries, "zeta_zero_spacings", lost)
+    code, out = _run_main(["verify", "lfunc"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == "verification failed: missed sign changes\n"
 
 
 def test_tables_other_runtime_errors_propagate(monkeypatch):

@@ -441,11 +441,27 @@ def test_lambda_sums_the_cusp_series_once_per_node_for_every_s(monkeypatch):
     monkeypatch.setattr(lseries, "_cusp_exp_sum", lambda y, row: calls.append(y) or real(y, row))
     lseries._node_sums.cache_clear()
     values = [lseries.completed_lambda_integral(s) for s in (3.0, 4.0, 5.0, 7.0, 8.0, 9.0, 10.0)]
-    assert len(calls) == 2 * len(lseries._TS_RULE) == 450
+    assert len(calls) == len(lseries._TS_RULE) == 225
     # the same values as a cold start at each s
     for lam in values:
         lseries._node_sums.cache_clear()
         assert lseries.completed_lambda_integral(lam.s) == lam
+
+
+def test_lambda_is_one_quadrature_pass_per_value(monkeypatch):
+    passes = []
+    real = lseries._tanh_sinh
+    monkeypatch.setattr(lseries, "_tanh_sinh", lambda v, w: passes.append(w) or real(v, w))
+    for s in (3.0, 4.0, 5.0, 7.0, 8.0, 9.0, 10.0):
+        lseries.completed_lambda_integral(s)
+    assert passes == [11.0] * 7
+
+
+@pytest.mark.parametrize("s", [3.0, 4.0, 5.0])
+def test_lambda_is_bit_symmetric_under_s_to_12_minus_s(s):
+    a = lseries.completed_lambda_integral(s)
+    b = lseries.completed_lambda_integral(12.0 - s)
+    assert (a.value.hex(), a.quadrature_error.hex()) == (b.value.hex(), b.quadrature_error.hex())
 
 
 def test_lambda_rejects_out_of_strip():
@@ -758,6 +774,10 @@ def _tau_by_dense_power(count: int) -> list:
     return [None] + p  # tau(n) = coefficient of q^(n-1)
 
 
+# s values of the two oracle tests, the strip edges 0.01 and 11.99 included
+_ORACLE_S = (0.01, 0.5, 1, *range(3, 11), 6.5, 11, 11.5, 11.99)
+
+
 def test_lambda_error_bar_holds_against_mpmath_oracle():
     """|Lambda(s) - oracle| <= quadrature_error <= 1e-12 |Lambda(s)|.
 
@@ -769,7 +789,7 @@ def test_lambda_error_bar_holds_against_mpmath_oracle():
     taus = _tau_by_dense_power(64)
     with mpmath.workdps(40):
         two_pi = 2 * mpmath.pi
-        for s in (0.5, 1, *range(3, 11), 6.5, 11, 11.5):
+        for s in _ORACLE_S:
             s_mp = mpmath.mpf(s)
             oracle = mpmath.fsum(
                 taus[n]
@@ -779,9 +799,6 @@ def test_lambda_error_bar_holds_against_mpmath_oracle():
             lam = lseries.completed_lambda_integral(float(s))
             assert abs(mpmath.mpf(lam.value) - oracle) <= lam.quadrature_error, s
             assert lam.quadrature_error <= 1e-12 * abs(lam.value), s
-
-
-_ORACLE_S = (0.5, 1, *range(3, 11), 6.5, 11, 11.5)
 
 
 def test_lambda_cut_tail_bound_is_sharp_and_safe():
