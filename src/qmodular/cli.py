@@ -265,27 +265,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.set_defaults(fn=_cmd_expand, parser=p_expand)
 
     p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
-    verify_output = argparse.ArgumentParser(add_help=False)
-    verify_output.add_argument("--out", default=None)
-    verify_output.add_argument("--inject-tau-fault", action="store_true", help=argparse.SUPPRESS)
     suites = p_verify.add_subparsers(dest="suite", required=True)
     for name, params in {**_VERIFY_FLAGS, "all": list(_VERIFY_FLAG_TYPES)}.items():
-        leaf = suites.add_parser(name, parents=[verify_output], allow_abbrev=False)
+        leaf = suites.add_parser(name, allow_abbrev=False)
+        leaf.add_argument("--out", default=None)
+        leaf.add_argument("--inject-tau-fault", action="store_true", help=argparse.SUPPRESS)
         for param in params:
             leaf.add_argument("--" + param.replace("_", "-"), type=_VERIFY_FLAG_TYPES[param])
         leaf.set_defaults(fn=_cmd_verify, parser=leaf)
 
     p_tables = sub.add_parser("tables", help="emit a data table", allow_abbrev=False)
     p_tables.set_defaults(fn=_cmd_tables)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=["json", "tsv", "csv"], default="tsv")
-    output.add_argument("--out", default=None)
     kinds = p_tables.add_subparsers(dest="table", required=True)
-    kind = {
-        name: kinds.add_parser(name, parents=[output], allow_abbrev=False)
-        for name in sorted(_TABLES)
-    }
-    for leaf in kind.values():
+    kind = {}
+    for name in sorted(_TABLES):
+        leaf = kind[name] = kinds.add_parser(name, allow_abbrev=False)
+        leaf.add_argument("--format", choices=["json", "tsv", "csv"], default="tsv")
+        leaf.add_argument("--out", default=None)
         leaf.set_defaults(parser=leaf)
     kind["rank"].add_argument("--n-max", type=int, default=10)
     kind["zeros"].add_argument("--count", type=int, default=10)

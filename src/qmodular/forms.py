@@ -24,7 +24,6 @@ route that the Hecke and L-function checks compare the table against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Mapping, Sequence
 
@@ -104,6 +103,8 @@ class CheckReport(Record):
 
 def eta(order: int) -> QSeries:
     """q^(1/24) * prod_{n>=1} (1 - q^n) to ``order`` terms."""
+    from fractions import Fraction
+
     return euler_product(1, order).shift(Fraction(1, 24))
 
 
@@ -170,6 +171,8 @@ def eisenstein_e12(order: int) -> QSeries:
         p = d**11
         for m in range(d, order, d):
             coeffs[m] += p
+    from fractions import Fraction
+
     coeffs[0] = Fraction(691, 65520)
     return QSeries(0, tuple(coeffs))
 

@@ -16,7 +16,11 @@ only by :func:`rational` in the constructor: an ``int`` when integral, a
 :class:`~fractions.Fraction` otherwise, so the integral series that make
 up most of the library stay on plain ints.  Ints compare and hash like
 Fractions and carry ``.numerator`` and ``.denominator``, but ``/`` on two
-ints is a float: divide coefficients with ``Fraction(a, b)``.
+ints is a float: divide coefficients with ``Fraction(a, b)``.  The
+:mod:`fractions` module (which loads :mod:`decimal`) is imported only
+where a Fraction is built: in :func:`rational` past its int fast path,
+in the non-integral branch of the power kernel and in
+:func:`from_json_obj`, so a process that stays on ints never loads it.
 
 Truncation follows a no-fabrication rule: each operation returns a
 window on which its result is fully determined by the operands, and
@@ -40,11 +44,13 @@ head; tau(n) (e = 24) and the partition counts p(n) (e = -1) read it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-Rational = Union[int, Fraction]
-RationalLike = Union[int, Fraction, str]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Rational = Union[int, "Fraction"]
+RationalLike = Union[int, "Fraction", str]
 
 __all__ = [
     "QSeries",
@@ -68,9 +74,17 @@ class WindowError(Exception):
 
 
 def rational(x: RationalLike) -> Rational:
-    """The normal form of an exact rational: int if integral, else Fraction."""
+    """The normal form of an exact rational: int if integral, else Fraction.
+
+    A float is refused with :class:`TypeError`: its binary expansion is
+    not the rational it was written as (0.1 is not 1/10).
+    """
     if type(x) is int:
         return x
+    if isinstance(x, float):
+        raise TypeError(f"not an exact rational: float {x!r}; pass a Fraction, int or str")
+    from fractions import Fraction
+
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
@@ -276,6 +290,8 @@ def _power(a: Sequence[Rational], e: int, n: int, head: Sequence = ()) -> list[R
     a = a[:n]
     exact = all(type(c) is int for c in a) and (e >= 0 or a[0] in (1, -1))
     a0 = a[0]
+    if not exact:
+        from fractions import Fraction
     # on ints with e < 0, a0 = +-1 and a0^e = a0^|e| stays an int
     g = list(head) or [a0 ** abs(e) if exact else Fraction(a0) ** e]
     g += [0] * (n - len(g))
@@ -386,6 +402,8 @@ def to_json_obj(f: QSeries) -> dict:
 
 
 def from_json_obj(obj: dict) -> QSeries:
+    from fractions import Fraction
+
     coeffs = [Fraction(n, d) for n, d in obj["coeffs"]]
     if len(coeffs) != obj["order"]:
         raise ValueError(

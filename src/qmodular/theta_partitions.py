@@ -42,12 +42,14 @@ from __future__ import annotations
 
 import math
 import struct
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, lshift
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .qseries import QSeries, Record, euler_coefficient, pow as qpow
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "OmegaPoly",
@@ -102,6 +104,8 @@ def unary_theta(
     (offset + Z); patterns that spread over several residue classes of
     exponents cannot be represented in a single window and are rejected.
     """
+    from fractions import Fraction
+
     kappa = Fraction(kappa)
     if kappa <= 0 or 24 % kappa.denominator != 0:
         raise ValueError(f"kappa must be positive with denominator dividing 24, got {kappa}")

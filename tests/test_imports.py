@@ -151,6 +151,14 @@ import contextlib, io, json, sys
 argv = sys.argv[1:]
 if argv == ["--import-cli"]:
     from qmodular import cli
+elif argv == ["--rank-pass"]:
+    from qmodular import theta_partitions as tp
+    polys = tp.rank_generating(100)
+    tp.specialize_omega(polys, (1, 2))
+    tp.specialize_omega(polys, (0, 1))
+    tp.mock_theta_f(100)
+    [tp.partition_count(k) for k in range(100)]
+    tp.rank_table(99)
 elif argv[:1] == ["--parse"]:
     from qmodular import cli
     cli.build_parser().parse_args(argv[1:])
@@ -224,6 +232,17 @@ def test_verify_tau_skips_lseries_geometry_theta():
     assert not loaded & {"lseries", "geometry", "theta_partitions"}
 
 
+def _loaded_beyond_bare(names: set[str], *argv: str) -> set[str]:
+    """Which of ``names`` the probe loads that a bare interpreter does not."""
+    bare = subprocess.run(
+        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return _modules(*argv) & (names - set(json.loads(bare.stdout)))
+
+
 # dataclasses imports inspect (and with it ast, dis and tokenize), several
 # milliseconds of every short CLI process; records are plain classes instead
 _START_UP_HEAVY = {"dataclasses", "inspect"}
@@ -243,12 +262,73 @@ _START_UP_HEAVY = {"dataclasses", "inspect"}
     ids=" ".join,
 )
 def test_cli_process_loads_neither_dataclasses_nor_inspect(argv):
-    bare = subprocess.run(
-        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
-        capture_output=True,
-        text=True,
-        check=True,
+    assert _loaded_beyond_bare(_START_UP_HEAVY, *argv) == set()
+
+
+# fractions imports decimal (with _decimal) and numbers, about 3 ms of a
+# short process; only a process that builds a non-integral rational loads it
+_FRACTIONS = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--import-cli",),
+        ("expand", "delta", "--order", "40"),
+        ("expand", "euler--1", "--order", "40"),
+        ("expand", "mock-f", "--order", "40"),
+        ("expand", "theta-3", "--order", "40"),
+        ("tables", "rank", "--n-max", "12", "--format", "json"),
+        ("tables", "zeros"),
+        ("tables", "lvalues"),
+        ("tables", "shadow"),
+        ("--rank-pass",),
+    ],
+    ids=" ".join,
+)
+def test_integral_process_loads_no_fractions(argv):
+    assert _loaded_beyond_bare(_FRACTIONS, *argv) == set()
+
+
+# each path that imports Fraction where it builds one, as an expression over
+# the names of _LAZY_PRELUDE; run(...) is cli.main's stdout
+_LAZY_FRACTION_PATHS = {
+    "expand-eta": "run('expand', 'eta', '--order', '3')",
+    "expand-e12": "run('expand', 'e12', '--order', '2')",
+    "pow": "qs.pow(qs.QSeries(0, (2, 1)), -1)",
+    "json-round-trip": "qs.from_json_obj(qs.to_json_obj(qs.QSeries('1/24', ('1/2', 3))))",
+    "rational": "qs.rational('3/6')",
+    "unary-theta": "tp.unary_theta((0, 1, -1), qs.rational('1/3'), 5)",
+}
+
+_LAZY_PRELUDE = """
+import contextlib, io, sys
+from qmodular import cli, qseries as qs, theta_partitions as tp
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(list(argv)) == 0
+    return buf.getvalue()
+def show(v):
+    # a series by its stored values, so an int stored as a Fraction shows
+    return repr((v.offset, v.coeffs) if isinstance(v, qs.QSeries) else v)
+"""
+
+
+@pytest.mark.parametrize("expr", list(_LAZY_FRACTION_PATHS.values()), ids=list(_LAZY_FRACTION_PATHS))
+def test_lazy_fraction_path_gives_the_in_process_value(expr):
+    # the fresh process first imports fractions on this path; this one has long had it
+    probe = _LAZY_PRELUDE + (
+        "assert 'fractions' not in sys.modules\n"
+        "v = eval(sys.argv[1])\n"
+        "assert 'fractions' in sys.modules\n"
+        "print(show(v))\n"
     )
-    heavy = _START_UP_HEAVY - set(json.loads(bare.stdout))
-    loaded = _modules(*argv) & heavy
-    assert loaded == set()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, expr], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    ns = {}
+    exec(_LAZY_PRELUDE, ns)
+    assert proc.stdout == ns["show"](eval(expr, ns)) + "\n"

@@ -50,6 +50,22 @@ def test_non_24_smooth_offset_rejected():
         qs.QSeries(Fraction(1, 5), [1])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qs.rational(0.1),
+        lambda: QSeries(0, [1, 0.1]),
+        lambda: QSeries(0.5, [1]),
+        lambda: QSeries(0, [1, 2]).coeff(0.5),
+    ],
+    ids=["rational", "coefficient", "offset", "coeff"],
+)
+def test_float_is_refused_not_expanded(call):
+    # a float would be stored as its binary expansion: 0.1 as 3602879701896397/2^55
+    with pytest.raises(TypeError, match=r"float 0\.[15]\b"):
+        call()
+
+
 def test_mixed_lattice_add_rejected():
     f = qs.QSeries(0, [1])
     g = qs.QSeries(Fraction(1, 24), [1])
