@@ -51,10 +51,12 @@ __all__ = [
 class FormMeta(Record):
     """Weight / level tag with an optional character table.
 
-    ``character`` maps every residue mod ``level`` to an exact integer (a
+    ``character`` maps every residue mod ``level`` to an int (a
     mapping, or the sequence of values on 0 .. level-1) and is stored as
     that tuple; with none, ``eps`` is the principal character mod
-    ``level``.  :meth:`hecke_weight` is the one place the Hecke factor
+    ``level``.  A weight, level or character value that is not an int is
+    refused with :class:`TypeError`, so the Hecke data stay exact.
+    :meth:`hecke_weight` is the one place the Hecke factor
     eps(d) d^(k-1) is formed.
     """
 
@@ -63,6 +65,8 @@ class FormMeta(Record):
     def __init__(
         self, weight: int, level: int = 1, character: Mapping | Sequence | None = None
     ) -> None:
+        if not (isinstance(weight, int) and isinstance(level, int)):
+            raise TypeError(f"weight and level must be ints, got {weight!r} and {level!r}")
         if weight <= 0 or weight % 2 != 0:
             raise ValueError(f"weight must be a positive even integer, got {weight}")
         if level < 1:
@@ -74,6 +78,8 @@ class FormMeta(Record):
             if missing:
                 raise ValueError(f"character table misses residues {missing} mod {level}")
             character = tuple(character[r] for r in range(level))
+            if not all(isinstance(v, int) for v in character):
+                raise TypeError(f"character values must be ints, got {character}")
         super().__init__(weight, level, character)
 
     def eps(self, d: int) -> int:

@@ -35,7 +35,7 @@ import math
 from typing import Mapping, Optional, Sequence
 
 from . import forms
-from .qseries import QSeries, Rational, Record
+from .qseries import QSeries, Rational, Record, rational
 
 __all__ = [
     "DirichletValue",
@@ -132,8 +132,10 @@ def euler_product_coeffs(
     divides no n in range: it is tested for primality on its own, by
     deterministic Miller-Rabin, and plays no other part; a key at or above
     that test's exact range, about 3.3e24, is refused.  An empty mapping
-    gives {1: 1}.
+    gives {1: 1}.  Each c(p) is read by :func:`~qmodular.qseries.rational`,
+    which refuses a float with TypeError.
     """
+    prime_values = {p: rational(c) for p, c in prime_values.items()}
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     primes = forms.primes_up_to(max((k for k in prime_values if k <= n_max), default=1))
@@ -204,14 +206,12 @@ class CompletedLValue(Record):
 
 
 def _cusp_exp_sum(y: float, row: tuple[float, ...]) -> float:
-    """sum_{n<=order} tau(n) exp(-2 pi n y) for y >= 1.
+    """sum_{n<=order} tau(n) exp(-2 pi n y) for 1 <= y <= 12.
 
     Horner's rule in x = exp(-2 pi y); ``row`` holds tau(order), ...,
     tau(1) as floats, highest index first.
     """
     x = math.exp(-2.0 * math.pi * y)
-    if x == 0.0:  # exp underflows: every term is below the smallest double
-        return 0.0
     acc = 0.0
     for t in row:
         acc = acc * x + t

@@ -44,12 +44,9 @@ import math
 import struct
 from itertools import compress, repeat
 from operator import add, lshift
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-from .qseries import QSeries, Record, euler_coefficient, pow as qpow
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .qseries import QSeries, RationalLike, Record, euler_coefficient, pow as qpow, rational
 
 __all__ = [
     "OmegaPoly",
@@ -88,9 +85,7 @@ def theta_diagonal(k: int, order: int) -> QSeries:
     return theta1 if k == 1 else qpow(theta1, k)
 
 
-def unary_theta(
-    eps: Sequence[int], kappa: Union[int, Fraction], order: int
-) -> QSeries:
+def unary_theta(eps: Sequence[int], kappa: RationalLike, order: int) -> QSeries:
     """Weighted unary theta series sum_{n in Z} eps(n) n q^(kappa n^2).
 
     ``eps`` is one period of an odd integer-valued map: eps(n) is read
@@ -99,14 +94,14 @@ def unary_theta(
     By oddness the n and -n terms combine, so the result is
     sum_{n>=1} 2 eps(n) n q^(kappa n^2).
 
-    ``kappa`` must be a positive rational with denominator dividing 24.
-    All surviving exponents must lie on one integer lattice
-    (offset + Z); patterns that spread over several residue classes of
-    exponents cannot be represented in a single window and are rejected.
+    ``kappa`` must be a positive exact rational a/b with b dividing 24;
+    :func:`~qmodular.qseries.rational` refuses a float with TypeError.
+    With first the least n >= 1 with eps(n) != 0, the term of n sits
+    a (n^2 - first^2) / b integer steps past the offset kappa first^2.  A
+    nonzero term whose step leaves a remainder is off that one lattice
+    (offset + Z), so no single window holds it, and it is rejected.
     """
-    from fractions import Fraction
-
-    kappa = Fraction(kappa)
+    kappa = rational(kappa)
     if kappa <= 0 or 24 % kappa.denominator != 0:
         raise ValueError(f"kappa must be positive with denominator dividing 24, got {kappa}")
     if order < 1:
@@ -117,28 +112,24 @@ def unary_theta(
     for r in range(period):
         if eps[(-r) % period] != -eps[r]:
             raise ValueError("eps must be odd: eps[-n mod L] == -eps[n mod L]")
-    first = None
-    for n in range(1, 2 * period + 1):
-        if eps[n % period]:
-            first = n
-            break
+    first = next((n for n in range(1, period) if eps[n]), None)
     if first is None:
         return QSeries(0, [0] * order)
     offset = kappa * first * first
-    end = offset + order
+    a, b = kappa.numerator, kappa.denominator
     coeffs = [0] * order
-    n = first
-    while kappa * n * n < end:
+    n, step, rem = first, 0, 0
+    while step < order:
         e = eps[n % period]
         if e:
-            rel = kappa * n * n - offset
-            if rel.denominator != 1:
+            if rem:
                 raise ValueError(
                     "exponents fall on more than one integer lattice "
                     f"(q^{offset} vs q^{kappa * n * n}); not representable"
                 )
-            coeffs[int(rel)] += 2 * e * n
+            coeffs[step] += 2 * e * n
         n += 1
+        step, rem = divmod(a * (n * n - first * first), b)
     return QSeries(offset, tuple(coeffs))
 
 

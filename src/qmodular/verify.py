@@ -17,14 +17,14 @@ the L-function quadrature and needs no external dependency.
 
 Only :mod:`qmodular.forms` and :mod:`qmodular.qseries` are imported up
 front; each suite imports the other modules it checks, so ``verify tau``
-loads neither the L-function nor the geometry code.
+loads neither the L-function nor the geometry code, and only ``verify tau``
+imports :mod:`fractions`, for the E12 constant term.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, Callable
 
@@ -51,6 +51,8 @@ def verify_tau(n_max: int = 1000) -> list[CheckReport]:
     ``e12-delta-mod-691``, on the E12 sieve, is the one mod-691 check. The battery's
     mod-2^11 check keeps ``forms.sigma`` (n == 1 mod 8 only): trial division is a
     route to sigma_11 that shares nothing with the sieve."""
+    from fractions import Fraction
+
     reports = []
     e12 = forms.eisenstein_e12(n_max + 1)
     bad = []

@@ -141,6 +141,30 @@ def lattice_vectors_with_norm(k: int, m: int) -> int:
     return total
 
 
+def unary_theta_by_terms(eps, kappa: Fraction, order: int):
+    """(offset, coeffs) of sum_{n>=1} 2 eps(n) n q^(kappa n^2), one term per n.
+
+    Each exponent is the Fraction kappa n^2, and the window holds the
+    ``order`` integer steps from the first term's exponent; None when a
+    nonzero term in that window lies off the first term's lattice.
+    """
+    period = len(eps)
+    first = next((n for n in range(1, period + 1) if eps[n % period]), None)
+    if first is None:
+        return 0, [0] * order
+    offset = kappa * first * first
+    coeffs = [0] * order
+    n = first
+    while kappa * n * n < offset + order:
+        if eps[n % period]:
+            step = kappa * n * n - offset
+            if step.denominator != 1:
+                return None
+            coeffs[step.numerator] += 2 * eps[n % period] * n
+        n += 1
+    return offset, coeffs
+
+
 # -- Hecke operators -------------------------------------------------------------
 
 

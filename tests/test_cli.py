@@ -657,6 +657,34 @@ def test_verify_lfunc_sees_injected_tau_fault():
     assert proc.stderr == "verify lfunc: euler-product-vs-expansion: 20 of 62 violations shown\n"
 
 
+def test_verify_all_runs_each_check_once_in_suite_order():
+    code, out = _run_main(["verify", "all"])
+    assert code == 0
+    assert [c["check"] for c in json.loads(out)["checks"]] == [
+        "e12-constant-term",
+        "e12-delta-mod-691",
+        "tau-properties",
+        "hecke-coset-count",
+        "hecke-eigenform",
+        "hecke-composition",
+        "rank-table-invariants",
+        "rank-generating-vs-table",
+        "rank-equidistribution-mod5",
+        "partition-congruences",
+        "mock-theta-specialization",
+        "theta-lattice-counts",
+        "theta-multiplicativity",
+        "euler-product-vs-expansion",
+        "lambda-functional-equation",
+        "lambda-two-pipelines",
+        "zeta-zero-spacings",
+        "perimeter-preservation",
+        "shadow-vanishing",
+        "decomposition-identity",
+        "agm-vs-quadrature",
+    ]
+
+
 # sha256 of `qmodular verify all` stdout at default bounds; any change to a
 # check, its parameters or the JSON layout must update it deliberately.
 VERIFY_ALL_SHA256 = "a678c908913cd995339e3197d7ee4d90ca6aeabdcaeea77cc1b8baca3239cc48"

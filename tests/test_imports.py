@@ -159,6 +159,9 @@ elif argv == ["--rank-pass"]:
     tp.mock_theta_f(100)
     [tp.partition_count(k) for k in range(100)]
     tp.rank_table(99)
+elif argv == ["--unary-theta"]:
+    from qmodular import theta_partitions as tp
+    tp.unary_theta((0, 1, -1), 1, 20)
 elif argv[:1] == ["--parse"]:
     from qmodular import cli
     cli.build_parser().parse_args(argv[1:])
@@ -282,12 +285,26 @@ _FRACTIONS = {"fractions", "decimal", "numbers"}
         ("tables", "zeros"),
         ("tables", "lvalues"),
         ("tables", "shadow"),
+        ("verify", "hecke"),
+        ("verify", "rank"),
+        ("verify", "theta"),
+        ("verify", "lfunc"),
+        ("verify", "geometry"),
         ("--rank-pass",),
+        ("--unary-theta",),
     ],
     ids=" ".join,
 )
 def test_integral_process_loads_no_fractions(argv):
     assert _loaded_beyond_bare(_FRACTIONS, *argv) == set()
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "tau", "--n-max", "40"), ("verify", "all")], ids=" ".join
+)
+def test_suite_that_checks_the_e12_constant_loads_fractions(argv):
+    # verify tau compares E12's constant term with Fraction(691, 65520)
+    assert "fractions" in _loaded_beyond_bare(_FRACTIONS, *argv)
 
 
 # each path that imports Fraction where it builds one, as an expression over

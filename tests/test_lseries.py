@@ -80,6 +80,12 @@ def test_euler_product_smoothness_flags():
     assert list(ep) == [1, 2, 3, 4, 6, 8, 9]  # 5, 7 and 10 are not 3-smooth
 
 
+def test_euler_product_refuses_a_float_prime_value():
+    # 0.5 would give c(4) = -2047.75, a float no exact route can match
+    with pytest.raises(TypeError, match="not an exact rational: float 0.5"):
+        lseries.euler_product_coeffs({2: 0.5, 3: 1}, META12, 10)
+
+
 def test_euler_product_missing_prime_rejected():
     # the largest key up to n_max is 5, so the gap at 3 is named
     with pytest.raises(ValueError, match=r"missing for \[3\]"):

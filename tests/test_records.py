@@ -39,6 +39,21 @@ def test_validation_error_messages(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FormMeta(12.0), "weight and level must be ints, got 12.0 and 1"),
+        (lambda: FormMeta(2, 1.5), "weight and level must be ints, got 2 and 1.5"),
+        (lambda: FormMeta(2, 3, (0, 1.0, -1)), "character values must be ints, got (0, 1.0, -1)"),
+    ],
+    ids=["float-weight", "float-level", "float-character-value"],
+)
+def test_form_meta_refuses_inexact_hecke_data(build, message):
+    # a float here would leak into every Hecke and Euler coefficient
+    with pytest.raises(TypeError, match=re.escape(message)):
+        build()
+
+
 VALIDATED = [
     (QSeries(0, (1, 2)), "offset"),
     (FormMeta(12), "weight"),

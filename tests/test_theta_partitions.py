@@ -16,6 +16,7 @@ from conftest import (
     poly_mul,
     rank_counts_by_enumeration,
     rank_entries_by_triple_loop,
+    unary_theta_by_terms,
 )
 
 
@@ -103,6 +104,44 @@ def test_unary_theta_rejects_mixed_lattices():
     # integers, which a single window cannot hold
     with pytest.raises(ValueError):
         tp.unary_theta([0, 1, -1, 0, 0, -1, 1, 0], Fraction(12, 24), 30)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.1])
+def test_unary_theta_refuses_a_float_kappa(kappa):
+    # a float is not the rational it was written as: 0.1 != 1/10
+    with pytest.raises(TypeError, match=f"not an exact rational: float {kappa}"):
+        tp.unary_theta((0, 1, -1), kappa, 5)
+
+
+@st.composite
+def odd_patterns(draw):
+    """One period of an odd integer map: eps[-n mod L] == -eps[n mod L]."""
+    period = draw(st.integers(1, 12))
+    eps = [0] * period
+    for r in range(1, (period + 1) // 2):
+        eps[r] = draw(st.integers(-3, 3))
+        eps[period - r] = -eps[r]
+    return eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    odd_patterns(),
+    st.integers(1, 30),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]),
+    st.integers(1, 60),
+)
+@example([0, 1, -1], 1, 6, 5)  # q^(1/6) and q^(4/6): two lattices
+@example([0, 1, 0, 0, 0, -1], 1, 24, 60)  # -12 times Zwegers' g_1
+def test_unary_theta_matches_a_term_by_term_sum(eps, a, b, order):
+    kappa = Fraction(a, b)
+    want = unary_theta_by_terms(eps, kappa, order)
+    if want is None:
+        with pytest.raises(ValueError, match="exponents fall on more than one integer lattice"):
+            tp.unary_theta(eps, kappa, order)
+    else:
+        got = tp.unary_theta(eps, kappa, order)
+        assert (got.offset, list(got.coeffs)) == want
 
 
 # -- partitions -------------------------------------------------------------------

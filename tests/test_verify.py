@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,62 @@ def test_hecke_suite_sees_a_missing_coset(monkeypatch):
     reports = _violations(verify.verify_hecke())
     assert reports.pop("hecke-coset-count") == ("coset count != sigma_1 at n=6",)
     assert all(v == () for v in reports.values())
+
+
+def test_tau_suite_sees_a_wrong_e12_constant_term(monkeypatch):
+    real = forms.eisenstein_e12
+
+    def shifted(order):
+        series = real(order)
+        return qs.QSeries(series.offset, (Fraction(691, 65521),) + series.coeffs[1:])
+
+    monkeypatch.setattr(forms, "eisenstein_e12", shifted)
+    reports = {r.check: r for r in verify.verify_tau(n_max=60)}
+    constant = reports.pop("e12-constant-term")
+    assert not constant.ok
+    assert constant.violations == ("constant term is 691/65521, want 691/65520",)
+    assert all(r.ok for r in reports.values())
+
+
+def test_hecke_suite_sees_a_composition_law_that_fails(monkeypatch):
+    # the law holds for every series, so the fault goes into the Hecke kernel:
+    # T_2 on the 100-coefficient T_2 f row, the left side of (m, n) = (2, 2)
+    # and a list that no other check hands to the kernel
+    real = forms._hecke_coeffs
+
+    def skewed(a, meta, n, out_order):
+        out = real(a, meta, n, out_order)
+        if n == 2 and len(a) == 100:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(forms, "_hecke_coeffs", skewed)
+    reports = {r.check: r for r in verify.verify_hecke()}
+    composition = reports.pop("hecke-composition")
+    assert not composition.ok
+    assert composition.violations == (
+        "composition law fails at (m,n)=(2,2): (3, 145153, 145152)",
+    )
+    assert all(r.ok for r in reports.values())
+
+
+def test_geometry_suite_sees_a_shadow_that_does_not_vanish(monkeypatch):
+    # an inscribed radius one part in 2^30 short leaves a circular
+    # section's shadow nonzero in both the term and the series
+    monkeypatch.setattr(
+        geometry.EllipseSpec,
+        "inscribed_radius",
+        property(lambda spec: spec.r_ref * min(spec.e, spec.f) * (1.0 - 2.0**-30)),
+    )
+    reports = {r.check: r for r in verify.verify_geometry()}
+    shadow = reports.pop("shadow-vanishing")
+    assert not shadow.ok
+    assert shadow.violations == tuple(
+        f"{part} not exactly zero for e=f={c}"
+        for c in (0.5, 1.0, 2.0)
+        for part in ("shadow", "series shadow")
+    )
+    assert all(r.ok for r in reports.values())
 
 
 def test_hecke_suite_sees_a_discriminant_that_is_not_an_eigenform(monkeypatch):
