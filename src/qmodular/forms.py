@@ -18,8 +18,9 @@ stored coefficients as a plain list; only :func:`hecke_apply` wraps its
 result into a :class:`QSeries`.
 
 tau(n) reads the eta-power table of :mod:`qmodular.qseries` (row 24);
-:func:`delta` stays a fresh expansion of the same product, the independent
-route that the Hecke and L-function checks compare the table against.
+:func:`delta` stays a fresh expansion of the same product, which the Hecke
+checks compare the table against; it runs the same ``qseries._power``
+kernel on the same pentagonal row, so it is not an independent algorithm.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ can cross-check each other:
   by the inversion F(i/y) = y^12 F(iy) onto [1, inf) (so it is invariant
   under s -> 12 - s for any row) and computed by tanh-sinh quadrature
   (Takahasi and Mori, 1974) over [1, 12] on one fixed rule of 225 nodes,
-  built once at import, with Horner's rule in x = exp(-2 pi y) for the
-  cusp sums, computed once per tau row and shared by every s; Lambda
+  built once at import, with Horner's rule in x = exp(-2 pi y) over
+  tau(1..15) for the cusp sums, summed afresh by each call; Lambda
   equals (2 pi)^(-s) Gamma(s) sum c(n) n^(-s), so the two routes must agree;
 * critical-line zero ordinates of the zeta function, located by sign
   changes of the rotated real combination Z(t) = exp(i theta(t))
@@ -30,7 +30,6 @@ parameter sizes in scope sit comfortably inside double precision.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import Mapping, Optional, Sequence
 
@@ -242,6 +241,12 @@ def _tanh_sinh_rule() -> tuple[tuple[float, float, bool], ...]:
 
 
 _TS_RULE = _tanh_sinh_rule()
+# Lambda's upper integration limit and its 225 integrand nodes y on [1, _Y_CUT]
+_Y_CUT = 12.0
+_NODES = tuple(1.0 + (_Y_CUT - 1.0) * frac for frac, _, _ in _TS_RULE)
+# tau terms each node sums: the fewest whose series-truncation bar (n1 = 16) is
+# under half an ulp of every reported bar; later terms move no bit of any sum
+_TAU_TERMS = 15
 
 
 def _tanh_sinh(values: Sequence[float], width: float) -> tuple[float, float]:
@@ -270,22 +275,6 @@ def _tanh_sinh(values: Sequence[float], width: float) -> tuple[float, float]:
     return value, abs(value - coarse) + floor
 
 
-# Lambda's upper integration limit, and the tau terms each integrand point sums
-_Y_CUT = 12.0
-_TAU_TERMS = 48
-
-@functools.lru_cache(maxsize=1)
-def _node_sums(row: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
-    """(y, F) at the 225 nodes of [1, _Y_CUT] for this tau row.
-
-    F is the cusp sum at y by :func:`_cusp_exp_sum`.  No sum depends on
-    s, so the latest row's sums are kept and rebuilt only when a call
-    reads a different row.
-    """
-    nodes = (1.0 + (_Y_CUT - 1.0) * frac for frac, _, _ in _TS_RULE)
-    return tuple((y, _cusp_exp_sum(y, row)) for y in nodes)
-
-
 def _cut_tail_bound(s: float, y_cut: float) -> float:
     """Bound on the discarded tail integral_{y_cut}^inf F(iy) y^(s-1) dy.
 
@@ -307,13 +296,12 @@ def completed_lambda_integral(s: float) -> CompletedLValue:
 
     The inversion F(i/y) = y^12 F(iy) folds (0, 1] onto [1, inf), so
     Lambda(s) = integral_1^inf F(iy) (y^(s-1) + y^(11-s)) dy: one tanh-sinh
-    pass of 225 nodes over [1, 12].  Each call reads tau(1..48); the cusp
-    sums at the nodes depend on that row alone, so they come from
-    :func:`_node_sums`, and a call forms only the two powers at each node.
-    Their sum is symmetric in s <-> 12 - s, so Lambda(12 - s) is bit-equal
-    to Lambda(s) wherever 12 - s is exact.  The reported error adds the
-    quadrature estimate to bounds for each power's discarded y > 12 tail
-    and for the truncation of the exponential sum.
+    pass of 225 nodes over [1, 12].  Each call reads tau(1..15) and sums
+    the cusp series at each node of ``_NODES``, keeping no state between
+    calls.  The two powers' sum is symmetric in s <-> 12 - s, so
+    Lambda(12 - s) is bit-equal to Lambda(s) wherever 12 - s is exact.  The
+    reported error adds the quadrature estimate to bounds for each power's
+    discarded y > 12 tail and for the truncation of the exponential sum.
     """
     if not 0.0 < s < 12.0:
         raise ValueError(f"s must lie in (0, 12), got {s}")
@@ -321,10 +309,12 @@ def completed_lambda_integral(s: float) -> CompletedLValue:
     # read through forms.tau, so forms.inject_tau_fault reaches Lambda too
     row = tuple(float(forms.tau(n)) for n in range(_TAU_TERMS, 0, -1))
     a, b = s - 1.0, 11.0 - s
-    value, err = _tanh_sinh([f * (y**a + y**b) for y, f in _node_sums(row)], _Y_CUT - 1.0)
+    values = [_cusp_exp_sum(y, row) * (y**a + y**b) for y in _NODES]
+    value, err = _tanh_sinh(values, _Y_CUT - 1.0)
     tail_cut = _cut_tail_bound(s, _Y_CUT) + _cut_tail_bound(12.0 - s, _Y_CUT)
-    # exponential-sum truncation: past tau(48) the sum is at most 4 n1^6 exp(-2 pi n1 y)
-    # for y >= 1, and y^c exp(-2 pi n1 (y - 1)) <= 1 for each power y^c (c < 11)
+    # exponential-sum truncation: past tau(15) the sum is at most 4 n1^6 exp(-2 pi n1 y)
+    # for y >= 1, as (17/16)^6 exp(-2 pi) < 1/2, and y^c exp(-2 pi n1 (y - 1)) <= 1
+    # for each power y^c (c < 11)
     n1 = _TAU_TERMS + 1
     series_tail = 8.0 * n1**6 * math.exp(-2.0 * math.pi * n1) * (_Y_CUT - 1.0)
     return CompletedLValue(s, value, err + tail_cut + series_tail)

@@ -94,13 +94,17 @@ def unary_theta(eps: Sequence[int], kappa: RationalLike, order: int) -> QSeries:
     By oddness the n and -n terms combine, so the result is
     sum_{n>=1} 2 eps(n) n q^(kappa n^2).
 
-    ``kappa`` must be a positive exact rational a/b with b dividing 24;
-    :func:`~qmodular.qseries.rational` refuses a float with TypeError.
+    Every entry of ``eps`` and ``order`` must be an int, and ``kappa`` a
+    positive exact rational a/b with b dividing 24; a float in any of them
+    is refused with TypeError before any work (for ``kappa``, by
+    :func:`~qmodular.qseries.rational`).
     With first the least n >= 1 with eps(n) != 0, the term of n sits
     a (n^2 - first^2) / b integer steps past the offset kappa first^2.  A
     nonzero term whose step leaves a remainder is off that one lattice
     (offset + Z), so no single window holds it, and it is rejected.
     """
+    if not (isinstance(order, int) and all(isinstance(e, int) for e in eps)):
+        raise TypeError(f"eps entries and order must be ints, got {eps!r} and {order!r}")
     kappa = rational(kappa)
     if kappa <= 0 or 24 % kappa.denominator != 0:
         raise ValueError(f"kappa must be positive with denominator dividing 24, got {kappa}")

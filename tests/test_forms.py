@@ -392,6 +392,22 @@ def test_tau_property_battery_catches_corruption():
         forms.clear_tau_fault()
 
 
+def test_tau_property_battery_catches_a_coefficient_past_deligne(monkeypatch):
+    # tau(5) + 10^5 squares to about 1.1e10, past 4 * 5^11 = 1.95e8
+    real = forms.tau
+    monkeypatch.setattr(forms, "tau", lambda n: real(n) + (10**5 if n == 5 else 0))
+    report = forms.tau_properties_check(100)
+    assert "coefficient bound failed at p=5" in report.violations
+
+
+def test_tau_property_battery_catches_a_mod_2048_break_alone(monkeypatch):
+    # a sigma off by one at n = 9 breaks the congruence and nothing else
+    real = forms.sigma
+    monkeypatch.setattr(forms, "sigma", lambda k, n: real(k, n) + (n == 9))
+    report = forms.tau_properties_check(100)
+    assert report.violations == ("mod-2048 congruence failed at n=9",)
+
+
 def test_tau_fault_survives_lock_free_refill(monkeypatch):
     monkeypatch.setattr(qs, "_ROWS", {})
     forms.clear_tau_fault()

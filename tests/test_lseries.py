@@ -441,17 +441,63 @@ def test_lambda_follows_a_tau_fault_and_returns_to_the_clean_value():
     assert lseries.completed_lambda_integral(5.0) == clean
 
 
-def test_lambda_sums_the_cusp_series_once_per_node_for_every_s(monkeypatch):
-    calls = []
-    real = lseries._cusp_exp_sum
-    monkeypatch.setattr(lseries, "_cusp_exp_sum", lambda y, row: calls.append(y) or real(y, row))
-    lseries._node_sums.cache_clear()
-    values = [lseries.completed_lambda_integral(s) for s in (3.0, 4.0, 5.0, 7.0, 8.0, 9.0, 10.0)]
-    assert len(calls) == len(lseries._TS_RULE) == 225
-    # the same values as a cold start at each s
-    for lam in values:
-        lseries._node_sums.cache_clear()
-        assert lseries.completed_lambda_integral(lam.s) == lam
+def test_lambda_reads_15_tau_terms_and_sums_each_node_once_per_call(monkeypatch):
+    tau_reads, node_sums = [], []
+    real_tau, real_sum = forms.tau, lseries._cusp_exp_sum
+    monkeypatch.setattr(forms, "tau", lambda n: tau_reads.append(n) or real_tau(n))
+    monkeypatch.setattr(
+        lseries, "_cusp_exp_sum", lambda y, row: node_sums.append(y) or real_sum(y, row)
+    )
+    assert lseries._TAU_TERMS == 15
+    for s in (3.0, 4.0, 5.0, 7.0, 5.0):
+        tau_reads.clear()
+        node_sums.clear()
+        lseries.completed_lambda_integral(s)
+        assert sorted(tau_reads) == list(range(1, lseries._TAU_TERMS + 1))
+        assert len(node_sums) == len(lseries._NODES) == len(lseries._TS_RULE) == 225
+
+
+def _lambda_bits_by_terms(s_values, terms):
+    """(value.hex(), bar.hex()) at each s from a row of ``terms`` tau values.
+
+    Built from the kernel's parts with the kernel's operation order, so
+    only the number of tau terms differs from completed_lambda_integral.
+    """
+    row = tuple(float(forms.tau(n)) for n in range(terms, 0, -1))
+    nodes = [1.0 + 11.0 * frac for frac, _, _ in lseries._TS_RULE]
+    sums = [lseries._cusp_exp_sum(y, row) for y in nodes]
+    series_tail = 8.0 * (terms + 1) ** 6 * math.exp(-2.0 * math.pi * (terms + 1)) * 11.0
+    bits = []
+    for s in s_values:
+        a, b = s - 1.0, 11.0 - s
+        value, err = lseries._tanh_sinh([f * (y**a + y**b) for y, f in zip(nodes, sums)], 11.0)
+        tail_cut = lseries._cut_tail_bound(s, 12.0) + lseries._cut_tail_bound(12.0 - s, 12.0)
+        bits.append((value.hex(), (err + tail_cut + series_tail).hex()))
+    return bits
+
+
+_BITS_S = (0.01, *(k / 20 for k in range(1, 240)), 11.99)
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "tau-fault"])
+def test_lambda_with_15_tau_terms_is_bit_equal_to_48(fault):
+    """Every value and bar of the 15-term kernel equals a 48-term sum's bit
+    for bit, on and off the test fault; with 14 terms every bar moves, so
+    15 is verified rather than guessed.
+    """
+    if fault:
+        forms.inject_tau_fault()
+    try:
+        reference = _lambda_bits_by_terms(_BITS_S, 48)
+        got = [
+            (lam.value.hex(), lam.quadrature_error.hex())
+            for lam in map(lseries.completed_lambda_integral, _BITS_S)
+        ]
+        short = _lambda_bits_by_terms(_BITS_S, lseries._TAU_TERMS - 1)
+    finally:
+        forms.clear_tau_fault()
+    assert got == reference
+    assert all(bar != ref_bar for (_, bar), (_, ref_bar) in zip(short, reference))
 
 
 def test_lambda_is_one_quadrature_pass_per_value(monkeypatch):
@@ -764,6 +810,29 @@ def test_zero_count_guard_rejects_absurd_requests():
         lseries.zeta_zero_spacings(0)
     with pytest.raises(ValueError):
         lseries.zeta_zero_spacings(51)
+
+
+_REAL_Z = lseries.z_function
+
+
+@pytest.mark.parametrize(
+    "z, count, message",
+    [
+        (lambda t: 1.0, 3, "scan ran away"),
+        (lambda t: 1.0 if t < 10 else -1.0, 3, "refinement residual 1 at t=10.000000"),
+        # |Z| on 20 < t < 26 hides gamma_2 = 21.02 and gamma_3 = 25.01
+        (
+            lambda t: abs(_REAL_Z(t)) if 20 < t < 26 else _REAL_Z(t),
+            5,
+            r"zero count 5 up to t=\S+ falls short of the counting function \(6\.57\)",
+        ),
+    ],
+    ids=["no-sign-change", "spurious-bracket", "hidden-pair"],
+)
+def test_zero_scan_raises_bracketing_error(monkeypatch, z, count, message):
+    monkeypatch.setattr(lseries, "z_function", z)
+    with pytest.raises(lseries.BracketingError, match=message):
+        lseries.zeta_zero_spacings(count)
 
 
 def test_zero_list_validates_ordering():

@@ -113,6 +113,18 @@ def test_unary_theta_refuses_a_float_kappa(kappa):
         tp.unary_theta((0, 1, -1), kappa, 5)
 
 
+@pytest.mark.parametrize(
+    "eps, order, named",
+    [([0, 1.0, -1.0], 5, "[0, 1.0, -1.0] and 5"), ((0, 1, -1), 5.0, "(0, 1, -1) and 5.0")],
+    ids=["float-eps", "float-order"],
+)
+def test_unary_theta_refuses_inexact_sizes_up_front(eps, order, named):
+    # refused before any work, naming what the caller wrote
+    with pytest.raises(TypeError) as info:
+        tp.unary_theta(eps, 1, order)
+    assert str(info.value) == f"eps entries and order must be ints, got {named}"
+
+
 @st.composite
 def odd_patterns(draw):
     """One period of an odd integer map: eps[-n mod L] == -eps[n mod L]."""
