@@ -446,9 +446,10 @@ class ZeroList(Record):
     __slots__ = _fields = ("gammas", "residuals")
 
     def __init__(self, gammas: tuple[float, ...], residuals: tuple[float, ...]) -> None:
-        if any(b <= a for a, b in zip(gammas, gammas[1:])):
+        # written as "not all(... > ...)" so that a NaN ordinate fails both
+        if not all(b > a for a, b in zip(gammas, gammas[1:])):
             raise ValueError("ordinates must be strictly increasing")
-        if any(g <= 0 for g in gammas):
+        if not all(g > 0 for g in gammas):
             raise ValueError("ordinates must be positive")
         super().__init__(gammas, residuals)
 

@@ -37,7 +37,10 @@ series stay cheap).  Every power goes through one exact power kernel,
 J.C.P. Miller's recurrence: :func:`pow`, :func:`invert` (the power -1)
 and :func:`euler_product` (a power of Euler's pentagonal series).  It
 costs O(order * nnz(base)) for any exponent and stays on ints whenever
-the result is integral.  :func:`euler_coefficient` reads the eta powers
+the result is integral.  Each step is two sliding sums over the terms
+found so far, read as one C-level ``sum`` per distinct nonzero value of
+the base (two for the pentagonal series, +-1), so no bytecode runs per
+term.  :func:`euler_coefficient` reads the eta powers
 from one table, each exponent's row extended by the kernel from its known
 head; tau(n) (e = 24) and the partition counts p(n) (e = -1) read it.
 """
@@ -272,46 +275,58 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(f.offset + g.offset, tuple(_conv(f.coeffs, g.coeffs, n)))
 
 
+def _window(buf: list, places: list) -> zip:
+    """A zip whose m-th step is the tuple of buf[i + m] for the i in ``places``.
+
+    One list iterator per start, placed by ``__setstate__``; each reads
+    ``buf`` live, so a slot written before a step is seen by that step.
+    """
+    its = [iter(buf) for _ in places]
+    for it, i in zip(its, places):
+        it.__setstate__(i)
+    return zip(*its)
+
+
 def _power(a: Sequence[Rational], e: int, n: int, head: Sequence = ()) -> list[Rational]:
     """First ``n`` coefficients of ``a^e`` for a coefficient list with a[0] != 0.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7):
 
-        m a_0 g_m = sum_{k=1..m} ((e + 1) k - m) a_k g_{m-k},  g_0 = a_0^e.
+        m a_0 g_m = s = sum_{k=1..m} ((e + 1) k - m) a_k g_{m-k},  g_0 = a_0^e.
 
-    Each g_m reads only earlier terms and the sum runs over the nonzero
-    a_k, so the cost is O(n * nnz(a)) whatever the size of e; a known
-    head g_0 .. g_(h-1) is continued from m = h.  When every a_k is stored
-    as an int and the power is integral too (a_0 = +-1, or e >= 0), the
-    kernel stays on ints and every division must be exact: a remainder
-    raises ``ArithmeticError`` instead of being truncated.  Otherwise each
-    step divides into a Fraction.
+    As (e + 1) k - m = e m - (e + 1)(m - k), s is the same integer
+    e m V - (e + 1) H of the sliding sums V = sum a_k g_{m-k} and
+    H = sum a_k h_{m-k}, h_i = i g_i (skipped for e = -1): per value of the
+    nonzero a_k, a C-level ``sum`` of one :func:`_window` step over g or h
+    kept behind n zeros, O(n * nnz(a)) for any e.  A known head is continued
+    from m = len(head).  On ints (all a_k ints, and a_0 = +-1 or e >= 0) an
+    inexact division raises ``ArithmeticError``; else each step is a Fraction.
     """
-    a = a[:n]
-    exact = all(type(c) is int for c in a) and (e >= 0 or a[0] in (1, -1))
-    a0 = a[0]
+    a, a0 = a[:n], a[0]
+    exact = all(type(c) is int for c in a) and (e >= 0 or a0 in (1, -1))
     if not exact:
         from fractions import Fraction
     # on ints with e < 0, a0 = +-1 and a0^e = a0^|e| stays an int
     g = list(head) or [a0 ** abs(e) if exact else Fraction(a0) ** e]
-    g += [0] * (n - len(g))
-    terms = [(k, (e + 1) * k * c, c) for k, c in enumerate(a[1:], 1) if c]
-    for m in range(max(len(head), 1), n):
-        s = 0
-        for k, w, c in terms:
-            if k > m:
-                break
-            s += (w - m * c) * g[m - k]
-        if exact:
-            q, r = divmod(s, m * a0)
-            if r:
-                raise ArithmeticError(
-                    f"inexact division at q^{m} in an integral power"
-                )
-            g[m] = q
-        else:
-            g[m] = Fraction(s, m * a0)
-    return g
+    h, pad = len(g), [0] * (n - len(g))
+    G, H = [0] * n + g + pad, [0] * n + [i * c for i, c in enumerate(g)] + pad
+    groups: dict = {}
+    for k, c in enumerate(a[1:], 1):
+        if c:
+            groups.setdefault(c, []).append(n + h - k)
+    sums = [(c, _window(G, p), e != -1 and _window(H, p)) for c, p in groups.items()]
+    for m in range(h, n):
+        v = w = 0
+        for c, zg, zh in sums:
+            v += c * sum(next(zg))
+            if zh:
+                w += c * sum(next(zh))
+        s = e * m * v - (e + 1) * w
+        q, r = divmod(s, m * a0) if exact else (Fraction(s, m * a0), 0)
+        if r:
+            raise ArithmeticError(f"inexact division at q^{m} in an integral power")
+        G[n + m], H[n + m] = q, m * q
+    return G[n:]
 
 
 def invert(f: QSeries) -> QSeries:

@@ -16,11 +16,14 @@ rank generating series
 
 is expanded with exact Laurent-polynomial coefficients in w, folding
 each reciprocal factor in as an in-place recurrence, O(N^1.5) big-int
-shift-adds for order N.  Both kernels keep each dense DP row as one
-non-negative Python int packed in fixed-width slots, so a row update
-is one C-level shift and add, and both keep the w^m coefficient of
-row p in slot p + m.  The DPs stay independent; they share three
-pieces: :func:`_slot_bytes`, the slot width, from a proven bound on
+shift-adds for order N.  The n-th summand sits at q^(n^2), so it reads
+the running inverse only below q^(order - n^2), and every later summand
+reads less: each fold stops there, here and in :func:`mock_theta_f`.
+Both kernels keep each dense DP row as one non-negative Python int
+packed in fixed-width slots, so a row update is one C-level shift and
+add, and both keep the w^m coefficient of row p in slot p + m.  The
+DPs stay independent; they share three pieces: :func:`_slot_bytes`,
+the slot width, from a proven bound on
 the coefficients of 1/(q;q)_oo^r; :func:`_unpack_slots`, which reads
 every slot of a row at C level (strided byte copies and one
 ``struct.unpack``); and :func:`_row_poly`, which hands a finished row
@@ -273,8 +276,10 @@ def rank_generating(order: int) -> list[OmegaPoly]:
     1/(1 - w^(+-1) q^n) folds in as the ascending in-place recurrence
     row[p] += row[p - n] shifted by n +- 1 slots, and the summand as
     result[n^2 + j] += row[j] shifted by n^2 slots, so each step is one
-    big-int shift-add: O(order^1.5) of them.  Each finished row is read
-    once by :func:`_row_poly`.
+    big-int shift-add: O(order^1.5) of them.  The fold runs only over
+    p < order - n^2: the recurrence reads lower rows alone, this summand
+    reads no row above that, and every later one reads fewer.  Each
+    finished row is read once by :func:`_row_poly`.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -286,7 +291,7 @@ def rank_generating(order: int) -> list[OmegaPoly]:
     n = 1
     while n * n < order:
         for shift in ((n + 1) * bits, (n - 1) * bits):
-            for p in range(n, order):
+            for p in range(n, order - n * n):
                 inv_den[p] += inv_den[p - n] << shift
         shift = n * n * bits
         for j in range(order - n * n):
@@ -351,8 +356,10 @@ def mock_theta_f(order: int) -> QSeries:
     integer list.  Each 1/(1+q^n)^2 folds in as two ascending in-place
     passes of g[i] -= g[i - n] (the recurrence of g = h / (1+q^n)), so a
     step costs O(order) and the whole expansion O(order^1.5) integer
-    additions.  It shares no code with :func:`rank_generating`, which it
-    checks at w = -1.
+    additions.  The passes stop at i = order - n^2: g[i] reads only lower
+    entries, the q^(n^2) summand reads none above that, and every later
+    summand reads fewer.  It shares no code with :func:`rank_generating`,
+    which it checks at w = -1.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -363,7 +370,7 @@ def mock_theta_f(order: int) -> QSeries:
     n = 1
     while n * n < order:
         for _ in range(2):
-            for i in range(n, order):
+            for i in range(n, order - n * n):
                 inv_den[i] -= inv_den[i - n]
         acc[n * n :] = map(add, acc[n * n :], inv_den)
         n += 1

@@ -53,6 +53,42 @@ def naive_inverse(coeffs: list, order: int) -> list[Fraction]:
     return b
 
 
+def power_by_terms(a: list, e: int, n: int, head: list = ()) -> list:
+    """First n coefficients of a^e by Miller's recurrence, one term at a time.
+
+    The power kernel's per-term loop as it stood before its sums moved
+    to C-level windows, kept as the reference the rewrite must match
+    value for value, type for type and error for error:
+
+        m a_0 g_m = sum_{k=1..m} ((e + 1) k - m) a_k g_{m-k},  g_0 = a_0^e,
+
+    continued from m = len(head) when a head is given.
+    """
+    a = a[:n]
+    exact = all(type(c) is int for c in a) and (e >= 0 or a[0] in (1, -1))
+    a0 = a[0]
+    # on ints with e < 0, a0 = +-1 and a0^e = a0^|e| stays an int
+    g = list(head) or [a0 ** abs(e) if exact else Fraction(a0) ** e]
+    g += [0] * (n - len(g))
+    terms = [(k, (e + 1) * k * c, c) for k, c in enumerate(a[1:], 1) if c]
+    for m in range(max(len(head), 1), n):
+        s = 0
+        for k, w, c in terms:
+            if k > m:
+                break
+            s += (w - m * c) * g[m - k]
+        if exact:
+            q, r = divmod(s, m * a0)
+            if r:
+                raise ArithmeticError(
+                    f"inexact division at q^{m} in an integral power"
+                )
+            g[m] = q
+        else:
+            g[m] = Fraction(s, m * a0)
+    return g
+
+
 # -- partitions ---------------------------------------------------------------
 
 

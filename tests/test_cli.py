@@ -63,12 +63,15 @@ def test_expand_euler_large_exponents_are_fast_and_mutually_inverse():
 
 # sha256 of `qmodular expand NAME --order N` stdout, recorded from the
 # factor-by-factor euler_product and the repeated-squaring pow before the
-# power kernel replaced both, and (mock-f) from the sparse-factor expansion
-# of f(q) before the in-place fold replaced it; every byte must stay the same.
+# power kernel replaced both, (mock-f) from the sparse-factor expansion of
+# f(q) before the in-place fold replaced it, and (the other order-2000 rows)
+# from the per-term power kernel before its sums ran over C-level windows;
+# every byte must stay the same.
 EXPAND_SHA256 = {
     ("delta", 1): "fb29302673bb0a354d2d1bef59d097127b53e1e5b192bc7cca3df5ce1046e163",
     ("delta", 2): "fcb9b866351cf1e21803172463e2bba226b2173d0359340be40fcf544d385e25",
     ("delta", 50): "8450b31d64547023ffb89b8abb813753e21cad625e18f812b4dd7eee6e72fc7b",
+    ("delta", 2000): "d0915dcbb8cf1640b7210b8c4d57c54556af7d4a2a975b85743c7dc90b94b930",
     ("eta", 1): "51023f9b690b70c4147282598f5d1b363a26623837c34b2ec9217871e56441ed",
     ("eta", 2): "92c20836805ab69d0aa67dc26615b3ae95d0bba98f77f44c6e9082506d6d0816",
     ("eta", 50): "4b1ce20fe3ac7c0dc1a1f1e04bb2e60b2801a119a8e0104059f2f0eb71c7c39b",
@@ -78,6 +81,7 @@ EXPAND_SHA256 = {
     ("euler--1", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
     ("euler--1", 2): "6542a5a8e5eebab4a11e5970041b969ea878bdf1b5e03a79461a9d26abd3a7a3",
     ("euler--1", 50): "b265c741dc8c88f773cea41a0fdaa339fbb9535afad7ea6e8db03b836b3d1b65",
+    ("euler--1", 2000): "27d28f6c90fa7d94f6198c72472467f482216f66cc12fe04c9292e4442c1e42a",
     ("euler-1", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
     ("euler-1", 2): "1f95e31ec3b51087ced364c37a8d9136c1a338fc91fced60bf7d877e0b1c13a0",
     ("euler-1", 50): "bd58e2225d230ff21f0c0c739b8c3592958655f8942d730bb9c1ec49ca13637d",
@@ -87,6 +91,7 @@ EXPAND_SHA256 = {
     ("euler-24", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
     ("euler-24", 2): "8153ff4669a421847c1d93ba7e3e6de647753d8965e51335edfcdbbd9c902b57",
     ("euler-24", 50): "1b691b42966c8310bdce2d731b26416db1becfd33d45982f676d4b819cd54739",
+    ("euler-24", 2000): "4ca4aaca1add40e95ce7534def481b97694a07d9985bdba6287cf1d1abba3bed",
     ("theta-1", 1): "6bbb5f55e5762fc76a163813e3177b7d87a6b935e32da1788d38170262bf0f54",
     ("theta-1", 2): "618a623fee89f81b005c54bc0627f2f3039870951b33a8a7ff805f61d9555154",
     ("theta-1", 50): "3482fc5de1b380edac432c783b15e4bea72c287537861c09a258254878eb2589",

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from qmodular import qseries as qs
 from qmodular.qseries import QSeries, WindowError
 
-from conftest import dense_product_one_minus_qn, enumerate_partitions, naive_inverse
+from conftest import (
+    dense_product_one_minus_qn,
+    enumerate_partitions,
+    naive_inverse,
+    power_by_terms,
+)
 
 
 # -- construction and the window contract -----------------------------------------
@@ -350,6 +355,64 @@ def test_power_continued_from_a_wrong_head_fails_exact_division():
     )
     with pytest.raises(ArithmeticError, match="inexact division at q\\^2"):
         qs._power(qs._pentagonal(8), 24, 8, [1, -23])
+
+
+def _power_outcome(power, a, e, n, head):
+    """Each value with its type, or the ArithmeticError message."""
+    try:
+        return [(type(c), c) for c in power(a, e, n, head)]
+    except ArithmeticError as err:
+        return str(err)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(a, e, n, head): a sparse or dense int or Fraction base, maybe a head.
+
+    A head is the reference's own first terms, with one of them off by
+    one in half the draws; a wrong head on ints may fail exact division.
+    """
+    n = draw(st.integers(1, 40))
+    entries = st.integers(-3, 3) if draw(st.booleans()) else small_fractions
+    if draw(st.booleans()):  # sparse: mostly zeros, as the pentagonal row
+        entries = st.one_of(st.just(0), st.just(0), st.just(0), entries)
+    a = draw(st.lists(entries, min_size=n, max_size=n + 3))
+    a[0] = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]))
+    e = draw(st.integers(-30, 30))
+    head = []
+    if draw(st.booleans()):
+        head = power_by_terms(a, e, n)[: draw(st.integers(1, n))]
+        if draw(st.booleans()):
+            head[draw(st.integers(0, len(head) - 1))] += 1
+    return a, e, n, head
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_power_kernel_matches_per_term_reference(inputs):
+    # the same values and types, or the same error at the same q^m
+    a, e, n, head = inputs
+    assert _power_outcome(qs._power, a, e, n, head) == _power_outcome(
+        power_by_terms, a, e, n, head
+    )
+
+
+@pytest.mark.parametrize("e", [-24, -1, 1, 24])
+@pytest.mark.parametrize("order", [1, 2, 64, 300])
+def test_power_kernel_matches_reference_on_the_pentagonal_row(e, order):
+    pent = qs._pentagonal(order)
+    assert qs._power(pent, e, order) == power_by_terms(pent, e, order)
+
+
+@pytest.mark.parametrize("e", [-1, 3, 24])
+@pytest.mark.parametrize("wrong", [1, 5, 11, 40])
+def test_power_kernel_fails_where_the_reference_fails_on_a_wrong_head(e, wrong):
+    pent = qs._pentagonal(64)
+    head = power_by_terms(pent, e, 64)[:48]
+    head[wrong] += 1
+    assert _power_outcome(qs._power, pent, e, 64, head) == _power_outcome(
+        power_by_terms, pent, e, 64, head
+    )
 
 
 @st.composite

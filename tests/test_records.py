@@ -6,6 +6,7 @@ import inspect
 import json
 import pickle
 import re
+from math import nan
 
 import pytest
 
@@ -37,6 +38,21 @@ from qmodular.theta_partitions import OmegaPoly, rank_table
 def test_validation_error_messages(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize(
+    "gammas, message",
+    [
+        ((14.0, nan, 21.0), "ordinates must be strictly increasing"),
+        ((nan, 14.0), "ordinates must be strictly increasing"),
+        ((nan,), "ordinates must be positive"),
+    ],
+    ids=["nan-inside", "nan-first", "nan-alone"],
+)
+def test_zero_list_rejects_a_nan_ordinate(gammas, message):
+    # every comparison with NaN is false, so each check must fail on it
+    with pytest.raises(ValueError, match=message):
+        ZeroList(gammas, (0.0,) * len(gammas))
 
 
 @pytest.mark.parametrize(

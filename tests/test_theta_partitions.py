@@ -393,6 +393,16 @@ def test_rank_generating_matches_table(order):
             assert polys[n] == table.polynomial(n)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 11])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_rank_generating_matches_table_around_a_square_order(k, step):
+    # each fold stops at order - n^2, so the orders next to a square are
+    # where a summand (q^(k^2)) joins or leaves the window
+    order = k * k + step
+    table = tp.rank_table(order - 1)
+    assert tp.rank_generating(order)[1:] == list(table.polys)
+
+
 def test_rank_generating_symmetry_and_support(rank_polys_200):
     for n, poly in enumerate(rank_polys_200):
         terms = poly.terms()
@@ -585,6 +595,15 @@ def test_mock_theta_matches_appell_lerch_oracle(mock_f_by_appell_lerch_400, n):
     # Watson's form shares nothing with the q-hypergeometric sum: it sees
     # every coefficient of each 1/(1+q^n)^2 fold, not only the low ones
     assert list(tp.mock_theta_f(n).coeffs) == mock_f_by_appell_lerch_400[:n]
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 12, 19])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_mock_theta_matches_appell_lerch_around_a_square_order(
+    mock_f_by_appell_lerch_400, k, step
+):
+    order = k * k + step
+    assert list(tp.mock_theta_f(order).coeffs) == mock_f_by_appell_lerch_400[:order]
 
 
 # -- specialization ---------------------------------------------------------------------------
