@@ -198,31 +198,26 @@ def hecke_coset_reps(n: int) -> list[tuple[int, int, int]]:
 
 
 def _exact_coeffs(f: QSeries) -> list:
-    """Coefficients of q^0 .. q^(end-1) of ``f`` (offset 0 or 1) as a list.
+    """Coefficients of q^0 .. q^(order-1) of ``f`` (offset 0 or 1) as a list.
 
-    The stored values as they are (ints where integral); the slot below
-    an offset of 1 holds 0.
+    The stored values as they are (ints where integral); an offset of 1
+    puts 0 below them and leaves out the top one, which no T_n window reads.
     """
     if f.offset not in (0, 1):
         raise ValueError(f"Hecke operators require offset 0 or 1, got {f.offset}")
-    return [0] * f.offset + list(f.coeffs)
+    return ([0] * f.offset + list(f.coeffs))[: f.order]
 
 
-def _hecke_coeffs(a: list, meta: FormMeta, n: int, out_order: int) -> list:
-    """First ``out_order`` coefficients of T_n on the coefficient list ``a``.
+def _hecke_coeffs(a: list, meta: FormMeta, n: int) -> list:
+    """The ``len(a) // n`` coefficients of T_n on the coefficient list ``a``.
 
-    ``a[e]`` is the coefficient of q^e.  Output slot m is
-    sum_{d | gcd(m, n)} eps(d) d^(k-1) a(m n / d^2), with the factor
-    ``meta.hecke_weight(d)`` taken once per divisor d of n.
+    ``a[e]`` is the coefficient of q^e; the largest index read is
+    (len(a) // n - 1) n < len(a).  Output slot m is sum_{d | gcd(m, n)}
+    eps(d) d^(k-1) a(m n / d^2), with ``meta.hecke_weight(d)`` once per d | n.
     """
-    if out_order > 0 and (out_order - 1) * n >= len(a):
-        raise WindowError(
-            f"T_{n} to order {out_order} reads q^{(out_order - 1) * n}, "
-            f"but only {len(a)} coefficients are known"
-        )
     divisors = [(d, meta.hecke_weight(d)) for d in range(1, n + 1) if n % d == 0]
     out = []
-    for m in range(out_order):
+    for m in range(len(a) // n):
         mn = m * n
         s = 0
         for d, w in divisors:
@@ -235,20 +230,19 @@ def _hecke_coeffs(a: list, meta: FormMeta, n: int, out_order: int) -> list:
 def hecke_apply(f: QSeries, meta: FormMeta, n: int) -> QSeries:
     """Exact q-expansion of T_n f on the shrunken window floor(order/n).
 
-    Requires an integral offset of 0 or 1.  The m-th output coefficient
-    reads a(m n / d^2) for d | gcd(m, n); the window shrink guarantees
-    every read lands inside f's known range.  The sum runs on a plain
-    integer list (Fractions only where f has non-integral coefficients).
+    Requires an offset of 0 or 1 and an order >= n (else WindowError).
+    The m-th output coefficient reads a(m n / d^2) for d | gcd(m, n); the
+    kernel reads its window off f's order coefficients, so every read is
+    known.  The sum runs on ints (Fractions where f has non-integral ones).
     """
     if n < 1:
         raise ValueError(f"operator index must be >= 1, got {n}")
     a = _exact_coeffs(f)
-    out_order = f.order // n
-    if out_order < 1:
+    if f.order < n:
         raise WindowError(
             f"series order {f.order} too small for T_{n} (needs >= {n})"
         )
-    return QSeries(0, tuple(_hecke_coeffs(a, meta, n, out_order)))
+    return QSeries(0, tuple(_hecke_coeffs(a, meta, n)))
 
 
 class HeckeComposeReport(Record):
@@ -278,12 +272,12 @@ def hecke_compose_check(
     if mn_bound > f.order:
         raise WindowError(f"mn_bound {mn_bound} exceeds the order {f.order} of f")
     a = _exact_coeffs(f)
-    rows = {j: _hecke_coeffs(a, meta, j, f.order // j) for j in range(1, mn_bound + 1)}
+    rows = {j: _hecke_coeffs(a, meta, j) for j in range(1, mn_bound + 1)}
     reports = []
     for m in range(1, mn_bound + 1):
         for n in range(1, mn_bound // m + 1):
-            order = f.order // (m * n)
-            lhs = _hecke_coeffs(rows[n], meta, m, order)
+            lhs = _hecke_coeffs(rows[n], meta, m)
+            order = len(lhs)  # floor(f.order / (m n))
             ds = [d for d in range(1, gcd(m, n) + 1) if m % d == n % d == 0]
             terms = [(meta.hecke_weight(d), rows[m * n // (d * d)]) for d in ds]
             rhs = [sum(w * t[j] for w, t in terms) for j in range(order)]
@@ -326,10 +320,10 @@ def is_eigenform(f: QSeries, meta: FormMeta, n_max: int) -> EigenformReport:
     eigenvalues = []
     insufficient = []
     for n in range(1, n_max + 1):
-        if f.order // n < 2 or n >= f.end:
+        if f.order // n < 2:
             insufficient.append(n)
             continue
-        t_n = _hecke_coeffs(a, meta, n, f.order // n)
+        t_n = _hecke_coeffs(a, meta, n)
         lam = a[n]
         for j, c in enumerate(t_n):
             if c != lam * a[j]:

@@ -225,13 +225,14 @@ def one(order: int) -> QSeries:
 # -- kernels ------------------------------------------------------------------
 
 
-def _conv(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Rational]:
-    """Cauchy product of the coefficient blocks, truncated to n terms.
+def _conv(a: Sequence[Rational], b: Sequence[Rational]) -> list[Rational]:
+    """Cauchy product of the coefficient blocks, truncated to the shorter one.
 
-    The sparser block runs the outer loop, so multiplying by an
-    eta-like pentagonal-support series costs O(sqrt(n) * n) instead of
-    O(n^2).
+    An empty block gives [].  The sparser block runs the outer loop, so
+    multiplying by an eta-like pentagonal-support series costs
+    O(sqrt(n) * n) instead of O(n^2).
     """
+    n = min(len(a), len(b))
     if sum(1 for c in a[:n] if c) > sum(1 for c in b[:n] if c):
         a, b = b, a
     out = [0] * n
@@ -263,16 +264,13 @@ def scalar_mul(c: RationalLike, f: QSeries) -> QSeries:
 
 
 def mul(f: QSeries, g: QSeries) -> QSeries:
-    """Cauchy product; result order is the smaller operand order.
+    """Cauchy product; the kernel truncates it to the smaller operand order.
 
     Every returned coefficient is determined, but with leading zeros in
     an operand more are: q * q is known through q^2 from two
     coefficients each, yet the window stays two.
     """
-    n = min(f.order, g.order)
-    if n <= 0:
-        return QSeries(f.offset + g.offset, ())
-    return QSeries(f.offset + g.offset, tuple(_conv(f.coeffs, g.coeffs, n)))
+    return QSeries(f.offset + g.offset, tuple(_conv(f.coeffs, g.coeffs)))
 
 
 def _window(buf: list, places: list) -> zip:
@@ -302,6 +300,8 @@ def _power(a: Sequence[Rational], e: int, n: int, head: Sequence = ()) -> list[R
     from m = len(head).  On ints (all a_k ints, and a_0 = +-1 or e >= 0) an
     inexact division raises ``ArithmeticError``; else each step is a Fraction.
     """
+    if not isinstance(e, int):
+        raise TypeError(f"exponent must be an int, got {e!r}")
     a, a0 = a[:n], a[0]
     exact = all(type(c) is int for c in a) and (e >= 0 or a0 in (1, -1))
     if not exact:
@@ -344,6 +344,8 @@ def pow(f: QSeries, e: int) -> QSeries:  # noqa: A001 - mirrors the series API
     e > 0 a base with v leading zeros is q^v h, so the result is h^e
     shifted by e v and padded with zeros; its window stays ``f.order``.
     """
+    if not isinstance(e, int):
+        raise TypeError(f"exponent must be an int, got {e!r}")
     if e == 0:
         return one(f.order)
     n = f.order
@@ -386,12 +388,14 @@ _ROWS: dict[int, list[int]] = {}  # _ROWS[e][n] = coefficient of q^n in (q;q)_oo
 
 
 def euler_coefficient(e: int, n: int) -> int:
-    """Coefficient of ``q^n`` in ``prod_{k>=1} (1 - q^k)^e``, from one row per e.
+    """Coefficient of ``q^n`` in ``prod_{k>=1} (1 - q^k)^e``, from one row per int e.
 
     A read past the end of the row grows it to the smallest 64 * 2^k above
     n by continuing the power kernel from the known head, so reads in any
     order cost one expansion of the row's final size.
     """
+    if not isinstance(e, int):
+        raise TypeError(f"exponent must be an int, got {e!r}")
     row = _ROWS.get(e, ())
     if n >= len(row):
         order = 64

@@ -322,7 +322,7 @@ def _unpack_slots(packed: int, count: int, size: int) -> tuple[int, ...]:
     ``to_bytes`` at the exact length raises ``OverflowError`` for a bit
     above the top slot.  Each slot is padded to k = ceil(size / 8)
     64-bit words by ``size`` strided byte copies, one ``struct.unpack``
-    reads every word, and for k > 1 the higher words are shifted and
+    reads every word, and the higher words (none for k = 1) are shifted and
     added in, so no step loops over the slots in Python.
     """
     raw = packed.to_bytes(count * size, "little")
@@ -332,8 +332,6 @@ def _unpack_slots(packed: int, count: int, size: int) -> tuple[int, ...]:
     for b in range(size):
         padded[b::stride] = raw[b::size]
     words = struct.unpack(f"<{k * count}Q", padded)
-    if k == 1:
-        return words
     vals = words[::k]
     for j in range(1, k):
         vals = map(add, vals, map(lshift, words[j::k], repeat(64 * j)))

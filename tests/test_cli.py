@@ -267,6 +267,8 @@ TABLES_SHA256 = {
     # count 50 reads zeta up to t ~ 143, past every ordinate count 10 reaches
     ("zeros", ("--count", "50"), "tsv"): "07d05444cbb58554ec565d41b3eecd7412c63efc63cb53fbe28e40b9d8abba66",
     ("spacings", ("--count", "50"), "tsv"): "2de81e6fadc5cec058e51a3045dbeec202745dbca66467c2473aae3fba2ba99a",
+    # n-max 400 needs 10-byte slots: the two-word path of _unpack_slots
+    ("rank", ("--n-max", "400"), "json"): "39193387cf31589689ecfe44f1985498f7f194bdc02c95931b25e0c2ae00ed03",
 }
 
 

@@ -223,6 +223,39 @@ def test_hecke_apply_matches_defining_formula(coeffs, offset, k, char, n):
     assert got == qs.QSeries(0, want)
 
 
+class _ReadLog(list):
+    """A list that records every index read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.one_of(
+        st.lists(_int_coeffs, max_size=40),
+        st.lists(_frac_coeffs, max_size=40),
+    ),
+    k=st.sampled_from(range(2, 25, 2)),
+    char=st.sampled_from(CHARACTERS),
+)
+def test_hecke_kernel_reads_its_window_off_its_list(coeffs, k, char):
+    # len(a) // n coefficients for every n, none of them read past the list
+    level, table = char
+    meta = forms.FormMeta(weight=k, level=level, character=table)
+    for n in range(1, len(coeffs) + 3):
+        a = _ReadLog(coeffs)
+        got = forms._hecke_coeffs(a, meta, n)
+        assert len(got) == len(coeffs) // n
+        assert all(0 <= i < len(coeffs) for i in a.reads)
+        assert got == naive_hecke(coeffs, 0, k, meta.eps, n)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
@@ -258,9 +291,10 @@ def test_hecke_compose_check_expands_each_t_j_once(monkeypatch):
     real = forms._hecke_coeffs
     calls = []
 
-    def counted(a, meta, n, out_order):
-        calls.append((n, out_order))
-        return real(a, meta, n, out_order)
+    def counted(a, meta, n):
+        out = real(a, meta, n)
+        calls.append((n, len(out)))
+        return out
 
     monkeypatch.setattr(forms, "_hecke_coeffs", counted)
     reports = forms.hecke_compose_check(forms.FormMeta(12), forms.delta(200), 48)
@@ -273,9 +307,9 @@ def test_hecke_compose_check_reports_first_mismatch(monkeypatch):
     # a kernel that is off by one in a single slot must surface as a mismatch
     real = forms._hecke_coeffs
 
-    def skewed(a, meta, n, out_order):
-        out = real(a, meta, n, out_order)
-        if n == 4 and out_order > 3:
+    def skewed(a, meta, n):
+        out = real(a, meta, n)
+        if n == 4 and len(out) > 3:
             out[3] += 1
         return out
 

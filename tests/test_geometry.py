@@ -50,6 +50,17 @@ def test_perimeter_of_an_underflowing_axis_ratio_is_4a():
     assert geometry.ellipse_perimeter(spec) == pytest.approx(4e200, rel=1e-15)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.floats(1e-300, 1e300), st.floats(-300, 300).map(lambda u: 10.0**u)),
+    st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
+)
+def test_perimeter_of_a_circle_is_2_pi_a_bit_for_bit(r, c):
+    # the AGM loop stops at once with s = 0 and returns (4 a)(pi / 2)
+    spec = geometry.EllipseSpec(r, c, c)
+    assert geometry.ellipse_perimeter(spec) == 2.0 * math.pi * spec.semi_real
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.floats(0.2, 3.0),

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,11 @@ def test_mixed_lattice_add_rejected():
 def test_mul_identity():
     f = qs.QSeries(0, [3, -2, 5, 0, 7])
     assert qs.mul(qs.one(5), f) == f
+
+
+def test_mul_with_an_empty_operand_is_empty():
+    f, g = qs.QSeries(0, ()), qs.QSeries(1, (1,))
+    assert qs.mul(f, g) == qs.mul(g, f) == qs.QSeries(1, ())
 
 
 def test_telescoping_product():
@@ -208,7 +214,7 @@ class _Counted(int):
 
 def _conv_work(a, b) -> tuple[int, int]:
     _Counted.products = _Counted.tests = 0
-    qs._conv([_Counted(c) for c in a], [_Counted(c) for c in b], 50)
+    qs._conv([_Counted(c) for c in a], [_Counted(c) for c in b])
     return _Counted.products, _Counted.tests
 
 
@@ -346,6 +352,41 @@ def test_euler_coefficient_rejects_a_negative_index(e, n):
     qs.euler_coefficient(e, 100)
     with pytest.raises(ValueError, match="n must be >= 0"):
         qs.euler_coefficient(e, n)
+
+
+def _grow_then_read_24_0():
+    qs.euler_coefficient(24, 100)
+    return qs.euler_coefficient(24.0, 300)
+
+
+_NON_INT_EXPONENT_CALLS = {
+    "euler_coefficient(-1.0, 5)": (lambda: qs.euler_coefficient(-1.0, 5), "-1.0"),
+    "euler_coefficient(24.0, 3)": (lambda: qs.euler_coefficient(24.0, 3), "24.0"),
+    "euler_coefficient(24.0, 300) on a row of 24": (_grow_then_read_24_0, "24.0"),
+    "euler_product(0.5, 5)": (lambda: qs.euler_product(0.5, 5), "0.5"),
+    "euler_product(1/2, 5)": (lambda: qs.euler_product(Fraction(1, 2), 5), "Fraction(1, 2)"),
+    "euler_product(2.0, 5)": (lambda: qs.euler_product(2.0, 5), "2.0"),
+    "pow(f, 2.0)": (lambda: qs.pow(qs.QSeries(0, (1, 1, 0)), 2.0), "2.0"),
+    # the e == 0 and the all-zero exits of pow never reach the kernel
+    "pow(f, 0.0)": (lambda: qs.pow(qs.QSeries(0, (1, 1, 0)), 0.0), "0.0"),
+    "pow(0, 2.0)": (lambda: qs.pow(qs.QSeries(0, (0, 0)), 2.0), "2.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_INT_EXPONENT_CALLS))
+def test_a_non_int_exponent_is_refused_before_the_table_is_written(monkeypatch, case):
+    # a float row stored under 24.0 or -1.0 is the row of 24 or -1 (equal keys),
+    # so tau and p(n) would turn to floats; a fresh table stands for a fresh process
+    from qmodular import forms, theta_partitions
+
+    call, got = _NON_INT_EXPONENT_CALLS[case]
+    monkeypatch.setattr(qs, "_ROWS", {})
+    with pytest.raises(TypeError, match=re.escape(f"exponent must be an int, got {got}")):
+        call()
+    assert all(type(c) is int for row in qs._ROWS.values() for c in row)
+    assert theta_partitions.partition_count(100) == 190569292
+    assert type(theta_partitions.partition_count(100)) is int
+    assert forms.tau(12) == -370944 and type(forms.tau(12)) is int
 
 
 def test_power_continued_from_a_wrong_head_fails_exact_division():

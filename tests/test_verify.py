@@ -62,6 +62,32 @@ def test_theta_suite_sees_a_wrong_theta_coefficient(monkeypatch):
     assert lattice.violations == ("lattice count mismatch at k=2, m=5",)
 
 
+def test_theta_suite_sees_a_product_that_is_off(monkeypatch):
+    # a convolution one too high at q^7 breaks every theta(k) * theta(j);
+    # theta_diagonal runs on the power kernel, so the lattice counts stay right
+    real = qs._conv
+
+    def bumped(a, b):
+        out = real(a, b)
+        if len(out) >= 8:
+            out[7] += 1
+        return out
+
+    monkeypatch.setattr(qs, "_conv", bumped)
+    reports = {r.check: r for r in verify.verify_theta()}
+    assert reports["theta-lattice-counts"].ok
+    products = reports["theta-multiplicativity"]
+    assert not products.ok
+    assert products.violations == (
+        "theta(1)*theta(1) != theta(2)",
+        "theta(1)*theta(2) != theta(3)",
+        "theta(1)*theta(3) != theta(4)",
+        "theta(2)*theta(1) != theta(3)",
+        "theta(2)*theta(2) != theta(4)",
+        "theta(3)*theta(1) != theta(4)",
+    )
+
+
 def test_geometry_suite_sees_a_perimeter_off_by_1e_8(monkeypatch):
     real = geometry.ellipse_perimeter
     monkeypatch.setattr(
@@ -296,8 +322,8 @@ def test_hecke_suite_sees_a_composition_law_that_fails(monkeypatch):
     # and a list that no other check hands to the kernel
     real = forms._hecke_coeffs
 
-    def skewed(a, meta, n, out_order):
-        out = real(a, meta, n, out_order)
+    def skewed(a, meta, n):
+        out = real(a, meta, n)
         if n == 2 and len(a) == 100:
             out[3] += 1
         return out
